@@ -31,9 +31,6 @@ class BaselineCumHazEstimate:
     beta_used: np.ndarray
     max_follow_up: float
 
-    def value(self, x):
-        return self.curve(x)
-
     def beyond_support(self, x):
         return np.asarray(x, dtype=float) > self.max_follow_up
 

@@ -1,11 +1,11 @@
 """Command-line surface: fit, baseline hazard curves, influence/variance,
 decomposition, and the Monte Carlo rate lab.
 
-Exit codes: 0 success, 1 I/O or input error, 2 invalid invocation or
-model/fit failure, 3 internal self-check failure, 4 experiment validity
-failure.  All artifacts are plain JSON/CSV written into --output-dir
-(default: $BRESLOW_LAB_OUT or the working directory); reruns with identical
-inputs and seeds produce byte-identical files.
+Exit codes: 0 success, 1 I/O or input error, 2 invalid invocation,
+model/fit failure or numeric overflow, 3 internal self-check failure, 4
+experiment validity failure.  All artifacts are plain JSON/CSV written into
+--output-dir (default: $BRESLOW_LAB_OUT or the working directory); reruns
+with identical inputs and seeds produce byte-identical files.
 """
 
 from __future__ import annotations
@@ -75,8 +75,6 @@ def _load_input(args) -> "SurvivalDataset":
     if getattr(args, "input", None):
         try:
             return load_csv(args.input)
-        except FileNotFoundError as exc:
-            raise _CliError(EXIT_IO, f"cannot read {args.input}: {exc}") from exc
         except OSError as exc:
             raise _CliError(EXIT_IO, f"cannot read {args.input}: {exc}") from exc
         except DataError as exc:
@@ -385,9 +383,12 @@ def main(argv=None) -> int:
     except DataError as exc:
         print(str(exc), file=sys.stderr)
         return EXIT_IO
-    except (FileNotFoundError, OSError) as exc:
+    except OSError as exc:
         print(str(exc), file=sys.stderr)
         return EXIT_IO
+    except OverflowError as exc:
+        print(f"numeric overflow: {exc}", file=sys.stderr)
+        return EXIT_MODEL
     except ValueError as exc:
         print(str(exc), file=sys.stderr)
         return EXIT_MODEL

@@ -56,6 +56,13 @@ def _aggregates_for_likelihood(data: SurvivalDataset, beta) -> RiskAggregates:
     return build_aggregates(data, beta, center=center)
 
 
+def _log_likelihood(data: SurvivalDataset, agg: RiskAggregates) -> float:
+    """Breslow-tie log partial likelihood read off a risk table."""
+    sv = data.sorted_view
+    log_denom = np.log(agg.s0[sv.event_time_index]) + agg.log_scale
+    return math.fsum(sv.event_cov_sums @ agg.beta - sv.event_counts * log_denom)
+
+
 def log_partial_likelihood(data: SurvivalDataset, beta) -> float:
     """Breslow-tie log partial likelihood.
 
@@ -64,13 +71,7 @@ def log_partial_likelihood(data: SurvivalDataset, beta) -> float:
     """
     if data.covariate_dim == 0:
         raise ValueError("log partial likelihood requires at least one covariate")
-    beta = np.atleast_1d(np.asarray(beta, dtype=float))
-    agg = _aggregates_for_likelihood(data, beta)
-    sv = data.sorted_view
-    k = agg.time_index(sv.distinct_event_times)
-    log_denom = np.log(agg.s0[k]) + agg.log_scale
-    event_eta = sv.event_cov_sums @ beta
-    return math.fsum(event_eta - sv.event_counts * log_denom)
+    return _log_likelihood(data, _aggregates_for_likelihood(data, beta))
 
 
 def score_and_information(data: SurvivalDataset, beta, *, agg: RiskAggregates | None = None):
@@ -138,7 +139,10 @@ def fit_mple(
     if tol <= 0 or max_iter <= 0:
         raise ValueError("tol and max_iter must be positive")
     beta = np.zeros(p) if init is None else np.array(init, dtype=float).reshape(p)
-    ll = log_partial_likelihood(data, beta)
+    # One risk table per trial point: the accepted trial's table also gives
+    # the next score and information.
+    agg = _aggregates_for_likelihood(data, beta)
+    ll = _log_likelihood(data, agg)
     always_increasing = True
     iterations = 0
 
@@ -153,7 +157,7 @@ def fit_mple(
         )
 
     for _ in range(max_iter):
-        score, info = score_and_information(data, beta)
+        score, info = score_and_information(data, beta, agg=agg)
         if _is_singular(info):
             return result(STATUS_SINGULAR, score, info)
         direction = np.linalg.solve(info, score)
@@ -165,12 +169,14 @@ def fit_mple(
             # Quadratic-convergence region: the true likelihood gain is below
             # evaluation noise, so a monotonicity line search would stall.
             candidate = beta + direction
-            ll_new = log_partial_likelihood(data, candidate)
+            agg = _aggregates_for_likelihood(data, candidate)
+            ll_new = _log_likelihood(data, agg)
         else:
             step = 1.0
             for _ in range(_MAX_HALVINGS + 1):
                 candidate = beta + step * direction
-                ll_new = log_partial_likelihood(data, candidate)
+                agg = _aggregates_for_likelihood(data, candidate)
+                ll_new = _log_likelihood(data, agg)
                 if np.isfinite(ll_new) and ll_new >= ll:
                     break
                 step *= 0.5
@@ -179,9 +185,9 @@ def fit_mple(
         ll = ll_new
         iterations += 1
         if np.linalg.norm(beta) > _SEPARATION_NORM and always_increasing:
-            score, info = score_and_information(data, beta)
+            score, info = score_and_information(data, beta, agg=agg)
             return result(STATUS_SEPARATION, score, info)
-    score, info = score_and_information(data, beta)
+    score, info = score_and_information(data, beta, agg=agg)
     if _is_singular(info):
         return result(STATUS_SINGULAR, score, info)
     if np.linalg.norm(score) <= tol:

@@ -9,10 +9,13 @@ follow-up time ``t_k``,
 
 so that the weighted risk mass ``phi_n(beta, x) = s0[k(x)] / n`` and its
 first and second beta-derivatives are O(log n) lookups for arbitrary ``x``
-(weak inequality: ``k(x)`` is the first distinct time >= x).  Suffix sums are
-accumulated in descending time order with compensated (Kahan) summation so
-that rate experiments at n = 1e5 keep accumulation error below 1e-12
-relative.
+(weak inequality: ``k(x)`` is the first distinct time >= x).  All three
+tables come from one pass over the addend columns ``[w, w Z, w Z_i Z_j]``
+(``w = exp(beta'Z)``, ``i <= j``) in descending time order, summed with the
+compensated Sum2 algorithm of Ogita, Rump & Oishi, "Accurate sum and dot
+product" (SIAM J. Sci. Comput. 26, 2005): the result is as accurate as a
+plain sum carried out in twice the working precision, so rate experiments at
+n = 1e5 keep accumulation error far below 1e-12 relative.
 """
 
 from __future__ import annotations
@@ -57,53 +60,20 @@ class RiskAggregates:
         return np.searchsorted(self.distinct_times, np.asarray(x, dtype=float), side="left")
 
 
-def _kahan_suffix_small(w, wz, wz2, start_flags, m):
-    """Scalar Kahan suffix sums for p <= 1 (pure-Python hot path)."""
-    s0 = np.empty(m)
-    s1 = np.empty(m) if wz is not None else None
-    s2 = np.empty(m) if wz2 is not None else None
-    a = c_a = b = c_b = d = c_d = 0.0
-    g = m - 1
-    n = len(w)
-    for i in range(n - 1, -1, -1):
-        y = w[i] - c_a
-        t = a + y
-        c_a = (t - a) - y
-        a = t
-        if wz is not None:
-            y = wz[i] - c_b
-            t = b + y
-            c_b = (t - b) - y
-            b = t
-            y = wz2[i] - c_d
-            t = d + y
-            c_d = (t - d) - y
-            d = t
-        if start_flags[i]:
-            s0[g] = a
-            if wz is not None:
-                s1[g] = b
-                s2[g] = d
-            g -= 1
-    return s0, s1, s2
+def _suffix_sums(addends: np.ndarray, starts: np.ndarray) -> np.ndarray:
+    """Compensated suffix sums of each column, read at the rows ``starts``.
 
-
-def _kahan_suffix_general(addends, start_flags, m):
-    """Vector Kahan suffix sums: one compensated stream per column."""
-    n, q = addends.shape
-    out = np.empty((m, q))
-    s = np.zeros(q)
-    c = np.zeros(q)
-    g = m - 1
-    for i in range(n - 1, -1, -1):
-        y = addends[i] - c
-        t = s + y
-        c = (t - s) - y
-        s = t
-        if start_flags[i]:
-            out[g] = s
-            g -= 1
-    return out
+    Sum2 of Ogita, Rump & Oishi: a running sum over the reversed rows, the
+    exact TwoSum rounding error of each of its additions, and the running
+    sum of those errors added back at the end.
+    """
+    x = addends[::-1]
+    total = np.cumsum(x, axis=0)
+    prev = np.concatenate([np.zeros_like(total[:1]), total[:-1]])
+    step = total - prev
+    err = (prev - (total - step)) + (x - step)
+    rows = addends.shape[0] - 1 - starts
+    return total[rows] + np.cumsum(err, axis=0)[rows]
 
 
 def build_aggregates(data: SurvivalDataset, beta, *, center: float | None = None) -> RiskAggregates:
@@ -120,7 +90,8 @@ def build_aggregates(data: SurvivalDataset, beta, *, center: float | None = None
         raise ValueError(f"beta has length {beta.size}, expected {data.covariate_dim}")
     sv = data.sorted_view
     p = data.covariate_dim
-    eta = sv.covariates @ beta if p else np.zeros(data.n)
+    z = sv.covariates
+    eta = z @ beta
     if center is None:
         top = float(eta.max()) if eta.size else 0.0
         if top > EXP_OVERFLOW:
@@ -130,30 +101,14 @@ def build_aggregates(data: SurvivalDataset, beta, *, center: float | None = None
         scale = float(center)
     w = np.exp(eta - scale)
     m = sv.distinct_times.size
-    start_flags = np.zeros(data.n, dtype=bool)
-    start_flags[sv.group_starts] = True
-    if p <= 1:
-        wz = (w * sv.covariates[:, 0]).tolist() if p == 1 else None
-        wz2 = (w * sv.covariates[:, 0] ** 2).tolist() if p == 1 else None
-        s0, s1, s2 = _kahan_suffix_small(w.tolist(), wz, wz2, start_flags, m)
-        if p == 0:
-            s1 = np.zeros((m, 0))
-            s2 = np.zeros((m, 0, 0))
-        else:
-            s1 = s1.reshape(m, 1)
-            s2 = s2.reshape(m, 1, 1)
-    else:
-        iu, ju = np.triu_indices(p)
-        zz = sv.covariates[:, iu] * sv.covariates[:, ju]
-        addends = np.concatenate(
-            [w[:, None], w[:, None] * sv.covariates, w[:, None] * zz], axis=1
-        )
-        table = _kahan_suffix_general(addends, start_flags, m)
-        s0 = table[:, 0]
-        s1 = table[:, 1 : 1 + p]
-        s2 = np.empty((m, p, p))
-        s2[:, iu, ju] = table[:, 1 + p :]
-        s2[:, ju, iu] = table[:, 1 + p :]
+    iu, ju = np.triu_indices(p)
+    addends = np.column_stack([w, w[:, None] * z, w[:, None] * (z[:, iu] * z[:, ju])])
+    table = _suffix_sums(addends, sv.group_starts)
+    s0 = table[:, 0]
+    s1 = table[:, 1 : 1 + p]
+    s2 = np.empty((m, p, p))
+    s2[:, iu, ju] = table[:, 1 + p :]
+    s2[:, ju, iu] = table[:, 1 + p :]
     return RiskAggregates(
         beta=beta,
         distinct_times=sv.distinct_times,
@@ -165,32 +120,28 @@ def build_aggregates(data: SurvivalDataset, beta, *, center: float | None = None
     )
 
 
+def _lookup(agg: RiskAggregates, table: np.ndarray, x):
+    """Row of ``table`` at the first distinct time >= x (zero past the last) over n."""
+    x_arr = np.asarray(x, dtype=float)
+    padded = np.concatenate([table, np.zeros((1,) + table.shape[1:])])
+    out = padded[agg.time_index(x_arr)] / agg.n * np.exp(agg.log_scale)
+    return out if x_arr.ndim or out.ndim else float(out)
+
+
 def phi_n(agg: RiskAggregates, x):
     """Weighted risk mass (1/n) sum_{T_j >= x} exp(beta'Z_j).
 
     Left-continuous and nonincreasing in ``x``; zero beyond the largest
     follow-up time.
     """
-    x_arr = np.asarray(x, dtype=float)
-    k = agg.time_index(x_arr)
-    padded = np.concatenate([agg.s0, [0.0]])
-    out = padded[k] / agg.n * np.exp(agg.log_scale)
-    return out if x_arr.ndim else float(out)
+    return _lookup(agg, agg.s0, x)
 
 
 def d1_n(agg: RiskAggregates, x):
     """Gradient of ``phi_n`` in beta: (1/n) sum_{T_j >= x} Z_j exp(beta'Z_j)."""
-    x_arr = np.asarray(x, dtype=float)
-    k = agg.time_index(x_arr)
-    padded = np.concatenate([agg.s1, np.zeros((1, agg.p))])
-    out = padded[k] / agg.n * np.exp(agg.log_scale)
-    return out if x_arr.ndim else out.reshape(agg.p)
+    return _lookup(agg, agg.s1, x)
 
 
 def d2_n(agg: RiskAggregates, x):
     """Hessian of ``phi_n`` in beta; symmetric positive semidefinite."""
-    x_arr = np.asarray(x, dtype=float)
-    k = agg.time_index(x_arr)
-    padded = np.concatenate([agg.s2, np.zeros((1, agg.p, agg.p))])
-    out = padded[k] / agg.n * np.exp(agg.log_scale)
-    return out if x_arr.ndim else out.reshape(agg.p, agg.p)
+    return _lookup(agg, agg.s2, x)

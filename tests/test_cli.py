@@ -106,6 +106,17 @@ class TestBreslowCommand:
         ])
         assert code == 2
 
+    def test_overflow_exit_2_one_line(self, tmp_path, capsys):
+        path = tmp_path / "big.csv"
+        path.write_text("time,event,z1\n1.0,1,800.0\n2.0,1,0.0\n")
+        code = main([
+            "breslow", "--input", str(path), "--beta", "1",
+            "--output-dir", str(tmp_path / "o"),
+        ])
+        assert code == 2
+        err = capsys.readouterr().err
+        assert err.count("\n") == 1 and "overflow" in err
+
 
 class TestInfluenceCommand:
     def test_variance_artifact_parses(self, tmp_path):

@@ -158,6 +158,22 @@ class TestFitMple:
         fit = fit_mple(data, init=[1.0], max_iter=5)
         assert np.isfinite(fit.log_partial_likelihood)
 
+    @pytest.mark.parametrize("shift", [0.0, 1100.0])
+    def test_fit_reports_fresh_likelihood_and_information(self, shift):
+        # The fitter reuses each trial point's risk table; what it reports must
+        # equal a fresh evaluation at beta_hat, also when the shifted
+        # covariate pushes beta'Z past the stabilizing center threshold.
+        from breslow_lab import SurvivalDataset, generate_dataset, reference_truth
+
+        base = generate_dataset(reference_truth(), 500, 3)
+        data = SurvivalDataset(base.times, base.events, base.covariates + shift)
+        fit = fit_mple(data)
+        assert fit.converged
+        if shift:
+            assert np.max(data.covariates @ fit.beta_hat) > 700.0
+        assert fit.log_partial_likelihood == log_partial_likelihood(data, fit.beta_hat)
+        assert np.all(fit.information == score_and_information(data, fit.beta_hat)[1])
+
 
 class TestScoreResiduals:
     def test_sum_to_total_score(self):

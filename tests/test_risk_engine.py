@@ -160,3 +160,37 @@ def test_kahan_accumulation_accuracy():
         t = agg.distinct_times[k]
         exact = math.fsum(w[times >= t])
         assert abs(agg.s0[k] - exact) <= 1e-12 * exact
+
+
+def test_compensated_accuracy_at_scale_general_p():
+    # n = 1e5, p = 3 against exact fsum suffixes: s0 relative to its value,
+    # each s1/s2 entry relative to the fsum of its absolute addends (entries
+    # may cancel to near zero).  The README promises 1e-12; a compensated sum
+    # is as good as twice the working precision, so ask for a few ulps, which
+    # a plain running sum (about 5e-15 here) misses.
+    import math
+
+    tol = 1e-15
+    rng = np.random.default_rng(12)
+    n = 100_000
+    times = rng.exponential(1.0, n) + 1e-3
+    events = rng.random(n) < 0.7
+    z = rng.normal(0, 1, (n, 3))
+    from breslow_lab import SurvivalDataset
+
+    data = SurvivalDataset(times, events, z)
+    beta = np.array([0.4, -0.3, 0.2])
+    agg = build_aggregates(data, beta)
+    w = np.exp(z @ beta)
+
+    def rel_error(value, terms):
+        return abs(value - math.fsum(terms)) / math.fsum(np.abs(terms))
+
+    for k in [0, 1, n // 7, n // 3, n // 2, 2 * n // 3, n - 2, n - 1]:
+        mask = times >= agg.distinct_times[k]
+        wk, zk = w[mask], z[mask]
+        assert rel_error(agg.s0[k], wk) <= tol
+        for i in range(3):
+            assert rel_error(agg.s1[k, i], wk * zk[:, i]) <= tol
+            for j in range(3):
+                assert rel_error(agg.s2[k, i, j], wk * (zk[:, i] * zk[:, j])) <= tol
