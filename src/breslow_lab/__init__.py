@@ -22,7 +22,6 @@ from .coxfit import (
 )
 from .data import (
     DataError,
-    Observation,
     SurvivalDataset,
     load_csv,
     save_csv,

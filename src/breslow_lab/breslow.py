@@ -14,7 +14,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .data import SurvivalDataset
-from .risk import build_aggregates, d1_n, phi_n
+from .risk import build_aggregates, event_increments, phi_n
 from .stepfun import StepCurve
 
 
@@ -62,10 +62,9 @@ class PluginACurve:
 def breslow_traditional(data: SurvivalDataset, beta) -> BaselineCumHazEstimate:
     """Event-time sum form: increments d_i over the raw risk-set sums."""
     agg = build_aggregates(data, beta)
+    d_lambda, _ = event_increments(data, agg)
     sv = data.sorted_view
-    denom = agg.s0[sv.event_time_index] * np.exp(agg.log_scale)
-    increments = sv.event_counts / denom
-    curve = StepCurve(sv.distinct_event_times, np.cumsum(increments))
+    curve = StepCurve(sv.distinct_event_times, np.cumsum(d_lambda))
     return BaselineCumHazEstimate(
         curve=curve, beta_used=agg.beta, max_follow_up=float(sv.times[-1])
     )
@@ -90,25 +89,18 @@ def breslow_plugin(data: SurvivalDataset, beta) -> BaselineCumHazEstimate:
 
 
 def a_n_curve(data: SurvivalDataset, beta) -> PluginACurve:
-    """Plug-in sensitivity curve (1/n) sum_{events, T_i <= x} d1/phi_n^2.
+    """Plug-in sensitivity curve ``A_n(x) = sum_{t_k <= x} zbar(t_k) dL(t_k)``.
 
-    Returns an empty, flagged curve when there are no covariates.
+    ``zbar = S1/S0`` is the risk-set covariate mean and ``dL = d/S0`` the
+    Breslow increment at the distinct event time ``t_k``; equivalently
+    (1/n) sum over events with T_i <= x of d1_n/phi_n^2.  Returns an empty,
+    flagged curve when there are no covariates.
     """
     agg = build_aggregates(data, beta)
     if agg.p == 0:
         return PluginACurve(components=(), beta_used=agg.beta)
-    sv = data.sorted_view
-    ev_times = sv.times[sv.events]
-    phi_vals = phi_n(agg, ev_times)
-    d1_vals = d1_n(agg, ev_times)
-    contributions = d1_vals / (data.n * phi_vals[:, None] ** 2)
-    group = np.searchsorted(sv.distinct_event_times, ev_times)
-    components = []
-    for col in range(agg.p):
-        sums = np.bincount(
-            group, weights=contributions[:, col], minlength=sv.distinct_event_times.size
-        )
-        components.append(
-            StepCurve(sv.distinct_event_times, np.cumsum(sums), monotone=False)
-        )
-    return PluginACurve(components=tuple(components), beta_used=agg.beta)
+    d_lambda, zbar = event_increments(data, agg)
+    jumps = data.sorted_view.distinct_event_times
+    values = np.cumsum(zbar * d_lambda[:, None], axis=0)
+    components = tuple(StepCurve(jumps, col, monotone=False) for col in values.T)
+    return PluginACurve(components=components, beta_used=agg.beta)

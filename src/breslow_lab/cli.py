@@ -99,6 +99,10 @@ def _parse_floats(text: str) -> np.ndarray:
     return np.array([float(v) for v in text.split(",")])
 
 
+def _parse_sizes(text: str) -> tuple:
+    return tuple(int(v) for v in text.split(","))
+
+
 # ---------------------------------------------------------------------------
 # Subcommands
 
@@ -240,6 +244,8 @@ def cmd_decompose(args) -> int:
 
 
 def cmd_rate_lab(args) -> int:
+    # Defaults, then the config file, then every flag given (flag dest ==
+    # config key).
     options = {
         "truth": "reference",
         "claim": None,
@@ -257,22 +263,8 @@ def cmd_rate_lab(args) -> int:
             raise _CliError(EXIT_IO, str(exc)) from exc
         except ValueError as exc:
             raise _CliError(EXIT_MODEL, str(exc)) from exc
-    if args.claim:
-        options["claim"] = args.claim
-    if args.truth:
-        options["truth"] = args.truth
-    if args.n:
-        options["sample_sizes"] = tuple(int(v) for v in args.n.split(","))
-    if args.reps is not None:
-        options["replications"] = args.reps
-    if args.a_n:
-        options["a_n"] = args.a_n
-    if args.seed is not None:
-        options["seed"] = args.seed
-    if args.grid_points is not None:
-        options["grid_points"] = args.grid_points
-    if args.phi_floor is not None:
-        options["M_policy"] = args.phi_floor
+    flags = vars(args)
+    options.update({k: flags[k] for k in options if flags.get(k) is not None})
     claim = options["claim"]
     if claim not in CLAIMS:
         raise _CliError(EXIT_MODEL, f"unknown claim {claim!r}; options: {sorted(CLAIMS)}")
@@ -357,12 +349,13 @@ def build_parser() -> argparse.ArgumentParser:
     p_lab.add_argument("--claim", choices=sorted(CLAIMS), default=None)
     p_lab.add_argument("--config", default=None, help="flat key=value config file")
     p_lab.add_argument("--truth", default=None, choices=sorted(TRUTHS))
-    p_lab.add_argument("--n", default=None, help="comma-separated sample sizes")
-    p_lab.add_argument("--reps", type=int, default=None)
+    p_lab.add_argument("--n", dest="sample_sizes", type=_parse_sizes, default=None,
+                       help="comma-separated sample sizes")
+    p_lab.add_argument("--reps", dest="replications", type=int, default=None)
     p_lab.add_argument("--a-n", dest="a_n", default=None)
     p_lab.add_argument("--seed", type=int, default=None)
     p_lab.add_argument("--grid-points", type=int, default=None)
-    p_lab.add_argument("--phi-floor", type=float, default=None)
+    p_lab.add_argument("--phi-floor", dest="M_policy", type=float, default=None)
     p_lab.add_argument("--output-dir", default=None)
     p_lab.set_defaults(func=cmd_rate_lab)
 
@@ -396,3 +389,7 @@ def main(argv=None) -> int:
 
 def entrypoint() -> None:
     sys.exit(main())
+
+
+if __name__ == "__main__":
+    entrypoint()

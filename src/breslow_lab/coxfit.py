@@ -13,7 +13,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .data import SurvivalDataset
-from .risk import RiskAggregates, build_aggregates
+from .risk import RiskAggregates, build_aggregates, event_increments
 
 STATUS_CONVERGED = "converged"
 STATUS_MAX_ITERATIONS = "max_iterations"
@@ -50,9 +50,11 @@ class CoxFit:
 
 
 def _aggregates_for_likelihood(data: SurvivalDataset, beta) -> RiskAggregates:
+    # Always centered, so an overflowing trial point yields a non-finite
+    # likelihood (a failed line-search step) instead of an error.
     beta = np.atleast_1d(np.asarray(beta, dtype=float))
     eta_max = float(np.max(data.covariates @ beta)) if beta.size else 0.0
-    center = eta_max if eta_max > _STABILIZE_ABOVE else None
+    center = eta_max if eta_max > _STABILIZE_ABOVE else 0.0
     return build_aggregates(data, beta, center=center)
 
 
@@ -201,24 +203,21 @@ def score_residuals(data: SurvivalDataset, beta) -> np.ndarray:
     Subject ``i`` contributes its event term ``Z_i - zbar(T_i)`` minus its
     accumulated exposure ``exp(beta'Z_i) * sum_{t_k <= T_i} (Z_i - zbar(t_k))
     dL(t_k)``, where ``zbar`` is the risk-set covariate mean and ``dL`` the
-    baseline hazard increment.  The residuals sum to the total score and are
+    baseline hazard increment.  The exposure is read off the Breslow curve
+    ``sum dL`` and the sensitivity curve ``A_n = sum zbar dL``, both running
+    sums over one risk table.  The residuals sum to the total score and are
     the per-subject terms of the coefficient estimator's linear expansion.
     """
     if data.covariate_dim == 0:
         raise ValueError("score residuals require at least one covariate")
     beta = np.atleast_1d(np.asarray(beta, dtype=float))
-    agg = _aggregates_for_likelihood(data, beta)
+    d_lambda, zbar = event_increments(data, build_aggregates(data, beta))
     sv = data.sorted_view
-    k = sv.event_time_index
-    s0 = agg.s0[k]
-    zbar = agg.s1[k] / s0[:, None]
-    d_lambda = sv.event_counts / (s0 * np.exp(agg.log_scale))  # baseline increments
     cum_dl = np.concatenate([[0.0], np.cumsum(d_lambda)])
     cum_zbar_dl = np.concatenate(
         [np.zeros((1, data.covariate_dim)), np.cumsum(zbar * d_lambda[:, None], axis=0)]
     )
-    eta = data.covariates @ beta
-    w = np.exp(eta)
+    w = np.exp(data.covariates @ beta)
     pos = np.searchsorted(sv.distinct_event_times, data.times, side="right")
     exposure = w[:, None] * (data.covariates * cum_dl[pos][:, None] - cum_zbar_dl[pos])
     event_term = np.zeros_like(data.covariates)

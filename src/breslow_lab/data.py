@@ -8,32 +8,14 @@ package consumes a :class:`SurvivalDataset`.
 from __future__ import annotations
 
 import csv
-import math
-from dataclasses import dataclass
 from functools import cached_property
-from typing import Iterable, NamedTuple, Sequence
+from typing import Iterable, NamedTuple
 
 import numpy as np
 
 
 class DataError(ValueError):
     """Raised when raw input cannot form a valid dataset."""
-
-
-@dataclass(frozen=True)
-class Observation:
-    """One right-censored subject: T = min(X, C), the event flag, and Z."""
-
-    follow_up_time: float
-    event_indicator: bool
-    covariates: np.ndarray
-
-    def __post_init__(self):
-        object.__setattr__(self, "covariates", np.asarray(self.covariates, dtype=float))
-        if not (math.isfinite(self.follow_up_time) and self.follow_up_time > 0):
-            raise DataError(f"follow-up time must be positive and finite, got {self.follow_up_time!r}")
-        if self.covariates.ndim != 1 or not np.all(np.isfinite(self.covariates)):
-            raise DataError("covariates must be a finite 1-d vector")
 
 
 class _SortedView(NamedTuple):
@@ -52,10 +34,9 @@ class _SortedView(NamedTuple):
 class SurvivalDataset:
     """Immutable collection of right-censored observations.
 
-    Stores column arrays (``times``, ``events``, ``covariates``) for numeric
-    work; ``observations`` materializes row objects on demand.  At least one
-    event is required: with no events the baseline hazard estimate would be
-    identically zero and the regression coefficients unidentifiable.
+    Stores column arrays (``times``, ``events``, ``covariates``).  At least
+    one event is required: with no events the baseline hazard estimate would
+    be identically zero and the regression coefficients unidentifiable.
     """
 
     def __init__(self, times, events, covariates):
@@ -106,13 +87,6 @@ class SurvivalDataset:
     @property
     def covariate_dim(self) -> int:
         return int(self._covariates.shape[1])
-
-    @property
-    def observations(self) -> list[Observation]:
-        return [
-            Observation(float(t), bool(e), z)
-            for t, e, z in zip(self._times, self._events, self._covariates)
-        ]
 
     @cached_property
     def sorted_view(self) -> _SortedView:

@@ -30,7 +30,7 @@ import numpy as np
 from .breslow import PluginACurve, breslow_traditional
 from .coxfit import CoxFit, score_residuals
 from .data import SurvivalDataset
-from .risk import build_aggregates, phi_n
+from .risk import RiskAggregates, build_aggregates, event_increments, phi_n
 from .stepfun import StepCurve
 from .truth import TruthModel
 
@@ -114,6 +114,20 @@ def xi_truth_value(truth: TruthModel, t: float, delta: bool, z, x: float) -> flo
     return float(-np.exp(eta) * integral + event)
 
 
+def _xi_matrix(data: SurvivalDataset, beta, grid, q_t, q_x, phi_t) -> np.ndarray:
+    """``xi(t, delta, z; x) = -e^{beta'z} q(min(t, x)) + delta {t <= x} / phi(t)``.
+
+    Entry (i, k) for subject i and grid point x_k, given the path integral
+    ``q`` at every follow-up time (``q_t``) and grid point (``q_x``) and the
+    risk mass ``phi`` at every follow-up time; population or empirical
+    plug-ins alike.
+    """
+    before = data.times[:, None] <= grid[None, :]
+    q_min = np.where(before, q_t[:, None], q_x[None, :])
+    event_weight = np.where(data.events, 1.0 / phi_t, 0.0)
+    return -np.exp(data.covariates @ beta)[:, None] * q_min + event_weight[:, None] * before
+
+
 def xi_truth(data: SurvivalDataset, truth: TruthModel, x_grid) -> InfluenceMatrix:
     """Influence matrix with population plug-ins, one row per subject."""
     grid = _as_grid(x_grid)
@@ -121,13 +135,8 @@ def xi_truth(data: SurvivalDataset, truth: TruthModel, x_grid) -> InfluenceMatri
     if truth.phi(hi) <= 0:
         raise ValueError("grid extends beyond the follow-up support of the design")
     t = data.times
-    eta = data.covariates @ truth.beta0 if truth.p else np.zeros(data.n)
     q_t = truth.hazard_over_phi(np.minimum(t, hi))
-    q_x = truth.hazard_over_phi(grid)
-    q_min = np.where(t[:, None] <= grid[None, :], q_t[:, None], q_x[None, :])
-    event_weight = np.where(data.events, 1.0 / truth.phi(t), 0.0)
-    event = event_weight[:, None] * (t[:, None] <= grid[None, :])
-    values = -np.exp(eta)[:, None] * q_min + event
+    values = _xi_matrix(data, truth.beta0, grid, q_t, truth.hazard_over_phi(grid), truth.phi(t))
     return InfluenceMatrix(grid=grid, values=values, mode=MODE_TRUTH)
 
 
@@ -179,19 +188,10 @@ def xi_plugin(data: SurvivalDataset, fit: CoxFit | None, x_grid) -> InfluenceMat
             "grid point beyond the last follow-up time: empirical risk mass is zero"
         )
     agg = build_aggregates(data, beta)
-    base = breslow_traditional(data, beta)
-    ev_times = base.curve.jump_times
-    increments = np.diff(np.concatenate([[0.0], base.curve.cumulative_values]))
-    phi_at_events = phi_n(agg, ev_times)
-    qhat = StepCurve(ev_times, np.cumsum(increments / phi_at_events))
-    t = data.times
-    eta = data.covariates @ beta if data.covariate_dim else np.zeros(data.n)
-    q_t = qhat(t)
-    q_x = qhat(grid)
-    q_min = np.where(t[:, None] <= grid[None, :], q_t[:, None], q_x[None, :])
-    event_weight = np.where(data.events, 1.0 / phi_n(agg, t), 0.0)
-    event = event_weight[:, None] * (t[:, None] <= grid[None, :])
-    values = -np.exp(eta)[:, None] * q_min + event
+    d_lambda, _ = event_increments(data, agg)
+    ev_times = sv.distinct_event_times
+    qhat = StepCurve(ev_times, np.cumsum(d_lambda / phi_n(agg, ev_times)))
+    values = _xi_matrix(data, beta, grid, qhat(data.times), qhat(grid), phi_n(agg, data.times))
     return InfluenceMatrix(grid=grid, values=values, mode=MODE_PLUGIN)
 
 
@@ -238,18 +238,18 @@ def variance_estimate(
 # Exact decomposition of the centered estimate
 
 
-def _piecewise_risk_integrals(data: SurvivalDataset, truth: TruthModel, grid: np.ndarray):
+def _piecewise_risk_integrals(truth: TruthModel, agg: RiskAggregates, grid: np.ndarray):
     """Integrals of functions of the empirical risk mass against the truth.
 
     The empirical risk mass is constant between consecutive distinct
     follow-up times, so integrals like ``int_0^x g(Phi_n(u)) dF(u)`` reduce
     exactly to sums of antiderivative differences over those pieces.  Returns
     ``(I_v, I_inv)`` on the grid, where ``I_v`` integrates ``Phi_n *
-    rate0/Phi`` and ``I_inv`` integrates ``(1/Phi_n) * Phi * rate0``.
+    rate0/Phi`` and ``I_inv`` integrates ``(1/Phi_n) * Phi * rate0``;
+    ``agg`` is the risk table at ``truth.beta0``.
     """
-    agg = build_aggregates(data, truth.beta0)
     edges = np.concatenate([[0.0], agg.distinct_times])
-    v = agg.s0 / data.n * np.exp(agg.log_scale)
+    v = phi_n(agg, agg.distinct_times)
     hi = float(grid.max())
     if hi > edges[-1]:
         raise ValueError(
@@ -279,15 +279,16 @@ def _piecewise_risk_integrals(data: SurvivalDataset, truth: TruthModel, grid: np
 
 def _t2_terms(data: SurvivalDataset, truth: TruthModel, grid: np.ndarray) -> dict:
     """Terms of the split of cum_haz_n(beta0, x) - cum_haz_0(x)."""
-    i_v, i_inv = _piecewise_risk_integrals(data, truth, grid)
+    agg = build_aggregates(data, truth.beta0)
+    i_v, i_inv = _piecewise_risk_integrals(truth, agg, grid)
     lam0 = truth.cum_hazard0(grid)
     sv = data.sorted_view
     event_weight = np.where(sv.events, 1.0 / truth.phi(sv.times), 0.0)
     prefix_ev = np.concatenate([[0.0], np.cumsum(event_weight)])
     k = np.searchsorted(sv.times, grid, side="right")
     s_phi = prefix_ev[k] / data.n
-    base0 = breslow_traditional(data, truth.beta0)
-    haz_n0 = base0.curve(grid)
+    d_lambda, _ = event_increments(data, agg)
+    haz_n0 = StepCurve(sv.distinct_event_times, np.cumsum(d_lambda))(grid)
     b_n = lam0 - i_v
     c_n = s_phi - lam0
     r_n3 = (haz_n0 - s_phi) - (i_inv - lam0)
@@ -359,7 +360,7 @@ def remainder_decomposition(
 def default_m_plugin(data: SurvivalDataset, beta, phi_floor: float = 0.05) -> float:
     """Largest follow-up time with empirical risk mass >= phi_floor."""
     agg = build_aggregates(data, beta)
-    mass = agg.s0 / data.n * np.exp(agg.log_scale)
+    mass = phi_n(agg, agg.distinct_times)
     ok = np.flatnonzero(mass >= phi_floor)
     if ok.size == 0:
         raise ValueError("empirical risk mass is below the floor everywhere")

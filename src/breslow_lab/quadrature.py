@@ -13,6 +13,8 @@ import math
 
 import numpy as np
 
+from .risk import _running_sums
+
 
 class QuadratureError(RuntimeError):
     """Adaptive refinement failed to reach the requested tolerance."""
@@ -62,17 +64,8 @@ class PanelAntiderivative:
             raise QuadratureError("quadrature refinement loop did not terminate")
         self.edges = edges
         panel_vals = self._panel_integrals(edges, self._nodes_hi, self._weights_hi)
-        prefix = np.empty(edges.size)
-        prefix[0] = 0.0
-        acc = 0.0
-        comp = 0.0
-        for i, v in enumerate(panel_vals, start=1):
-            y = v - comp
-            t = acc + y
-            comp = (t - acc) - y
-            acc = t
-            prefix[i] = acc
-        self._prefix = prefix
+        prefix = _running_sums(panel_vals, np.arange(panel_vals.size))
+        self._prefix = np.concatenate([[0.0], prefix])
 
     def _panel_integrals(self, edges, nodes, weights):
         a = edges[:-1][:, None]

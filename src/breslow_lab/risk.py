@@ -60,30 +60,30 @@ class RiskAggregates:
         return np.searchsorted(self.distinct_times, np.asarray(x, dtype=float), side="left")
 
 
-def _suffix_sums(addends: np.ndarray, starts: np.ndarray) -> np.ndarray:
-    """Compensated suffix sums of each column, read at the rows ``starts``.
+def _running_sums(addends: np.ndarray, rows: np.ndarray) -> np.ndarray:
+    """Compensated running sums of ``addends`` along axis 0, read at ``rows``.
 
-    Sum2 of Ogita, Rump & Oishi: a running sum over the reversed rows, the
-    exact TwoSum rounding error of each of its additions, and the running
-    sum of those errors added back at the end.
+    Sum2 of Ogita, Rump & Oishi: a running sum, the exact TwoSum rounding
+    error of each of its additions, and the running sum of those errors added
+    back at the rows read.  The risk tables and the quadrature prefix sums
+    both use it.
     """
-    x = addends[::-1]
-    total = np.cumsum(x, axis=0)
+    total = np.cumsum(addends, axis=0)
     prev = np.concatenate([np.zeros_like(total[:1]), total[:-1]])
     step = total - prev
-    err = (prev - (total - step)) + (x - step)
-    rows = addends.shape[0] - 1 - starts
+    err = (prev - (total - step)) + (addends - step)
     return total[rows] + np.cumsum(err, axis=0)[rows]
 
 
 def build_aggregates(data: SurvivalDataset, beta, *, center: float | None = None) -> RiskAggregates:
     """Compute suffix-sum tables for ``data`` at ``beta``.
 
-    With ``center=None`` the raw exponents are used and any ``beta'Z`` above
-    the float64 limit is a hard error (silent saturation would corrupt rate
-    experiments).  Passing ``center=c`` accumulates ``exp(beta'Z - c)`` and
-    records ``log_scale=c``; the fitter uses this to stabilize extreme linear
-    predictors.
+    With ``center=None`` the raw exponents are used, and a ``beta'Z`` above
+    the float64 limit or a risk-set sum that overflows is a hard error
+    (silent saturation would corrupt rate experiments).  Passing ``center=c``
+    accumulates ``exp(beta'Z - c)`` and records ``log_scale=c`` without
+    either check; the fitter uses this to stabilize extreme linear predictors
+    and rejects non-finite trial points itself.
     """
     beta = np.atleast_1d(np.asarray(beta, dtype=float))
     if beta.size != data.covariate_dim:
@@ -92,18 +92,19 @@ def build_aggregates(data: SurvivalDataset, beta, *, center: float | None = None
     p = data.covariate_dim
     z = sv.covariates
     eta = z @ beta
-    if center is None:
-        top = float(eta.max()) if eta.size else 0.0
-        if top > EXP_OVERFLOW:
-            raise ExpOverflowError(f"exp overflow: beta'Z = {top!r} exceeds float64 range")
-        scale = 0.0
-    else:
-        scale = float(center)
-    w = np.exp(eta - scale)
+    top = float(eta.max()) if eta.size else 0.0
+    if center is None and top > EXP_OVERFLOW:
+        raise ExpOverflowError(f"exp overflow: beta'Z = {top!r} exceeds float64 range")
+    scale = 0.0 if center is None else float(center)
     m = sv.distinct_times.size
     iu, ju = np.triu_indices(p)
-    addends = np.column_stack([w, w[:, None] * z, w[:, None] * (z[:, iu] * z[:, ju])])
-    table = _suffix_sums(addends, sv.group_starts)
+    with np.errstate(over="ignore", invalid="ignore"):
+        w = np.exp(eta - scale)
+        addends = np.column_stack([w, w[:, None] * z, w[:, None] * (z[:, iu] * z[:, ju])])
+        # Suffix sums: running sums over the rows in descending time order.
+        table = _running_sums(addends[::-1], data.n - 1 - sv.group_starts)
+    if center is None and not np.isfinite(table).all():
+        raise ExpOverflowError(f"risk-set sums overflow float64 (max beta'Z = {top!r})")
     s0 = table[:, 0]
     s1 = table[:, 1 : 1 + p]
     s2 = np.empty((m, p, p))
@@ -145,3 +146,19 @@ def d1_n(agg: RiskAggregates, x):
 def d2_n(agg: RiskAggregates, x):
     """Hessian of ``phi_n`` in beta; symmetric positive semidefinite."""
     return _lookup(agg, agg.s2, x)
+
+
+def event_increments(data: SurvivalDataset, agg: RiskAggregates):
+    """Breslow increments and risk-set means at the distinct event times.
+
+    Returns ``(d_lambda, zbar)`` with ``d_lambda[k] = d_k / S0(t_k)``, the
+    baseline hazard jump at the k-th distinct event time, and ``zbar[k] =
+    S1(t_k) / S0(t_k)``, the risk-set covariate mean there (shape (m, p)).
+    Every post-fit estimator is a running sum of these: the Breslow curve is
+    ``cumsum(d_lambda)`` and the sensitivity curve ``A_n`` is
+    ``cumsum(zbar * d_lambda)``.
+    """
+    sv = data.sorted_view
+    s0 = agg.s0[sv.event_time_index]
+    d_lambda = sv.event_counts / (s0 * np.exp(agg.log_scale))
+    return d_lambda, agg.s1[sv.event_time_index] / s0[:, None]

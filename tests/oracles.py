@@ -102,3 +102,61 @@ def quad_piecewise(f, lo, hi, breakpoints, *, limit=200):
     return sum(
         quad(f, a, b, limit=limit)[0] for a, b in zip(cuts[:-1], cuts[1:]) if b > a
     )
+
+
+def brute_force_post_fit(times, events, covariates, beta, grid):
+    """Post-fit estimators straight from their risk-set definitions, O(n^2).
+
+    Loops over the distinct event times ``t_k`` and the risk-set masks
+    ``times >= t_k``; no suffix sums.  Returns a dict with the event times,
+    the Breslow increments ``d_lambda = d_k / S0(t_k)``, the risk-set means
+    ``zbar = S1(t_k) / S0(t_k)``, the Breslow curve and ``A_n`` at the event
+    times, the n-by-p score residuals, and the plug-in influence matrix on
+    ``grid`` (``phi_n = S0 / n``).
+    """
+    t = np.asarray(times, dtype=float)
+    e = np.asarray(events, dtype=bool)
+    z = np.asarray(covariates, dtype=float).reshape(t.size, -1)
+    beta = np.asarray(beta, dtype=float)
+    grid = np.asarray(grid, dtype=float)
+    n = t.size
+    w = np.exp(z @ beta)
+
+    def risk_sums(s):
+        mask = t >= s
+        return w[mask].sum(), (w[mask, None] * z[mask]).sum(axis=0)
+
+    event_times = np.unique(t[e])
+    d_lambda = np.empty(event_times.size)
+    zbar = np.empty((event_times.size, z.shape[1]))
+    for k, s in enumerate(event_times):
+        s0, s1 = risk_sums(s)
+        d_lambda[k] = np.sum(e & (t == s)) / s0
+        zbar[k] = s1 / s0
+    resid = np.zeros_like(z)
+    xi = np.zeros((n, grid.size))
+    for i in range(n):
+        if e[i]:
+            k = np.searchsorted(event_times, t[i])
+            resid[i] += z[i] - zbar[k]
+        for k, s in enumerate(event_times):
+            if s <= t[i]:
+                resid[i] -= w[i] * (z[i] - zbar[k]) * d_lambda[k]
+        for g, x in enumerate(grid):
+            q = sum(
+                d_lambda[k] / (risk_sums(s)[0] / n)
+                for k, s in enumerate(event_times)
+                if s <= min(t[i], x)
+            )
+            xi[i, g] = -w[i] * q
+            if e[i] and t[i] <= x:
+                xi[i, g] += n / risk_sums(t[i])[0]
+    return {
+        "event_times": event_times,
+        "d_lambda": d_lambda,
+        "zbar": zbar,
+        "cum_hazard": np.cumsum(d_lambda),
+        "a_n": np.cumsum(zbar * d_lambda[:, None], axis=0),
+        "score_residuals": resid,
+        "xi": xi,
+    }

@@ -1,6 +1,10 @@
 import csv
 import json
 import math
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -237,3 +241,31 @@ class TestRateLabCommand:
         ])
         assert code == 0
         assert (target / "rates.json").exists()
+
+
+def run_module(*argv):
+    """``python -m breslow_lab.cli`` in a fresh interpreter on this package."""
+    src = Path(breslow_lab.__file__).resolve().parent.parent
+    env = dict(os.environ, PYTHONPATH=str(src))
+    return subprocess.run(
+        [sys.executable, "-m", "breslow_lab.cli", *argv],
+        capture_output=True, text=True, env=env, timeout=120,
+    )
+
+
+class TestModuleInvocation:
+    def test_fit_writes_artifact(self, three_point_csv, tmp_path):
+        out = tmp_path / "out"
+        proc = run_module("fit", "--input", str(three_point_csv), "--output-dir", str(out))
+        assert proc.returncode == 0, proc.stderr
+        assert json.loads((out / "fit.json").read_text())["status"] == "converged"
+
+    def test_overflowing_risk_sum_exit_2_one_line(self, tmp_path):
+        # Every beta'Z is within exp() range, but the risk-set sums are not.
+        path = tmp_path / "sums.csv"
+        path.write_text("time,event,z1\n1,1,709\n2,1,709\n3,1,709\n4,1,0\n")
+        out = tmp_path / "out"
+        proc = run_module("breslow", "--input", str(path), "--beta", "1", "--output-dir", str(out))
+        assert proc.returncode == 2
+        assert proc.stderr.count("\n") == 1 and "overflow" in proc.stderr
+        assert not (out / "breslow.csv").exists()

@@ -215,3 +215,20 @@ class TestScoreResiduals:
         resid = score_residuals(data, fit.beta_hat)
         emp = (resid[:, 0] ** 2).mean()
         assert emp == pytest.approx(fit.information[0, 0] / data.n, rel=0.05)
+
+
+def test_score_residuals_overflow_is_an_error():
+    # A +1100 covariate shift leaves the fit converged, but at beta_hat the raw
+    # exp(beta'Z) overflows: score_residuals must raise, not return NaN.
+    import warnings
+
+    from breslow_lab import SurvivalDataset, generate_dataset, reference_truth
+
+    base = generate_dataset(reference_truth(), 500, 3)
+    data = SurvivalDataset(base.times, base.events, base.covariates + 1100.0)
+    fit = fit_mple(data)
+    assert fit.converged
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(OverflowError):
+            score_residuals(data, fit.beta_hat)

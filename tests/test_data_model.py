@@ -65,13 +65,6 @@ class TestValidateDataset:
         assert data.events.any()
         assert data.covariates.shape == (data.n, data.covariate_dim)
 
-    def test_observations_roundtrip(self):
-        data = validate_dataset([(1.0, True, [0.5, -1.0]), (2.5, False, [0.0, 3.0])])
-        obs = data.observations
-        assert obs[1].follow_up_time == 2.5
-        assert not obs[1].event_indicator
-        assert np.array_equal(obs[0].covariates, [0.5, -1.0])
-
 
 class TestCsv:
     def test_two_row_parse(self, tmp_path):
