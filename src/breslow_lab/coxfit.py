@@ -110,10 +110,13 @@ def score_and_information(data: SurvivalDataset, beta, *, agg: RiskAggregates | 
 
 
 def _is_singular(info: np.ndarray) -> bool:
-    sing = np.linalg.svd(info, compute_uv=False)
-    if sing.size == 0 or sing[0] == 0.0 or not np.all(np.isfinite(sing)):
+    # Eigenvalues, not singular values: on separated data the score can
+    # underflow to zero while the information turns negative, and only the
+    # eigenvalues carry that sign.
+    if info.size == 0 or not np.all(np.isfinite(info)):
         return True
-    return bool(sing[0] / sing[-1] > _MAX_CONDITION)
+    eig = np.linalg.eigvalsh(info)
+    return not (eig[-1] > 0.0 and eig[0] * _MAX_CONDITION >= eig[-1])
 
 
 def fit_mple(
@@ -131,9 +134,10 @@ def fit_mple(
     likelihoods (separation) are told apart from genuine optima.
 
     Failure statuses: ``singular_information`` when the information matrix
-    has condition number above 1e12, ``separation_detected`` once ``|beta|``
-    exceeds 30 with the likelihood still strictly increasing at every
-    accepted step, ``max_iterations`` otherwise.
+    is not positive definite or has condition number above 1e12,
+    ``separation_detected`` once ``|beta|`` exceeds 30 with the likelihood
+    still strictly increasing at every accepted step, ``max_iterations``
+    otherwise.
     """
     p = data.covariate_dim
     if p == 0:

@@ -6,6 +6,8 @@ central finite differences for derivative checks, and scipy adaptive
 quadrature for population integrals.
 """
 
+import math
+
 import numpy as np
 from scipy.integrate import quad
 
@@ -94,6 +96,30 @@ def quad_expectation(truth, f, *, limit=400, points=None):
             kw["points"] = points
         total += w * (quad(event_part, 0.0, tau, **kw)[0] + quad(censor_part, 0.0, tau, **kw)[0])
     return total
+
+
+def gauss_antiderivative(f, edges, x, *, order=32):
+    """``int_{edges[0]}^x f`` on a fixed panel grid by Gauss-Legendre rules.
+
+    Whole panels left of ``x`` are summed with ``math.fsum``; the partial
+    panel ``[edge, x]`` gets its own order-``order`` rule, so every query
+    calls ``f`` afresh.  No refinement and no interpolation: on a grid fine
+    enough for the integrand this is accurate to rounding.
+    """
+    nodes, weights = np.polynomial.legendre.leggauss(order)
+    edges = np.asarray(edges, dtype=float)
+    x = np.asarray(x, dtype=float)
+
+    def rule(a, b):
+        half = 0.5 * (b - a)
+        pts = a[:, None] + half[:, None] * (nodes[None, :] + 1.0)
+        vals = np.asarray(f(pts.ravel()), dtype=float).reshape(pts.shape)
+        return half * (vals @ weights)
+
+    panels = rule(edges[:-1], edges[1:])
+    prefix = np.array([math.fsum(panels[:k]) for k in range(panels.size + 1)])
+    idx = np.clip(np.searchsorted(edges, x, side="right") - 1, 0, edges.size - 2)
+    return prefix[idx] + rule(edges[idx], x)
 
 
 def quad_piecewise(f, lo, hi, breakpoints, *, limit=200):

@@ -51,6 +51,14 @@ class TestFitCommand:
         payload = json.loads((out / "fit.json").read_text())
         assert payload["status"] == "singular_information"
 
+    def test_separated_data_exit_2(self, tmp_path):
+        path = tmp_path / "separated.csv"
+        path.write_text("time,event,z1\n1,1,709\n2,1,709\n3,1,709\n4,1,0\n")
+        out = tmp_path / "out"
+        code = main(["fit", "--input", str(path), "--output-dir", str(out)])
+        assert code == 2
+        assert json.loads((out / "fit.json").read_text())["status"] != "converged"
+
     def test_missing_file_exit_1(self, tmp_path):
         code = main(["fit", "--input", str(tmp_path / "nope.csv")])
         assert code == 1

@@ -113,6 +113,16 @@ class TestFitMple:
         with pytest.raises(ValueError, match="covariate"):
             fit_mple(data)
 
+    def test_underflowed_score_with_negative_information_not_converged(self):
+        # exp(beta * 709) swamps the z = 0 subject's weight: the score
+        # underflows to zero while the information turns negative.
+        data = validate_dataset(
+            [(1.0, True, [709.0]), (2.0, True, [709.0]), (3.0, True, [709.0]), (4.0, True, [0.0])]
+        )
+        fit = fit_mple(data)
+        assert fit.status != STATUS_CONVERGED
+        assert not fit.converged
+
     def test_covariate_shift_equivariance(self):
         rng = np.random.default_rng(23)
         for _ in range(10):

@@ -13,11 +13,13 @@ from breslow_lab import (
     build_aggregates,
     constant_hazard,
     generate_dataset,
+    no_covariate_truth,
     phi_n,
     reference_truth,
     weibull_hazard,
 )
 from breslow_lab.truth import Product
+from oracles import gauss_antiderivative
 
 
 class TestReferenceClosedForms:
@@ -109,6 +111,80 @@ class TestQuadratureMachinery:
     def test_beyond_support_rejected(self, ref_truth):
         with pytest.raises(ValueError, match="support"):
             ref_truth.hazard_over_phi(3.0)
+
+
+class TestChebyshevAntiderivative:
+    @pytest.mark.parametrize("make_truth", [reference_truth, no_covariate_truth])
+    def test_truth_functionals_match_gauss_oracle(self, make_truth):
+        truth = make_truth()
+        m = truth.default_M()
+        xs = np.random.default_rng(2024).uniform(0.0, m, 1000)
+        edges = np.linspace(0.0, m, 65)
+        rate = truth.lambda0
+        q_ref = gauss_antiderivative(lambda u: rate(u) / truth.phi(u), edges, xs)
+        assert np.abs(truth.hazard_over_phi(xs) - q_ref).max() <= 1e-11
+        h_ref = gauss_antiderivative(truth.h_uc_density, edges, xs)
+        assert np.abs(truth.h_uc(xs) - h_ref).max() <= 1e-11
+        a0 = truth.a0(xs)
+        for j in range(truth.p):
+            a_ref = gauss_antiderivative(
+                lambda u: truth.d1(u)[:, j] * rate(u) / truth.phi(u), edges, xs
+            )
+            assert np.abs(a0[:, j] - a_ref).max() <= 1e-10
+
+    def test_kink_matches_closed_form(self):
+        c = 0.37
+        anti = PanelAntiderivative(lambda u: np.abs(u - c), 0.0, 1.0)
+        xs = np.append(np.random.default_rng(37).uniform(0.0, 1.0, 1000), [0.0, c, 1.0])
+        exact = np.where(xs <= c, c * xs - xs**2 / 2, c**2 / 2 + (xs - c) ** 2 / 2)
+        assert np.abs(anti(xs) - exact).max() <= 1e-11
+
+    def test_steep_tanh_matches_closed_form(self):
+        anti = PanelAntiderivative(lambda u: np.tanh(200.0 * (u - 0.5)), 0.0, 1.0)
+        xs = np.random.default_rng(200).uniform(0.0, 1.0, 1000)
+        y = 200.0 * (xs - 0.5)
+        exact = (np.logaddexp(y, -y) - np.logaddexp(100.0, -100.0)) / 200.0
+        assert np.abs(anti(xs) - exact).max() <= 1e-11
+
+    def test_odd_bump_centred_in_a_panel(self):
+        # Both Gauss rules are symmetric about the panel's midpoint, so they
+        # agree on the zero integral of this bump; only the interpolant
+        # check sees that partial-panel queries need more panels.
+        m, s = 17 / 32, 0.003
+        anti = PanelAntiderivative(lambda u: (u - m) * np.exp(-(((u - m) / s) ** 2)), 0.0, 1.0)
+        xs = np.append(np.random.default_rng(3).uniform(0.0, 1.0, 1000),
+                       np.linspace(m - 0.01, m + 0.01, 101))
+        exact = -0.5 * s**2 * (np.exp(-(((xs - m) / s) ** 2)) - np.exp(-((m / s) ** 2)))
+        assert np.abs(anti(xs) - exact).max() <= 1e-11
+
+    def test_weibull_rate_non_analytic_at_zero(self):
+        # rate0(u) = 1.5 sqrt(u): near 0 the interpolation error falls only
+        # like sqrt(width), so a check budget that also shrank with the
+        # panel would bisect past the refinement limit.
+        truth = TruthModel(
+            beta0=np.array([math.log(2.0)]),
+            baseline=weibull_hazard(1.5),
+            covariate_law=bernoulli(0.5),
+            censor_upper=2.0,
+        )
+        xs = np.array([1e-4, 0.01, 0.5, 1.2, 1.8])
+        got = truth.hazard_over_phi(xs)
+        for x, value in zip(xs, got):
+            ref = quad(
+                lambda u: float(truth.lambda0(u)) / truth.phi(u),
+                0, x, epsabs=1e-13, limit=400,
+            )[0]
+            assert value == pytest.approx(ref, abs=1e-10)
+
+    def test_diagnostics(self, ref_truth):
+        anti = PanelAntiderivative(
+            lambda u: ref_truth.lambda0(u) / ref_truth.phi(u), 0.0, ref_truth.default_M()
+        )
+        assert anti.panels == anti.edges.size - 1 >= 16
+        assert 0.0 <= anti.max_gauss_gap < anti.atol
+        assert 0.0 <= anti.max_interp_error < anti.atol
+        with pytest.raises(AttributeError):
+            anti.panels = 1
 
 
 class TestGeneration:
