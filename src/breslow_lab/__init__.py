@@ -59,7 +59,7 @@ from .risk import (
     d2_n,
     phi_n,
 )
-from .stepfun import StepCurve, step_eval
+from .stepfun import StepCurve
 from .truth import (
     BaselineHazard,
     CovariateLaw,

@@ -7,23 +7,29 @@ coefficients algebraically coherent with the baseline hazard estimator.
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
 
 import numpy as np
 
 from .data import SurvivalDataset
-from .risk import RiskAggregates, build_aggregates, event_increments
+from .risk import (
+    ExpOverflowError,
+    RiskAggregates,
+    _running_sums,
+    build_aggregates,
+    centered_increments,
+    centered_weights,
+)
 
 STATUS_CONVERGED = "converged"
 STATUS_MAX_ITERATIONS = "max_iterations"
 STATUS_SEPARATION = "separation_detected"
 STATUS_SINGULAR = "singular_information"
 
-# Stabilize the risk-set denominators once linear predictors approach the
-# float64 exp() limit.
-_STABILIZE_ABOVE = 700.0
-_SEPARATION_NORM = 30.0
+# Spread max beta'Z - min beta'Z beyond which a flat likelihood with a
+# non-vanishing Newton step is reported as separation: a hazard ratio of
+# e^30 between two subjects.
+_SEPARATION_SPREAD = 30.0
 _MAX_CONDITION = 1e12
 _MAX_HALVINGS = 30
 
@@ -49,20 +55,11 @@ class CoxFit:
         return self.status == STATUS_CONVERGED
 
 
-def _aggregates_for_likelihood(data: SurvivalDataset, beta) -> RiskAggregates:
-    # Always centered, so an overflowing trial point yields a non-finite
-    # likelihood (a failed line-search step) instead of an error.
-    beta = np.atleast_1d(np.asarray(beta, dtype=float))
-    eta_max = float(np.max(data.covariates @ beta)) if beta.size else 0.0
-    center = eta_max if eta_max > _STABILIZE_ABOVE else 0.0
-    return build_aggregates(data, beta, center=center)
-
-
 def _log_likelihood(data: SurvivalDataset, agg: RiskAggregates) -> float:
-    """Breslow-tie log partial likelihood read off a risk table."""
+    """Breslow-tie log partial likelihood read off a (centered) risk table."""
     sv = data.sorted_view
-    log_denom = np.log(agg.s0[sv.event_time_index]) + agg.log_scale
-    return math.fsum(sv.event_cov_sums @ agg.beta - sv.event_counts * log_denom)
+    terms = sv.event_cov_sums @ agg.beta - sv.event_counts * np.log(agg.s0[sv.event_time_index])
+    return float(_running_sums(terms, -1))
 
 
 def log_partial_likelihood(data: SurvivalDataset, beta) -> float:
@@ -73,7 +70,7 @@ def log_partial_likelihood(data: SurvivalDataset, beta) -> float:
     """
     if data.covariate_dim == 0:
         raise ValueError("log partial likelihood requires at least one covariate")
-    return _log_likelihood(data, _aggregates_for_likelihood(data, beta))
+    return _log_likelihood(data, build_aggregates(data, beta))
 
 
 def score_and_information(data: SurvivalDataset, beta, *, agg: RiskAggregates | None = None):
@@ -85,28 +82,37 @@ def score_and_information(data: SurvivalDataset, beta, *, agg: RiskAggregates | 
     """
     if data.covariate_dim == 0:
         raise ValueError("score requires at least one covariate")
-    beta = np.atleast_1d(np.asarray(beta, dtype=float))
     if agg is None:
-        agg = _aggregates_for_likelihood(data, beta)
+        agg = build_aggregates(data, beta)
     sv = data.sorted_view
     k = sv.event_time_index
-    s0 = agg.s0[k]
-    means = agg.s1[k] / s0[:, None]
-    second = agg.s2[k] / s0[:, None, None]
-    d = sv.event_counts.astype(float)
-    # Per-event-time terms are O(1); exact summation keeps the score's
-    # floating-point floor far below the 1e-10 convergence tolerance even at
-    # n = 1e5 (a single big-sum difference would drown it in cancellation).
+    s0 = agg.s0[k][:, None]
+    means = agg.s1[k] / s0
+    d = sv.event_counts[:, None]
     p = data.covariate_dim
-    terms = sv.event_cov_sums - d[:, None] * means
-    score = np.array([math.fsum(terms[:, j]) for j in range(p)])
-    covs = second - means[:, :, None] * means[:, None, :]
-    info_terms = d[:, None, None] * covs
+    iu, ju = np.triu_indices(p)
+    # Per-event-time terms are O(1); one compensated total per column keeps
+    # the score's floating-point floor far below the 1e-10 convergence
+    # tolerance even at n = 1e5 (a single big-sum difference would drown it
+    # in cancellation).
+    terms = np.column_stack([
+        sv.event_cov_sums - d * means,
+        d * (agg.s2[k][:, iu, ju] / s0 - means[:, iu] * means[:, ju]),
+    ])
+    totals = _running_sums(terms, -1)
     info = np.empty((p, p))
-    for i in range(p):
-        for j in range(i, p):
-            info[i, j] = info[j, i] = math.fsum(info_terms[:, i, j])
-    return score, info
+    info[iu, ju] = info[ju, iu] = totals[p:]
+    return totals[:p], info
+
+
+def _trial(data: SurvivalDataset, beta):
+    # A trial point whose risk table leaves float64 is a failed line-search
+    # step, not an error.
+    try:
+        agg = build_aggregates(data, beta)
+    except ExpOverflowError:
+        return None, -np.inf
+    return agg, _log_likelihood(data, agg)
 
 
 def _is_singular(info: np.ndarray) -> bool:
@@ -135,9 +141,15 @@ def fit_mple(
 
     Failure statuses: ``singular_information`` when the information matrix
     is not positive definite or has condition number above 1e12,
-    ``separation_detected`` once ``|beta|`` exceeds 30 with the likelihood
-    still strictly increasing at every accepted step, ``max_iterations``
-    otherwise.
+    ``separation_detected`` when the score is at or below ``tol`` while the
+    Newton step is not small and the spread of the linear predictor,
+    ``max beta'Z - min beta'Z`` over the subjects, exceeds 30 (a hazard
+    ratio of e^30; for a 0/1 covariate this is ``|beta| > 30``).  Near a
+    finite optimum the step shrinks with the score, so a wide spread alone
+    is never reported.  ``max_iterations`` otherwise (also when every trial
+    point of a line search leaves the float64 range).  The criterion and
+    the fit are invariant to a constant shift of a covariate.  An ``init``
+    whose risk table leaves the float64 range raises ``ValueError``.
     """
     p = data.covariate_dim
     if p == 0:
@@ -147,9 +159,9 @@ def fit_mple(
     beta = np.zeros(p) if init is None else np.array(init, dtype=float).reshape(p)
     # One risk table per trial point: the accepted trial's table also gives
     # the next score and information.
-    agg = _aggregates_for_likelihood(data, beta)
-    ll = _log_likelihood(data, agg)
-    always_increasing = True
+    agg, ll = _trial(data, beta)
+    if agg is None:
+        raise ValueError(f"init {init!r}: the risk table leaves the float64 range")
     iterations = 0
 
     def result(status, score, info):
@@ -171,28 +183,26 @@ def fit_mple(
         step_small = np.linalg.norm(direction) <= 1e-4 * (1.0 + np.linalg.norm(beta))
         if score_small and step_small:
             return result(STATUS_CONVERGED, score, info)
+        # A flat likelihood that still asks for a large step runs off along a
+        # ridge; near a finite optimum the step shrinks with the score.
+        if score_small and np.ptp(data.sorted_view.centered @ beta) > _SEPARATION_SPREAD:
+            return result(STATUS_SEPARATION, score, info)
         if np.linalg.norm(direction) <= 1e-6 * (1.0 + np.linalg.norm(beta)):
             # Quadratic-convergence region: the true likelihood gain is below
             # evaluation noise, so a monotonicity line search would stall.
-            candidate = beta + direction
-            agg = _aggregates_for_likelihood(data, candidate)
-            ll_new = _log_likelihood(data, agg)
+            steps = [1.0]
         else:
-            step = 1.0
-            for _ in range(_MAX_HALVINGS + 1):
-                candidate = beta + step * direction
-                agg = _aggregates_for_likelihood(data, candidate)
-                ll_new = _log_likelihood(data, agg)
-                if np.isfinite(ll_new) and ll_new >= ll:
-                    break
-                step *= 0.5
-        always_increasing = always_increasing and ll_new > ll
-        beta = candidate
-        ll = ll_new
+            steps = 0.5 ** np.arange(_MAX_HALVINGS + 1)
+        for step in steps:
+            candidate = beta + step * direction
+            agg_new, ll_new = _trial(data, candidate)
+            if ll_new >= ll:
+                break
+        if agg_new is None:
+            # Every trial point left float64: the line search cannot move.
+            return result(STATUS_MAX_ITERATIONS, score, info)
+        beta, agg, ll = candidate, agg_new, ll_new
         iterations += 1
-        if np.linalg.norm(beta) > _SEPARATION_NORM and always_increasing:
-            score, info = score_and_information(data, beta, agg=agg)
-            return result(STATUS_SEPARATION, score, info)
     score, info = score_and_information(data, beta, agg=agg)
     if _is_singular(info):
         return result(STATUS_SINGULAR, score, info)
@@ -214,18 +224,20 @@ def score_residuals(data: SurvivalDataset, beta) -> np.ndarray:
     """
     if data.covariate_dim == 0:
         raise ValueError("score residuals require at least one covariate")
-    beta = np.atleast_1d(np.asarray(beta, dtype=float))
-    d_lambda, zbar = event_increments(data, build_aggregates(data, beta))
+    agg = build_aggregates(data, beta)
+    # Centered throughout: exp(beta'Z_i) dL = exp(beta'(Z_i - means)) d / s0
+    # and Z_i - zbar is unchanged by centering, so no raw-scale factor enters.
+    d_lambda, zbar = centered_increments(data, agg)
     sv = data.sorted_view
     cum_dl = np.concatenate([[0.0], np.cumsum(d_lambda)])
     cum_zbar_dl = np.concatenate(
         [np.zeros((1, data.covariate_dim)), np.cumsum(zbar * d_lambda[:, None], axis=0)]
     )
-    w = np.exp(data.covariates @ beta)
+    z, w = centered_weights(data, agg)
     pos = np.searchsorted(sv.distinct_event_times, data.times, side="right")
-    exposure = w[:, None] * (data.covariates * cum_dl[pos][:, None] - cum_zbar_dl[pos])
-    event_term = np.zeros_like(data.covariates)
+    exposure = w[:, None] * (z * cum_dl[pos][:, None] - cum_zbar_dl[pos])
+    event_term = np.zeros_like(z)
     ev = data.events
     idx = np.searchsorted(sv.distinct_event_times, data.times[ev])
-    event_term[ev] = data.covariates[ev] - zbar[idx]
+    event_term[ev] = z[ev] - zbar[idx]
     return event_term - exposure

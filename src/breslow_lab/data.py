@@ -22,13 +22,14 @@ class _SortedView(NamedTuple):
     order: np.ndarray            # stable argsort of follow-up times
     times: np.ndarray            # times[order]
     events: np.ndarray           # events[order]
-    covariates: np.ndarray       # covariates[order]
+    centered: np.ndarray         # covariates[order] - means
+    means: np.ndarray            # column means of the covariates
     group_starts: np.ndarray     # first sorted index of each distinct time
     distinct_times: np.ndarray
     event_time_index: np.ndarray     # distinct-time index of each distinct event time
     distinct_event_times: np.ndarray
     event_counts: np.ndarray         # events per distinct event time
-    event_cov_sums: np.ndarray       # per distinct event time, sum of event covariates
+    event_cov_sums: np.ndarray       # per distinct event time, sum of centered event covariates
 
 
 class SurvivalDataset:
@@ -90,11 +91,13 @@ class SurvivalDataset:
 
     @cached_property
     def sorted_view(self) -> _SortedView:
-        # One stable sort shared by every estimator; ties grouped once.
+        # One stable sort shared by every estimator; ties grouped once.  One
+        # centering at the column means, so a shifted column fits the same.
         order = np.argsort(self._times, kind="stable")
         times = self._times[order]
         events = self._events[order]
-        covs = self._covariates[order]
+        means = self._covariates.mean(axis=0)
+        covs = self._covariates[order] - means
         is_start = np.empty(times.size, dtype=bool)
         is_start[0] = True
         is_start[1:] = times[1:] != times[:-1]
@@ -116,7 +119,8 @@ class SurvivalDataset:
             order=order,
             times=times,
             events=events,
-            covariates=covs,
+            centered=covs,
+            means=means,
             group_starts=group_starts,
             distinct_times=distinct,
             event_time_index=event_groups,

@@ -140,10 +140,12 @@ class RateExperimentResult:
         return out
 
 
-def _validate_sizes(sample_sizes):
+def _validate_design(sample_sizes, replications: int):
     sizes = tuple(int(n) for n in sample_sizes)
     if len(sizes) < 2 or any(b <= a for a, b in zip(sizes, sizes[1:])):
         raise ValueError("sample_sizes must be at least two strictly increasing integers")
+    if replications < 1:
+        raise ValueError(f"replications must be at least 1, got {replications}")
     return sizes
 
 
@@ -200,7 +202,7 @@ def risk_deviation_experiment(
     Euclidean norm of the gradient deviation, both evaluated at the true
     coefficients (no fitting).
     """
-    sizes = _validate_sizes(sample_sizes)
+    sizes = _validate_design(sample_sizes, replications)
     M = truth.default_M(phi_floor)
     fixed = _fixed_grid(M, grid_points)
     sup_phi = np.empty((len(sizes), replications))
@@ -251,7 +253,7 @@ def coupling_remainder_experiment(
     rate 1/n.  Evaluated at the true coefficients, so no fitting is involved.
     Reports the slope and the per-n medians of a_n * n * sup|r_n3|.
     """
-    sizes = _validate_sizes(sample_sizes)
+    sizes = _validate_design(sample_sizes, replications)
     if a_n not in A_N_CHOICES:
         raise ValueError(f"unknown a_n choice {a_n!r}; options: {sorted(A_N_CHOICES)}")
     a_fn = A_N_CHOICES[a_n]
@@ -307,7 +309,7 @@ def linearization_remainder_experiment(
     coefficients by the true ones (the remainder then reduces to r_n3+r_n4).
     Also tracks sup|mean xi|, the linear term the remainder must stay below.
     """
-    sizes = _validate_sizes(sample_sizes)
+    sizes = _validate_design(sample_sizes, replications)
     if a_n not in A_N_CHOICES:
         raise ValueError(f"unknown a_n choice {a_n!r}; options: {sorted(A_N_CHOICES)}")
     a_fn = A_N_CHOICES[a_n]

@@ -30,7 +30,16 @@ import numpy as np
 from .breslow import PluginACurve, breslow_traditional
 from .coxfit import CoxFit, score_residuals
 from .data import SurvivalDataset
-from .risk import RiskAggregates, build_aggregates, event_increments, phi_n
+from .risk import (
+    RiskAggregates,
+    build_aggregates,
+    centered_increments,
+    centered_phi,
+    centered_weights,
+    event_increments,
+    phi_n,
+    to_raw_scale,
+)
 from .stepfun import StepCurve
 from .truth import TruthModel
 
@@ -114,18 +123,18 @@ def xi_truth_value(truth: TruthModel, t: float, delta: bool, z, x: float) -> flo
     return float(-np.exp(eta) * integral + event)
 
 
-def _xi_matrix(data: SurvivalDataset, beta, grid, q_t, q_x, phi_t) -> np.ndarray:
-    """``xi(t, delta, z; x) = -e^{beta'z} q(min(t, x)) + delta {t <= x} / phi(t)``.
+def _xi_matrix(data: SurvivalDataset, w, grid, q_t, q_x, phi_t) -> np.ndarray:
+    """``xi(t, delta, z; x) = -w q(min(t, x)) + delta {t <= x} / phi(t)``.
 
-    Entry (i, k) for subject i and grid point x_k, given the path integral
-    ``q`` at every follow-up time (``q_t``) and grid point (``q_x``) and the
-    risk mass ``phi`` at every follow-up time; population or empirical
-    plug-ins alike.
+    Entry (i, k) for subject i and grid point x_k, given the relative risk
+    ``w = e^{beta'z}`` of every subject, the path integral ``q`` at every
+    follow-up time (``q_t``) and grid point (``q_x``) and the risk mass
+    ``phi`` at every follow-up time; population or empirical plug-ins alike.
     """
     before = data.times[:, None] <= grid[None, :]
     q_min = np.where(before, q_t[:, None], q_x[None, :])
     event_weight = np.where(data.events, 1.0 / phi_t, 0.0)
-    return -np.exp(data.covariates @ beta)[:, None] * q_min + event_weight[:, None] * before
+    return -w[:, None] * q_min + event_weight[:, None] * before
 
 
 def xi_truth(data: SurvivalDataset, truth: TruthModel, x_grid) -> InfluenceMatrix:
@@ -136,7 +145,8 @@ def xi_truth(data: SurvivalDataset, truth: TruthModel, x_grid) -> InfluenceMatri
         raise ValueError("grid extends beyond the follow-up support of the design")
     t = data.times
     q_t = truth.hazard_over_phi(np.minimum(t, hi))
-    values = _xi_matrix(data, truth.beta0, grid, q_t, truth.hazard_over_phi(grid), truth.phi(t))
+    w = np.exp(data.covariates @ truth.beta0)
+    values = _xi_matrix(data, w, grid, q_t, truth.hazard_over_phi(grid), truth.phi(t))
     return InfluenceMatrix(grid=grid, values=values, mode=MODE_TRUTH)
 
 
@@ -151,8 +161,7 @@ def xi_truth_mean(data: SurvivalDataset, truth: TruthModel, x_grid) -> np.ndarra
     if truth.phi(hi) <= 0:
         raise ValueError("grid extends beyond the follow-up support of the design")
     sv = data.sorted_view
-    eta = sv.covariates @ truth.beta0 if truth.p else np.zeros(data.n)
-    w = np.exp(eta)
+    w = np.exp(data.covariates @ truth.beta0)[sv.order]
     q_t = truth.hazard_over_phi(np.minimum(sv.times, hi))
     event_weight = np.where(sv.events, 1.0 / truth.phi(sv.times), 0.0)
     prefix_wq = np.concatenate([[0.0], np.cumsum(w * q_t)])
@@ -187,11 +196,18 @@ def xi_plugin(data: SurvivalDataset, fit: CoxFit | None, x_grid) -> InfluenceMat
         raise ValueError(
             "grid point beyond the last follow-up time: empirical risk mass is zero"
         )
+    # Every piece on the centered scale: xi is e^{-beta'means} times the same
+    # expression in the centered risk table, so one checked factor at the end
+    # takes it back to the raw scale.
     agg = build_aggregates(data, beta)
-    d_lambda, _ = event_increments(data, agg)
-    ev_times = sv.distinct_event_times
-    qhat = StepCurve(ev_times, np.cumsum(d_lambda / phi_n(agg, ev_times)))
-    values = _xi_matrix(data, beta, grid, qhat(data.times), qhat(grid), phi_n(agg, data.times))
+    d_lambda, _ = centered_increments(data, agg)
+    event_times = sv.distinct_event_times
+    qhat = StepCurve(event_times, np.cumsum(d_lambda / centered_phi(agg, event_times)))
+    _, w = centered_weights(data, agg)
+    phi_t = centered_phi(agg, data.times)
+    values = to_raw_scale(
+        _xi_matrix(data, w, grid, qhat(data.times), qhat(grid), phi_t), -agg.log_scale
+    )
     return InfluenceMatrix(grid=grid, values=values, mode=MODE_PLUGIN)
 
 
@@ -256,6 +272,9 @@ def _piecewise_risk_integrals(truth: TruthModel, agg: RiskAggregates, grid: np.n
             "grid point beyond the last follow-up time: empirical risk mass is zero"
         )
     cut = int(np.searchsorted(edges, hi, side="left"))
+    if cut == 0:
+        # The grid is all zeros, where every integral vanishes.
+        return np.zeros(grid.size), np.zeros(grid.size)
     edges = edges[: cut + 1].copy()
     edges[-1] = min(edges[-1], hi)  # partial final piece never extends past the grid
     v = v[:cut]

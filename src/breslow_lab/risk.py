@@ -1,26 +1,32 @@
 """Empirical risk-set functionals via suffix sums over sorted follow-up times.
 
 For a coefficient vector ``beta`` the engine tabulates, at every distinct
-follow-up time ``t_k``,
+follow-up time ``t_k``, sums over the covariates centered at their column
+means ``zbar`` (``Zc = Z - zbar``, see ``SurvivalDataset.sorted_view``):
 
-    s0[k] = sum_{T_j >= t_k} exp(beta'Z_j)
-    s1[k] = sum_{T_j >= t_k} Z_j exp(beta'Z_j)
-    s2[k] = sum_{T_j >= t_k} Z_j Z_j' exp(beta'Z_j)
+    s0[k] = sum_{T_j >= t_k} exp(beta'Zc_j)
+    s1[k] = sum_{T_j >= t_k} Zc_j exp(beta'Zc_j)
+    s2[k] = sum_{T_j >= t_k} Zc_j Zc_j' exp(beta'Zc_j)
 
-so that the weighted risk mass ``phi_n(beta, x) = s0[k(x)] / n`` and its
-first and second beta-derivatives are O(log n) lookups for arbitrary ``x``
-(weak inequality: ``k(x)`` is the first distinct time >= x).  All three
-tables come from one pass over the addend columns ``[w, w Z, w Z_i Z_j]``
-(``w = exp(beta'Z)``, ``i <= j``) in descending time order, summed with the
-compensated Sum2 algorithm of Ogita, Rump & Oishi, "Accurate sum and dot
-product" (SIAM J. Sci. Comput. 26, 2005): the result is as accurate as a
-plain sum carried out in twice the working precision, so rate experiments at
-n = 1e5 keep accumulation error far below 1e-12 relative.
+Centering is the only scaling policy, as in ``coxph`` (Therneau & Grambsch,
+*Modeling Survival Data*, 2000): the partial likelihood, its score and
+information, and the score residuals are invariant to a constant shift of a
+covariate and are read straight off these tables.  Outputs defined on the
+raw scale (``phi_n``, ``d1_n``, ``d2_n``, the Breslow increments) carry the
+factor ``exp(+-beta'zbar)``, which :func:`to_raw_scale` applies and checks.
+Queries are O(log n) lookups for arbitrary ``x`` (weak inequality: ``k(x)``
+is the first distinct time >= x).  All three tables come from one pass over
+the addend columns ``[w, w Zc, w Zc_i Zc_j]`` (``w = exp(beta'Zc)``,
+``i <= j``) in descending time order, summed with the compensated Sum2
+algorithm of Ogita, Rump & Oishi, "Accurate sum and dot product" (SIAM J.
+Sci. Comput. 26, 2005): the result is as accurate as a plain sum carried out
+in twice the working precision, so rate experiments at n = 1e5 keep
+accumulation error far below 1e-12 relative.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -28,19 +34,22 @@ from .data import SurvivalDataset
 
 # Largest exponent with a finite float64 exp().
 EXP_OVERFLOW = 709.782712893384
+_TINY = np.finfo(float).tiny
+_MAX = np.finfo(float).max
 
 
 class ExpOverflowError(OverflowError):
-    """exp(beta'Z) does not fit in a float64."""
+    """A value scaled by exp() leaves the float64 range."""
 
 
 @dataclass(frozen=True)
 class RiskAggregates:
     """Suffix-sum tables for one dataset at one beta.
 
-    ``s0/s1/s2`` hold sums of ``exp(beta'Z - log_scale)``; ``log_scale`` is
-    zero unless the caller asked for a stabilizing shift, and ratio queries
-    (s1/s0, s2/s0) never see it.
+    ``s0/s1/s2`` hold sums over the centered covariates ``Z - means`` of
+    ``exp(beta'(Z - means))``; ``log_scale = beta'means`` is the log of the
+    factor that takes ``s0`` back to the raw scale.  Ratio queries (s1/s0,
+    s2/s0) and everything invariant to a covariate shift never see it.
     """
 
     beta: np.ndarray
@@ -49,7 +58,8 @@ class RiskAggregates:
     s1: np.ndarray
     s2: np.ndarray
     n: int
-    log_scale: float = field(default=0.0)
+    means: np.ndarray
+    log_scale: float
 
     @property
     def p(self) -> int:
@@ -60,13 +70,14 @@ class RiskAggregates:
         return np.searchsorted(self.distinct_times, np.asarray(x, dtype=float), side="left")
 
 
-def _running_sums(addends: np.ndarray, rows: np.ndarray) -> np.ndarray:
+def _running_sums(addends: np.ndarray, rows) -> np.ndarray:
     """Compensated running sums of ``addends`` along axis 0, read at ``rows``.
 
     Sum2 of Ogita, Rump & Oishi: a running sum, the exact TwoSum rounding
     error of each of its additions, and the running sum of those errors added
-    back at the rows read.  The risk tables and the quadrature prefix sums
-    both use it.
+    back at the rows read.  The risk tables, the partial likelihood, score
+    and information totals (``rows=-1``) and the quadrature prefix sums all
+    use it.
     """
     total = np.cumsum(addends, axis=0)
     prev = np.concatenate([np.zeros_like(total[:1]), total[:-1]])
@@ -75,37 +86,56 @@ def _running_sums(addends: np.ndarray, rows: np.ndarray) -> np.ndarray:
     return total[rows] + np.cumsum(err, axis=0)[rows]
 
 
-def build_aggregates(data: SurvivalDataset, beta, *, center: float | None = None) -> RiskAggregates:
+def to_raw_scale(values, log_factor: float):
+    """``values * exp(log_factor)``, checked to stay inside float64.
+
+    Raises :class:`ExpOverflowError` when a result overflows or a nonzero
+    value falls below the smallest normal float64; never returns NaN or a
+    silent 0.  The factor is applied in two halves, so ``exp(log_factor)``
+    itself may lie outside the float64 range when the product does not.
+    """
+    with np.errstate(over="ignore", under="ignore", invalid="ignore"):
+        half = np.exp(0.5 * log_factor)
+        out = np.asarray(values) * half
+        out *= half
+    # NaN fails the first test; below-normal results beyond the zeros of
+    # ``values`` fail the second.
+    peak = max(out.max(initial=0.0), -out.min(initial=0.0))
+    below_normal = np.count_nonzero((out > -_TINY) & (out < _TINY))
+    if not (peak <= _MAX and below_normal == np.count_nonzero(values == 0)):
+        raise ExpOverflowError(f"a value scaled by exp({log_factor!r}) leaves the float64 range")
+    return out
+
+
+def build_aggregates(data: SurvivalDataset, beta) -> RiskAggregates:
     """Compute suffix-sum tables for ``data`` at ``beta``.
 
-    With ``center=None`` the raw exponents are used, and a ``beta'Z`` above
-    the float64 limit or a risk-set sum that overflows is a hard error
-    (silent saturation would corrupt rate experiments).  Passing ``center=c``
-    accumulates ``exp(beta'Z - c)`` and records ``log_scale=c`` without
-    either check; the fitter uses this to stabilize extreme linear predictors
-    and rejects non-finite trial points itself.
+    The addends are ``exp(beta'(Z - means))`` over the covariates centered at
+    their column means, and ``log_scale = beta'means``.  A centered exponent
+    above the float64 limit, or risk-set sums that overflow or underflow to
+    zero, raise :class:`ExpOverflowError` (silent saturation would corrupt
+    rate experiments); the fitter treats that as a failed trial point.
     """
     beta = np.atleast_1d(np.asarray(beta, dtype=float))
     if beta.size != data.covariate_dim:
         raise ValueError(f"beta has length {beta.size}, expected {data.covariate_dim}")
     sv = data.sorted_view
     p = data.covariate_dim
-    z = sv.covariates
+    z = sv.centered
     eta = z @ beta
-    top = float(eta.max()) if eta.size else 0.0
-    if center is None and top > EXP_OVERFLOW:
-        raise ExpOverflowError(f"exp overflow: beta'Z = {top!r} exceeds float64 range")
-    scale = 0.0 if center is None else float(center)
+    top = float(eta.max())
+    if top > EXP_OVERFLOW:
+        raise ExpOverflowError(f"exp overflow: beta'(Z - zbar) = {top!r} exceeds float64 range")
     m = sv.distinct_times.size
     iu, ju = np.triu_indices(p)
     with np.errstate(over="ignore", invalid="ignore"):
-        w = np.exp(eta - scale)
+        w = np.exp(eta)
         addends = np.column_stack([w, w[:, None] * z, w[:, None] * (z[:, iu] * z[:, ju])])
         # Suffix sums: running sums over the rows in descending time order.
         table = _running_sums(addends[::-1], data.n - 1 - sv.group_starts)
-    if center is None and not np.isfinite(table).all():
-        raise ExpOverflowError(f"risk-set sums overflow float64 (max beta'Z = {top!r})")
     s0 = table[:, 0]
+    if not (np.isfinite(table).all() and (s0 > 0).all()):
+        raise ExpOverflowError(f"risk-set sums leave float64 range (max beta'(Z - zbar) = {top!r})")
     s1 = table[:, 1 : 1 + p]
     s2 = np.empty((m, p, p))
     s2[:, iu, ju] = table[:, 1 + p :]
@@ -117,15 +147,21 @@ def build_aggregates(data: SurvivalDataset, beta, *, center: float | None = None
         s1=s1,
         s2=s2,
         n=data.n,
-        log_scale=scale,
+        means=sv.means,
+        log_scale=float(beta @ sv.means),
     )
 
 
-def _lookup(agg: RiskAggregates, table: np.ndarray, x):
+def _rows(agg: RiskAggregates, table: np.ndarray, x) -> np.ndarray:
     """Row of ``table`` at the first distinct time >= x (zero past the last) over n."""
-    x_arr = np.asarray(x, dtype=float)
     padded = np.concatenate([table, np.zeros((1,) + table.shape[1:])])
-    out = padded[agg.time_index(x_arr)] / agg.n * np.exp(agg.log_scale)
+    return padded[agg.time_index(x)] / agg.n
+
+
+def _lookup(agg: RiskAggregates, table: np.ndarray, x):
+    """Raw-scale :func:`_rows`."""
+    x_arr = np.asarray(x, dtype=float)
+    out = to_raw_scale(_rows(agg, table, x_arr), agg.log_scale)
     return out if x_arr.ndim or out.ndim else float(out)
 
 
@@ -139,26 +175,66 @@ def phi_n(agg: RiskAggregates, x):
 
 
 def d1_n(agg: RiskAggregates, x):
-    """Gradient of ``phi_n`` in beta: (1/n) sum_{T_j >= x} Z_j exp(beta'Z_j)."""
-    return _lookup(agg, agg.s1, x)
+    """Gradient of ``phi_n`` in beta: (1/n) sum_{T_j >= x} Z_j exp(beta'Z_j).
+
+    Rebuilt from the centered sums as ``s1 + s0 means``, so, like ``d2_n``,
+    its accumulation error is relative to ``s0 |means|``, not to the result.
+    """
+    return _lookup(agg, agg.s1 + agg.s0[:, None] * agg.means, x)
 
 
 def d2_n(agg: RiskAggregates, x):
     """Hessian of ``phi_n`` in beta; symmetric positive semidefinite."""
-    return _lookup(agg, agg.s2, x)
+    m = agg.means
+    cross = agg.s1[:, :, None] * m
+    raw = agg.s2 + cross + cross.transpose(0, 2, 1) + agg.s0[:, None, None] * np.outer(m, m)
+    return _lookup(agg, raw, x)
+
+
+def centered_phi(agg: RiskAggregates, x) -> np.ndarray:
+    """``phi_n(agg, x) * exp(-log_scale)``: the risk mass of the centered table."""
+    return _rows(agg, agg.s0, x)
+
+
+def centered_weights(data: SurvivalDataset, agg: RiskAggregates):
+    """Centered covariates and relative risks of every subject, in input order.
+
+    Returns ``(z, w)`` with ``z[i] = Z_i - means`` and ``w[i] =
+    exp(beta'(Z_i - means))``, the addends of the table's ``s0``; the raw
+    relative risk is ``w * exp(log_scale)``.  Both are invariant to a
+    covariate shift.
+    """
+    sv = data.sorted_view
+    z = np.empty_like(sv.centered)
+    z[sv.order] = sv.centered
+    w = np.empty(data.n)
+    w[sv.order] = np.exp(sv.centered @ agg.beta)
+    return z, w
+
+
+def centered_increments(data: SurvivalDataset, agg: RiskAggregates):
+    """Breslow increments and risk-set means at the distinct event times, centered.
+
+    Returns ``(d_lambda, zbar)`` with ``d_lambda[k] = d_k / s0[t_k]`` and
+    ``zbar[k] = s1[t_k] / s0[t_k]``: the baseline hazard jump times
+    ``exp(beta'means)`` and the risk-set mean of the centered covariates.
+    Both are invariant to a covariate shift.
+    """
+    sv = data.sorted_view
+    s0 = agg.s0[sv.event_time_index]
+    return sv.event_counts / s0, agg.s1[sv.event_time_index] / s0[:, None]
 
 
 def event_increments(data: SurvivalDataset, agg: RiskAggregates):
     """Breslow increments and risk-set means at the distinct event times.
 
-    Returns ``(d_lambda, zbar)`` with ``d_lambda[k] = d_k / S0(t_k)``, the
-    baseline hazard jump at the k-th distinct event time, and ``zbar[k] =
-    S1(t_k) / S0(t_k)``, the risk-set covariate mean there (shape (m, p)).
-    Every post-fit estimator is a running sum of these: the Breslow curve is
-    ``cumsum(d_lambda)`` and the sensitivity curve ``A_n`` is
-    ``cumsum(zbar * d_lambda)``.
+    Returns ``(d_lambda, zbar)`` on the raw scale: ``d_lambda[k] = d_k /
+    S0(t_k)``, the baseline hazard jump at the k-th distinct event time, and
+    ``zbar[k] = S1(t_k) / S0(t_k)``, the risk-set covariate mean there (shape
+    (m, p)).  Every post-fit estimator is a running sum of these: the Breslow
+    curve is ``cumsum(d_lambda)`` and the sensitivity curve ``A_n`` is
+    ``cumsum(zbar * d_lambda)``.  Raises :class:`ExpOverflowError` when an
+    increment leaves float64.
     """
-    sv = data.sorted_view
-    s0 = agg.s0[sv.event_time_index]
-    d_lambda = sv.event_counts / (s0 * np.exp(agg.log_scale))
-    return d_lambda, agg.s1[sv.event_time_index] / s0[:, None]
+    d_lambda, zbar = centered_increments(data, agg)
+    return to_raw_scale(d_lambda, -agg.log_scale), zbar + agg.means

@@ -50,10 +50,3 @@ class StepCurve:
         out = padded[k + 1]
         return out if x_arr.ndim else float(out)
 
-
-def step_eval(curve: StepCurve, x) -> float:
-    """Evaluate ``curve`` at ``x`` (right-continuous convention)."""
-    x_arr = np.asarray(x, dtype=float)
-    if not np.all(np.isfinite(x_arr)):
-        raise ValueError("evaluation point must be finite")
-    return curve(x)

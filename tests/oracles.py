@@ -45,6 +45,19 @@ def central_diff_grad(f, beta, h=1e-5):
     return grad
 
 
+def brute_force_score(times, events, covariates, beta):
+    """Breslow-tie score from explicit risk-set masks, O(n^2)."""
+    t = np.asarray(times, dtype=float)
+    z = np.asarray(covariates, dtype=float)
+    eta = z @ np.asarray(beta, dtype=float)
+    w = np.exp(eta - eta.max())
+    score = np.zeros(z.shape[1])
+    for i in np.flatnonzero(events):
+        at_risk = t >= t[i]
+        score += z[i] - (w[at_risk] @ z[at_risk]) / w[at_risk].sum()
+    return score
+
+
 def central_diff_hessian(f, beta, h=1e-4):
     beta = np.asarray(beta, dtype=float)
     p = beta.size

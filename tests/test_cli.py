@@ -174,6 +174,18 @@ class TestDecomposeCommand:
         assert np.allclose(t_n2, parts, atol=1e-10)
 
 
+    @pytest.mark.parametrize("flags", [["--grid-points", "1"], ["--M", "0"]])
+    def test_zero_grid_exit_0(self, tmp_path, flags):
+        out = tmp_path / "out"
+        code = main([
+            "decompose", "--truth", "reference", "--n", "200", "--seed", "9",
+            "--output-dir", str(out), *flags,
+        ])
+        assert code == 0
+        payload = json.loads((out / "decomposition.json").read_text())
+        assert payload["identity_residual"] == 0.0
+        assert all(v == 0.0 for v in payload["sup_norms"].values())
+
 class TestRateLabCommand:
     def test_smoke_and_artifacts(self, tmp_path):
         out = tmp_path / "out"
@@ -202,6 +214,18 @@ class TestRateLabCommand:
         assert code == 0
         payload = json.loads((out / "rates.json").read_text())
         assert payload["seed"] == 8
+
+    @pytest.mark.parametrize("claim", ["lemma1", "lemma2", "theorem"])
+    def test_zero_replications_exit_2_one_line(self, tmp_path, capsys, claim):
+        out = tmp_path / "out"
+        code = main([
+            "rate-lab", "--claim", claim, "--n", "80,160", "--reps", "0",
+            "--seed", "7", "--output-dir", str(out),
+        ])
+        assert code == 2
+        err = capsys.readouterr().err
+        assert len(err.strip().splitlines()) == 1 and "replications" in err
+        assert not (out / "rates.json").exists()
 
     def test_missing_required_options(self, tmp_path):
         assert main(["rate-lab", "--claim", "lemma1", "--output-dir", str(tmp_path)]) == 2

@@ -15,7 +15,7 @@ from breslow_lab import (
 )
 
 from conftest import random_dataset
-from oracles import central_diff_grad
+from oracles import brute_force_score, central_diff_grad
 
 
 @pytest.fixture
@@ -140,6 +140,83 @@ class TestFitMple:
             if fit_a.status == STATUS_CONVERGED:
                 assert np.allclose(fit_a.beta_hat, fit_b.beta_hat, atol=1e-8)
 
+        # Shift laws for z1 -> z1 + s.  The fit and the score residuals do not
+        # change; at a fixed beta the Breslow curve is multiplied by e^{-beta s}
+        # and A_n becomes e^{-beta s} (A_n + s Lambda_n), or, where that leaves
+        # float64, the call raises.
+        from breslow_lab import (
+            ExpOverflowError,
+            SurvivalDataset,
+            a_n_curve,
+            breslow_traditional,
+            generate_dataset,
+            reference_truth,
+        )
+
+        def rel(a, b):
+            return np.max(np.abs(np.asarray(a) - b) / np.abs(b))
+
+        base = generate_dataset(reference_truth(), 2000, 3)
+        fit0 = fit_mple(base)
+        assert fit0.converged
+        beta = fit0.beta_hat
+        resid0 = score_residuals(base, beta)
+        lam0 = breslow_traditional(base, beta).curve.cumulative_values
+        a0 = a_n_curve(base, beta).components[0].cumulative_values
+        for s in [30.0, 1100.0, 1e4, 1e5]:
+            shifted = SurvivalDataset(base.times, base.events, base.covariates + s)
+            fit = fit_mple(shifted)
+            assert fit.converged and fit.iterations == fit0.iterations
+            assert rel(fit.beta_hat, fit0.beta_hat) <= 1e-12
+            assert rel(fit.information, fit0.information) <= 1e-12
+            assert rel(fit.log_partial_likelihood, fit0.log_partial_likelihood) <= 1e-12
+            assert np.max(np.abs(score_residuals(shifted, fit.beta_hat) - resid0)) <= 1e-12
+            factor = np.exp(-beta[0] * s)
+            if s < 1100.0:
+                lam = breslow_traditional(shifted, beta).curve.cumulative_values
+                a_n = a_n_curve(shifted, beta).components[0].cumulative_values
+                assert rel(lam, factor * lam0) <= 1e-12
+                assert rel(a_n, factor * (a0 + s * lam0)) <= 1e-12
+            else:
+                with pytest.raises(ExpOverflowError):
+                    breslow_traditional(shifted, beta)
+                with pytest.raises(ExpOverflowError):
+                    a_n_curve(shifted, beta)
+
+    def test_wide_linear_predictor_spread_converges(self):
+        # A finite optimum whose linear predictor spans more than 30 (hazard
+        # ratio above e^30) is a fit, not separation: the Newton step shrinks
+        # with the score.  Unstandardized z ~ U(0, 100) with beta 0.5, and a
+        # lab value in 0-500 with beta 0.08 beside a normal covariate.
+        rng = np.random.default_rng(31)
+        from breslow_lab import SurvivalDataset
+
+        def simulate(z, beta):
+            eta = z @ beta
+            t = rng.exponential(np.exp(-(eta - eta.mean())))
+            c = rng.exponential(2.0 * np.median(t), size=t.size)
+            return SurvivalDataset(np.minimum(t, c), t <= c, z)
+
+        cases = [
+            simulate(rng.uniform(0.0, 100.0, size=(200, 1)), np.array([0.5])),
+            simulate(
+                np.column_stack([rng.uniform(0.0, 500.0, 300), rng.normal(size=300)]),
+                np.array([0.08, 1.0]),
+            ),
+        ]
+        for data in cases:
+            fit = fit_mple(data)
+            assert fit.status == STATUS_CONVERGED
+            assert np.ptp(data.covariates @ fit.beta_hat) > 30.0
+            score = brute_force_score(data.times, data.events, data.covariates, fit.beta_hat)
+            assert np.max(np.abs(score)) <= 1e-8
+
+    def test_init_outside_float64_range_names_init(self):
+        # Centered exponent 800 at the user's starting point.
+        data = validate_dataset([(1.0, True, [1600.0]), (2.0, True, [0.0])])
+        with pytest.raises(ValueError, match="init"):
+            fit_mple(data, init=[1.0])
+
     def test_converged_information_psd(self):
         rng = np.random.default_rng(24)
         data = random_dataset(rng, 60, 3)
@@ -228,11 +305,12 @@ class TestScoreResiduals:
 
 
 def test_score_residuals_overflow_is_an_error():
-    # A +1100 covariate shift leaves the fit converged, but at beta_hat the raw
-    # exp(beta'Z) overflows: score_residuals must raise, not return NaN.
+    # A +1100 covariate shift leaves the fit and the score residuals unchanged
+    # (they are read off the centered table), while the raw-scale Breslow
+    # curve, about e^{-760}, leaves float64: that must raise, not return 0.
     import warnings
 
-    from breslow_lab import SurvivalDataset, generate_dataset, reference_truth
+    from breslow_lab import SurvivalDataset, breslow_traditional, generate_dataset, reference_truth
 
     base = generate_dataset(reference_truth(), 500, 3)
     data = SurvivalDataset(base.times, base.events, base.covariates + 1100.0)
@@ -240,5 +318,7 @@ def test_score_residuals_overflow_is_an_error():
     assert fit.converged
     with warnings.catch_warnings():
         warnings.simplefilter("error")
+        resid = score_residuals(data, fit.beta_hat)
+        assert np.max(np.abs(resid - score_residuals(base, fit.beta_hat))) <= 1e-12
         with pytest.raises(OverflowError):
-            score_residuals(data, fit.beta_hat)
+            breslow_traditional(data, fit.beta_hat)

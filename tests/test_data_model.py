@@ -10,7 +10,6 @@ from breslow_lab import (
     SurvivalDataset,
     load_csv,
     save_csv,
-    step_eval,
     validate_dataset,
 )
 
@@ -125,15 +124,15 @@ class TestCsv:
 class TestStepCurve:
     def test_between_jumps(self):
         curve = StepCurve(np.array([1.0, 3.0]), np.array([0.5, 1.2]))
-        assert step_eval(curve, 2.0) == 0.5
+        assert curve(2.0) == 0.5
 
     def test_right_continuity_at_jump(self):
         curve = StepCurve(np.array([1.0, 3.0]), np.array([0.5, 1.2]))
-        assert step_eval(curve, 3.0) == 1.2
+        assert curve(3.0) == 1.2
 
     def test_before_first_jump(self):
         curve = StepCurve(np.array([1.0, 3.0]), np.array([0.5, 1.2]))
-        assert step_eval(curve, 0.5) == 0.0
+        assert curve(0.5) == 0.0
 
     def test_vector_evaluation(self):
         curve = StepCurve(np.array([1.0, 3.0]), np.array([0.5, 1.2]))

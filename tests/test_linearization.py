@@ -207,6 +207,14 @@ class TestDecomposition:
         assert np.array_equal(report.t_n1, np.zeros_like(grid))
         assert np.allclose(report.r_n, report.r_n3 + report.r_n4, atol=1e-11)
 
+    def test_zero_grid_gives_zero_terms(self, ref_truth):
+        # Every term vanishes at x = 0; the grid [0] has no risk-set piece.
+        data = generate_dataset(ref_truth, 200, 60)
+        report = remainder_decomposition(data, fit_mple(data), ref_truth, [0.0])
+        for name in ("t_n1", "t_n2", "b_n", "c_n", "r_n3", "r_n4", "r_n", "mean_xi", "beta_term"):
+            assert np.array_equal(getattr(report, name), [0.0]), name
+        assert report.identity_residual() == 0.0
+
     def test_terms_match_scipy_quadrature_oracle(self, ref_truth):
         # Brute-force the population-measure integrals behind b_n, r_n3, r_n4
         # with adaptive quadrature split at the data's jump points.

@@ -28,7 +28,7 @@ class TestBuildAggregates:
 
     def test_hand_value_at_log2(self, three_point):
         agg = build_aggregates(three_point, [np.log(2.0)])
-        assert np.allclose(agg.s0, [5.0, 3.0, 2.0], rtol=1e-15)
+        assert np.allclose(3.0 * phi_n(agg, [1.0, 2.0, 3.0]), [5.0, 3.0, 2.0], rtol=1e-15)
 
     def test_no_covariate_reduction(self):
         data = validate_dataset([(1.0, True, []), (2.0, False, []), (3.0, True, [])])
@@ -42,15 +42,19 @@ class TestBuildAggregates:
             build_aggregates(three_point, [0.0, 1.0])
 
     def test_overflow_is_hard_error(self):
-        data = validate_dataset([(1.0, True, [800.0]), (2.0, True, [0.0])])
+        # Centered at the mean 800, the first row's exponent is 800.
+        data = validate_dataset([(1.0, True, [1600.0]), (2.0, True, [0.0])])
         with pytest.raises(ExpOverflowError, match="800"):
             build_aggregates(data, [1.0])
 
     def test_explicit_center_avoids_overflow(self):
+        # Centering keeps the table finite; the raw-scale risk mass is not.
         data = validate_dataset([(1.0, True, [800.0]), (2.0, True, [0.0])])
-        agg = build_aggregates(data, [1.0], center=800.0)
-        assert agg.log_scale == 800.0
+        agg = build_aggregates(data, [1.0])
+        assert agg.log_scale == 400.0
         assert np.isfinite(agg.s0).all()
+        with pytest.raises(ExpOverflowError):
+            phi_n(agg, 1.0)
 
     def test_ties_grouped(self):
         data = validate_dataset(
@@ -65,12 +69,13 @@ class TestBuildAggregates:
         data = random_dataset(rng, 40, 3)
         beta = rng.normal(size=3)
         agg = build_aggregates(data, beta)
-        w = np.exp(data.covariates @ beta)
+        z = data.covariates - data.covariates.mean(axis=0)
+        w = np.exp(z @ beta)
         for k, t in enumerate(agg.distinct_times):
             mask = data.times >= t
             assert np.isclose(agg.s0[k], w[mask].sum(), rtol=1e-13)
-            assert np.allclose(agg.s1[k], (w[mask, None] * data.covariates[mask]).sum(0), rtol=1e-12, atol=1e-14)
-            expected_s2 = np.einsum("n,ni,nj->ij", w[mask], data.covariates[mask], data.covariates[mask])
+            assert np.allclose(agg.s1[k], (w[mask, None] * z[mask]).sum(0), rtol=1e-12, atol=1e-14)
+            expected_s2 = np.einsum("n,ni,nj->ij", w[mask], z[mask], z[mask])
             assert np.allclose(agg.s2[k], expected_s2, rtol=1e-12, atol=1e-14)
             assert np.array_equal(agg.s2[k], agg.s2[k].T)
 
@@ -155,7 +160,7 @@ def test_kahan_accumulation_accuracy():
 
     data = SurvivalDataset(times, events, z)
     agg = build_aggregates(data, [0.4])
-    w = np.exp(0.4 * z[:, 0])
+    w = np.exp(0.4 * (z - z.mean(axis=0))[:, 0])
     for k in [0, n // 3, 2 * n // 3, n - 1]:
         t = agg.distinct_times[k]
         exact = math.fsum(w[times >= t])
@@ -181,6 +186,7 @@ def test_compensated_accuracy_at_scale_general_p():
     data = SurvivalDataset(times, events, z)
     beta = np.array([0.4, -0.3, 0.2])
     agg = build_aggregates(data, beta)
+    z = z - z.mean(axis=0)
     w = np.exp(z @ beta)
 
     def rel_error(value, terms):
@@ -194,3 +200,33 @@ def test_compensated_accuracy_at_scale_general_p():
             assert rel_error(agg.s1[k, i], wk * zk[:, i]) <= tol
             for j in range(3):
                 assert rel_error(agg.s2[k, i, j], wk * (zk[:, i] * zk[:, j])) <= tol
+
+
+def test_compensated_totals_match_fsum_under_cancellation():
+    # The fit's log-likelihood, score and information are Sum2 totals
+    # (``_running_sums`` read at the last row).  Ogita, Rump & Oishi bound the
+    # error by eps|s| + gamma_{n-1}^2 sum|a| (eps = 2^-53); on columns whose
+    # terms cancel to a tiny total a plain sum misses that bound by far.
+    import math
+
+    from breslow_lab.risk import _running_sums
+
+    rng = np.random.default_rng(13)
+    half, cols = 2000, 4
+    big = rng.normal(0, 1, (half, cols)) * 10.0 ** rng.integers(0, 16, (half, cols))
+    small = rng.normal(0, 1, (half, cols))
+    addends = np.concatenate([big, -big, small])
+    for j in range(cols):
+        addends[:, j] = rng.permutation(addends[:, j])
+    n = addends.shape[0]
+    eps = np.finfo(float).eps / 2
+    gamma = (n - 1) * eps / (1 - (n - 1) * eps)
+    totals = _running_sums(addends, -1)
+    plain = np.sum(addends, axis=0)
+    plain_misses = False
+    for j in range(cols):
+        exact = math.fsum(addends[:, j])
+        bound = eps * abs(exact) + gamma**2 * math.fsum(np.abs(addends[:, j]))
+        assert abs(totals[j] - exact) <= bound
+        plain_misses |= abs(plain[j] - exact) > bound
+    assert plain_misses
