@@ -73,17 +73,17 @@ def log_partial_likelihood(data: SurvivalDataset, beta) -> float:
     return _log_likelihood(data, build_aggregates(data, beta))
 
 
-def score_and_information(data: SurvivalDataset, beta, *, agg: RiskAggregates | None = None):
+def score_and_information(data: SurvivalDataset, beta):
     """Score vector and observed information of the log partial likelihood.
 
     Returns ``(U, I)`` with ``U = sum_events (Z_i - s1/s0)`` and
     ``I = sum_events (s2/s0 - (s1/s0)(s1/s0)')`` evaluated at the event
-    times.  ``I`` is symmetric positive semidefinite.
+    times.  ``I`` is symmetric positive semidefinite.  Read off the risk
+    table at ``beta``, which the fitter's last trial point has already built.
     """
     if data.covariate_dim == 0:
         raise ValueError("score requires at least one covariate")
-    if agg is None:
-        agg = build_aggregates(data, beta)
+    agg = build_aggregates(data, beta)
     sv = data.sorted_view
     k = sv.event_time_index
     s0 = agg.s0[k][:, None]
@@ -105,14 +105,13 @@ def score_and_information(data: SurvivalDataset, beta, *, agg: RiskAggregates | 
     return totals[:p], info
 
 
-def _trial(data: SurvivalDataset, beta):
+def _trial(data: SurvivalDataset, beta) -> float:
     # A trial point whose risk table leaves float64 is a failed line-search
-    # step, not an error.
+    # step (log-likelihood -inf), not an error.
     try:
-        agg = build_aggregates(data, beta)
+        return _log_likelihood(data, build_aggregates(data, beta))
     except ExpOverflowError:
-        return None, -np.inf
-    return agg, _log_likelihood(data, agg)
+        return -np.inf
 
 
 def _is_singular(info: np.ndarray) -> bool:
@@ -135,9 +134,11 @@ def fit_mple(
 
     Full Newton steps with step-halving (halve until the log likelihood does
     not decrease, at most 30 halvings).  Convergence requires the score norm
-    at or below ``tol`` together with a stable iterate: a tiny score paired
-    with O(1) Newton steps signals a flat ridge, which is how monotone
-    likelihoods (separation) are told apart from genuine optima.
+    at or below ``tol`` together with a stable iterate: a Newton step that
+    moves the linear predictor by a spread ``ptp(Z step)`` of at most 1e-4
+    times ``1 + ptp(Z beta)``.  A tiny score paired with O(1) steps signals
+    a flat ridge, which is how monotone likelihoods (separation) are told
+    apart from genuine optima.
 
     Failure statuses: ``singular_information`` when the information matrix
     is not positive definite or has condition number above 1e12,
@@ -147,8 +148,9 @@ def fit_mple(
     ratio of e^30; for a 0/1 covariate this is ``|beta| > 30``).  Near a
     finite optimum the step shrinks with the score, so a wide spread alone
     is never reported.  ``max_iterations`` otherwise (also when every trial
-    point of a line search leaves the float64 range).  The criterion and
-    the fit are invariant to a constant shift of a covariate.  An ``init``
+    point of a line search leaves the float64 range).  The criteria and
+    the fit are invariant to a constant shift of a covariate and to its
+    units: rescaling a covariate by c divides its coefficient by c.  An ``init``
     whose risk table leaves the float64 range raises ``ValueError``.
     """
     p = data.covariate_dim
@@ -157,11 +159,12 @@ def fit_mple(
     if tol <= 0 or max_iter <= 0:
         raise ValueError("tol and max_iter must be positive")
     beta = np.zeros(p) if init is None else np.array(init, dtype=float).reshape(p)
-    # One risk table per trial point: the accepted trial's table also gives
-    # the next score and information.
-    agg, ll = _trial(data, beta)
-    if agg is None:
+    # One risk table per trial point: the accepted trial is the last one
+    # built, so the next score and information reuse its table.
+    ll = _trial(data, beta)
+    if ll == -np.inf:
         raise ValueError(f"init {init!r}: the risk table leaves the float64 range")
+    z = data.sorted_view.centered
     iterations = 0
 
     def result(status, score, info):
@@ -175,19 +178,22 @@ def fit_mple(
         )
 
     for _ in range(max_iter):
-        score, info = score_and_information(data, beta, agg=agg)
+        score, info = score_and_information(data, beta)
         if _is_singular(info):
             return result(STATUS_SINGULAR, score, info)
         direction = np.linalg.solve(info, score)
+        # Step and iterate are compared as spreads of the linear predictor,
+        # so both tests are invariant to the units of every covariate.
+        spread = np.ptp(z @ beta)
+        step_spread = np.ptp(z @ direction)
         score_small = np.linalg.norm(score) <= tol
-        step_small = np.linalg.norm(direction) <= 1e-4 * (1.0 + np.linalg.norm(beta))
-        if score_small and step_small:
+        if score_small and step_spread <= 1e-4 * (1.0 + spread):
             return result(STATUS_CONVERGED, score, info)
         # A flat likelihood that still asks for a large step runs off along a
         # ridge; near a finite optimum the step shrinks with the score.
-        if score_small and np.ptp(data.sorted_view.centered @ beta) > _SEPARATION_SPREAD:
+        if score_small and spread > _SEPARATION_SPREAD:
             return result(STATUS_SEPARATION, score, info)
-        if np.linalg.norm(direction) <= 1e-6 * (1.0 + np.linalg.norm(beta)):
+        if step_spread <= 1e-6 * (1.0 + spread):
             # Quadratic-convergence region: the true likelihood gain is below
             # evaluation noise, so a monotonicity line search would stall.
             steps = [1.0]
@@ -195,15 +201,15 @@ def fit_mple(
             steps = 0.5 ** np.arange(_MAX_HALVINGS + 1)
         for step in steps:
             candidate = beta + step * direction
-            agg_new, ll_new = _trial(data, candidate)
+            ll_new = _trial(data, candidate)
             if ll_new >= ll:
                 break
-        if agg_new is None:
+        if ll_new == -np.inf:
             # Every trial point left float64: the line search cannot move.
             return result(STATUS_MAX_ITERATIONS, score, info)
-        beta, agg, ll = candidate, agg_new, ll_new
+        beta, ll = candidate, ll_new
         iterations += 1
-    score, info = score_and_information(data, beta, agg=agg)
+    score, info = score_and_information(data, beta)
     if _is_singular(info):
         return result(STATUS_SINGULAR, score, info)
     if np.linalg.norm(score) <= tol:

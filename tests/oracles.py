@@ -168,10 +168,12 @@ def brute_force_post_fit(times, events, covariates, beta, grid):
     event_times = np.unique(t[e])
     d_lambda = np.empty(event_times.size)
     zbar = np.empty((event_times.size, z.shape[1]))
+    phi = np.empty(event_times.size)
     for k, s in enumerate(event_times):
         s0, s1 = risk_sums(s)
         d_lambda[k] = np.sum(e & (t == s)) / s0
         zbar[k] = s1 / s0
+        phi[k] = s0 / n
     resid = np.zeros_like(z)
     xi = np.zeros((n, grid.size))
     for i in range(n):
@@ -181,15 +183,16 @@ def brute_force_post_fit(times, events, covariates, beta, grid):
         for k, s in enumerate(event_times):
             if s <= t[i]:
                 resid[i] -= w[i] * (z[i] - zbar[k]) * d_lambda[k]
+        own_s0 = risk_sums(t[i])[0]
         for g, x in enumerate(grid):
             q = sum(
-                d_lambda[k] / (risk_sums(s)[0] / n)
+                d_lambda[k] / phi[k]
                 for k, s in enumerate(event_times)
                 if s <= min(t[i], x)
             )
             xi[i, g] = -w[i] * q
             if e[i] and t[i] <= x:
-                xi[i, g] += n / risk_sums(t[i])[0]
+                xi[i, g] += n / own_s0
     return {
         "event_times": event_times,
         "d_lambda": d_lambda,

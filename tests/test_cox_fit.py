@@ -248,8 +248,9 @@ class TestFitMple:
     @pytest.mark.parametrize("shift", [0.0, 1100.0])
     def test_fit_reports_fresh_likelihood_and_information(self, shift):
         # The fitter reuses each trial point's risk table; what it reports must
-        # equal a fresh evaluation at beta_hat, also when the shifted
-        # covariate pushes beta'Z past the stabilizing center threshold.
+        # equal an evaluation at beta_hat, also when the shifted covariate
+        # pushes beta'Z past 700.  On ``data`` that evaluation is a cache hit
+        # on the fit's last table; on a new dataset object it is a cold build.
         from breslow_lab import SurvivalDataset, generate_dataset, reference_truth
 
         base = generate_dataset(reference_truth(), 500, 3)
@@ -258,8 +259,36 @@ class TestFitMple:
         assert fit.converged
         if shift:
             assert np.max(data.covariates @ fit.beta_hat) > 700.0
-        assert fit.log_partial_likelihood == log_partial_likelihood(data, fit.beta_hat)
-        assert np.all(fit.information == score_and_information(data, fit.beta_hat)[1])
+        cold = SurvivalDataset(data.times, data.events, data.covariates)
+        for d in (data, cold):
+            assert fit.log_partial_likelihood == log_partial_likelihood(d, fit.beta_hat)
+            assert np.all(fit.information == score_and_information(d, fit.beta_hat)[1])
+
+    @pytest.mark.parametrize("z", [1.0, 1e3, 1e5])
+    def test_separation_is_independent_of_covariate_units(self, z):
+        # The same two separated rows in three units of the covariate.
+        from breslow_lab import SurvivalDataset
+
+        fit = fit_mple(SurvivalDataset([1.0, 2.0], [True, True], [[z], [0.0]]))
+        assert fit.status == STATUS_SEPARATION
+
+    def test_rescaled_covariate_rescales_the_fit(self):
+        # Z_j -> c Z_j gives beta_j -> beta_j / c in as many iterations.  Both
+        # convergence tests are measured on the linear predictor; the score
+        # tolerance is in covariate units, so c stays where it is met alike.
+        from breslow_lab import SurvivalDataset
+
+        rng = np.random.default_rng(41)
+        for _ in range(4):
+            data = random_dataset(rng, 80, 2)
+            fit0 = fit_mple(data)
+            assert fit0.converged
+            for c in [1e-3, 0.1, 2.0, 10.0]:
+                scale = np.array([c, 1.0])
+                fit = fit_mple(SurvivalDataset(data.times, data.events, data.covariates * scale))
+                assert fit.status == fit0.status
+                assert fit.iterations == fit0.iterations
+                np.testing.assert_allclose(fit.beta_hat * scale, fit0.beta_hat, rtol=1e-12)
 
 
 class TestScoreResiduals:

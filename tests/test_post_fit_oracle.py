@@ -2,13 +2,17 @@ import numpy as np
 import pytest
 
 from breslow_lab import (
+    ExpOverflowError,
+    InfluenceMatrix,
     SurvivalDataset,
     a_n_curve,
     breslow_traditional,
     fit_mple,
     score_residuals,
+    variance_estimate,
     xi_plugin,
 )
+from breslow_lab.linearize import _BLOCK_ROWS
 
 from oracles import brute_force_post_fit
 
@@ -59,3 +63,72 @@ def test_xi_plugin(tied_case):
     data, fit, grid, expected = tied_case
     infl = xi_plugin(data, fit, grid)
     np.testing.assert_allclose(infl.values, expected["xi"], rtol=RTOL, atol=ATOL)
+
+
+# The influence and variance passes work in blocks of 512 rows: n = 1100 is
+# two whole blocks and a partial one.
+BLOCKED_N = 1100
+
+
+@pytest.fixture(scope="module")
+def blocked_case():
+    rng = np.random.default_rng(37)
+    n = BLOCKED_N
+    times = np.round(rng.exponential(1.5, n), 1) + 0.1
+    events = rng.random(n) < 0.7
+    covs = rng.normal(0.0, 1.0, size=(n, 2))
+    data = SurvivalDataset(times, events, covs)
+    fit = fit_mple(data)
+    assert fit.converged
+    assert np.unique(times[events]).size < events.sum()
+    grid = np.array([0.0, 0.35, 1.0, 1.6, 2.5, 4.0])
+    expected = brute_force_post_fit(times, events, covs, fit.beta_hat, grid)
+    return data, fit, grid, expected
+
+
+def test_xi_plugin_across_blocks(blocked_case):
+    data, fit, grid, expected = blocked_case
+    assert data.n > 2 * _BLOCK_ROWS and data.n % _BLOCK_ROWS
+    infl = xi_plugin(data, fit, grid)
+    np.testing.assert_allclose(infl.values, expected["xi"], rtol=RTOL, atol=ATOL)
+
+
+def test_variance_estimate_across_blocks(blocked_case):
+    # Reference: np.var of psi = xi - ell' A_n, all three from the oracle.
+    data, fit, grid, expected = blocked_case
+    xi = expected["xi"]
+    ell = data.n * np.linalg.solve(fit.information, expected["score_residuals"].T).T
+    k = np.searchsorted(expected["event_times"], grid, side="right") - 1
+    a_grid = np.where(k[:, None] >= 0, expected["a_n"][np.maximum(k, 0)], 0.0)
+    psi = xi - ell @ a_grid.T
+    infl = InfluenceMatrix(grid=grid, values=xi, mode="plugin")
+    curves = variance_estimate(data, infl, fit, a_n_curve(data, fit.beta_hat))
+    for got, ref in ((curves.xi_only, xi), (curves.total, psi)):
+        want = ref.var(axis=0, ddof=1) / data.n
+        assert np.array_equal(got == 0, want == 0)
+        nz = want != 0
+        assert np.max(np.abs(got[nz] - want[nz]) / want[nz]) <= 1e-12
+
+
+def test_xi_plugin_overflow_in_last_partial_block():
+    # One censored subject, the last row, has raw relative risk e^{-712.5}:
+    # its influence values are nonzero but below the smallest normal float64,
+    # and every other entry is in range.  The blocked check must still raise.
+    rng = np.random.default_rng(41)
+    n = BLOCKED_N
+    times = rng.exponential(1.0, n) + 0.05
+    events = rng.random(n) < 0.7
+    covs = rng.normal(0.0, 1.0, size=(n, 1))
+    base = SurvivalDataset(times[:-1], events[:-1], covs[:-1])
+    fit0 = fit_mple(base)
+    assert fit0.converged
+    events[-1] = False
+    times[-1] = np.median(times)
+    covs[-1] = -712.5 / fit0.beta_hat[0]
+    data = SurvivalDataset(times, events, covs)
+    fit = fit_mple(data, init=fit0.beta_hat)
+    assert fit.converged
+    grid = np.linspace(0.0, float(np.median(times)), 5)
+    assert xi_plugin(base, fit, grid).values.shape == (n - 1, grid.size)
+    with pytest.raises(ExpOverflowError):
+        xi_plugin(data, fit, grid)

@@ -230,3 +230,93 @@ def test_compensated_totals_match_fsum_under_cancellation():
         assert abs(totals[j] - exact) <= bound
         plain_misses |= abs(plain[j] - exact) > bound
     assert plain_misses
+
+
+class TestTableCache:
+    """One risk table per (dataset, beta), shared and read-only."""
+
+    @pytest.fixture
+    def builds(self, monkeypatch):
+        # Count the private builder's runs; the public function is the cache.
+        from breslow_lab import risk
+
+        calls = []
+        original = risk._build_aggregates
+
+        def spy(data, beta):
+            calls.append(beta.copy())
+            return original(data, beta)
+
+        monkeypatch.setattr(risk, "_build_aggregates", spy)
+        return calls
+
+    def test_same_beta_returns_same_table(self, builds):
+        data = random_dataset(np.random.default_rng(50), 40, 2)
+        agg = build_aggregates(data, [0.3, -0.2])
+        assert build_aggregates(data, np.array([0.3, -0.2])) is agg
+        assert len(builds) == 1
+        other = build_aggregates(data, [0.3, -0.1])
+        assert other is not agg and len(builds) == 2
+
+    def test_caller_mutation_does_not_leak(self, builds):
+        data = random_dataset(np.random.default_rng(51), 40, 1)
+        beta = np.array([0.3])
+        agg = build_aggregates(data, beta)
+        beta[0] = 0.7
+        assert agg.beta[0] == 0.3
+        fresh = build_aggregates(data, beta)
+        assert fresh.beta[0] == 0.7 and len(builds) == 2
+        cold = build_aggregates(cold_copy(data), [0.7])
+        assert np.array_equal(fresh.s0, cold.s0) and np.array_equal(fresh.s1, cold.s1)
+
+    def test_cached_arrays_are_read_only(self):
+        data = random_dataset(np.random.default_rng(52), 30, 2)
+        agg = build_aggregates(data, [0.1, 0.2])
+        for arr in (agg.beta, agg.s0, agg.s1, agg.s2):
+            assert not arr.flags.writeable
+            with pytest.raises(ValueError):
+                arr[...] = 0.0
+
+    def test_failed_build_is_not_cached(self, builds):
+        # Centered exponent 800 at beta = 1; beta = 0.1 is fine.
+        data = validate_dataset([(1.0, True, [1600.0]), (2.0, True, [0.0])])
+        agg = build_aggregates(data, [0.1])
+        with pytest.raises(ExpOverflowError):
+            build_aggregates(data, [1.0])
+        with pytest.raises(ExpOverflowError):
+            build_aggregates(data, [1.0])
+        assert build_aggregates(data, [0.1]) is agg
+        assert len(builds) == 3
+
+    def test_analyst_path_after_fit_builds_nothing(self, builds):
+        from breslow_lab import (
+            a_n_curve,
+            breslow_plugin,
+            breslow_traditional,
+            default_m_plugin,
+            fit_mple,
+            score_residuals,
+            variance_estimate,
+            xi_plugin,
+        )
+
+        data = random_dataset(np.random.default_rng(53), 200, 3)
+        fit = fit_mple(data)
+        assert fit.converged
+        in_fit = len(builds)
+        beta = fit.beta_hat
+        breslow_traditional(data, beta)
+        breslow_plugin(data, beta)
+        a_curve = a_n_curve(data, beta)
+        grid = np.linspace(0.0, default_m_plugin(data, beta), 8)
+        infl = xi_plugin(data, fit, grid)
+        score_residuals(data, beta)
+        variance_estimate(data, infl, fit, a_curve)
+        assert len(builds) == in_fit
+
+
+def cold_copy(data):
+    """A new dataset object with the same rows: a cold cache."""
+    from breslow_lab import SurvivalDataset
+
+    return SurvivalDataset(data.times, data.events, data.covariates)
