@@ -91,25 +91,36 @@ class SurvivalDataset:
 
     @cached_property
     def sorted_view(self) -> _SortedView:
-        # One stable sort shared by every estimator; ties grouped once.  One
-        # centering at the column means, so a shifted column fits the same.
-        order = np.argsort(self._times, kind="stable")
+        """Rows in follow-up time order, with tie groups and centered covariates.
+
+        One sort shared by every estimator; ties grouped once.  ``order`` is
+        the stable argsort of the times, built as numpy's default argsort
+        followed, if any times tie, by one integer sort of the keys ``tie
+        group * n + row`` that puts each run of tied rows back in input
+        order (cheaper than a stable sort of the floats).  One centering at
+        the column means, so a shifted column fits the same.
+        """
+        order = np.argsort(self._times)
         times = self._times[order]
-        events = self._events[order]
-        means = self._covariates.mean(axis=0)
-        covs = self._covariates[order] - means
         is_start = np.empty(times.size, dtype=bool)
         is_start[0] = True
         is_start[1:] = times[1:] != times[:-1]
+        group_of = np.cumsum(is_start) - 1
+        if group_of[-1] < times.size - 1:
+            key = group_of * times.size + order
+            key.sort()
+            order = key - group_of * times.size
+        events = self._events[order]
+        means = self._covariates.mean(axis=0)
+        covs = self._covariates[order] - means
         group_starts = np.flatnonzero(is_start)
         distinct = times[group_starts]
-        group_of = np.cumsum(is_start) - 1
-        d_counts = np.bincount(group_of[events], minlength=distinct.size)
+        ev_groups_per_row = group_of[events]
+        d_counts = np.bincount(ev_groups_per_row, minlength=distinct.size)
         event_groups = np.flatnonzero(d_counts)
         p = self.covariate_dim
         sums = np.zeros((event_groups.size, p))
         if p and event_groups.size:
-            ev_groups_per_row = group_of[events]
             ev_covs = covs[events]
             for col in range(p):
                 sums[:, col] = np.bincount(

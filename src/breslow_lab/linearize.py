@@ -37,7 +37,6 @@ from .risk import (
     centered_phi,
     centered_weights,
     event_increments,
-    phi_n,
     to_raw_scale,
 )
 from .stepfun import StepCurve
@@ -128,20 +127,55 @@ def xi_truth_value(truth: TruthModel, t: float, delta: bool, z, x: float) -> flo
     return float(-np.exp(eta) * integral + event)
 
 
-def _xi_matrix(times, events, w, grid, q_t, q_x, phi_t) -> np.ndarray:
-    """``xi(t, delta, z; x) = -w q(min(t, x)) + delta {t <= x} / phi(t)``.
+def _xi_matrix(times, w, grid, q_x, after) -> np.ndarray:
+    """``xi(t, delta, z; x)`` for every row and grid point.
 
     Entry (i, k) for row i and grid point x_k, given per-row arrays (follow-up
-    time, event indicator, relative risk ``w = e^{beta'z}``, the path integral
-    ``q`` and the risk mass ``phi`` at the follow-up time) and ``q_x``, the
-    path integral at every grid point; population or empirical plug-ins
-    alike.  Row i is ``-w_i q(x)`` before its follow-up time and the constant
-    ``delta_i / phi(t_i) - w_i q(t_i)`` from there on.
+    time, relative risk ``w = e^{beta'z}`` and ``after``, the row's constant
+    from its follow-up time on) and ``q_x``, the path integral at every grid
+    point; population or empirical plug-ins alike.  Row i is ``-w_i q(x)``
+    before its follow-up time and ``after_i = delta_i / phi(t_i) - w_i
+    q(t_i)`` from there on.
     """
     out = np.multiply.outer(w, q_x)
     np.subtract(0.0, out, out=out)  # -w q(x), with +0.0 where q(x) = 0
-    after = np.where(events, 1.0 / phi_t, 0.0) - w * q_t
     np.copyto(out, after[:, None], where=times[:, None] <= grid)
+    return out
+
+
+def _bracket(sv, grid: np.ndarray):
+    """Where each grid point falls among the distinct follow-up times.
+
+    Returns ``(left, right)``: the index of the first distinct time ``>= x``
+    and of the first ``> x``.  The one search every truth-functional query
+    set needs; the rows with time ``<= x`` number ``append(group_starts,
+    n)[right]``.
+    """
+    dt = sv.distinct_times
+    left = np.searchsorted(dt, grid, side="left")
+    right = left + (dt[np.minimum(left, dt.size - 1)] == grid)
+    return left, right
+
+
+def _event_groups_before(sv) -> np.ndarray:
+    """Entry k is the number of distinct event times before distinct time k."""
+    count = np.zeros(sv.distinct_times.size + 1, dtype=np.intp)
+    count[sv.event_time_index + 1] = 1
+    return np.cumsum(count)
+
+
+def _gather_or_eval(f, pts: np.ndarray, f_pts: np.ndarray, grid: np.ndarray, idx):
+    """``f(grid)`` given ``f_pts = f(pts)``: gathered where ``grid == pts[idx]``.
+
+    The remaining grid points reach ``f`` once per distinct value, so with
+    ``pts`` distinct no point is evaluated twice.  ``f`` acts elementwise,
+    so a gathered value is bitwise the value ``f`` would return.
+    """
+    out = f_pts[idx]
+    miss = pts[idx] != grid
+    if miss.any():
+        points, inverse = np.unique(grid[miss], return_inverse=True)
+        out[miss] = f(points)[inverse]
     return out
 
 
@@ -155,7 +189,8 @@ def xi_truth(data: SurvivalDataset, truth: TruthModel, x_grid) -> InfluenceMatri
     q_t = truth.hazard_over_phi(np.minimum(t, hi))
     w = np.exp(data.covariates @ truth.beta0)
     q_x = truth.hazard_over_phi(grid)
-    values = _xi_matrix(t, data.events, w, grid, q_t, q_x, truth.phi(t))
+    after = np.where(data.events, 1.0 / truth.phi(t), 0.0) - w * q_t
+    values = _xi_matrix(t, w, grid, q_x, after)
     return InfluenceMatrix(grid=grid, values=values, mode=MODE_TRUTH)
 
 
@@ -163,21 +198,34 @@ def xi_truth_mean(data: SurvivalDataset, truth: TruthModel, x_grid) -> np.ndarra
     """Column means of the truth-mode influence matrix, via prefix sums.
 
     Same values as ``xi_truth(...).values.mean(axis=0)`` but O((n+g) log n),
-    which is what the rate experiments need at scale.
+    which is what the rate experiments need at scale.  The grid is bracketed
+    once against the distinct follow-up times, and the path integral ``q`` is
+    evaluated once per distinct point: at 0, at the distinct times below the
+    grid maximum ``hi``, at ``hi``, and at the grid points that are none of
+    these.
     """
     grid = _as_grid(x_grid)
     hi = float(grid.max())
     if truth.phi(hi) <= 0:
         raise ValueError("grid extends beyond the follow-up support of the design")
     sv = data.sorted_view
+    dt = sv.distinct_times
     w = np.exp(data.covariates @ truth.beta0)[sv.order]
-    q_t = truth.hazard_over_phi(np.minimum(sv.times, hi))
+    left, right = _bracket(sv, grid)
+    # q at 0 and at the distinct times clipped at hi; sorted row i reads
+    # q(min(t_i, hi)), so the groups from ``cut`` on all read q(hi).
+    cut = int(left.max())
+    pts = np.concatenate([[0.0], np.minimum(dt[: cut + 1], hi)])
+    q_pts = truth.hazard_over_phi(pts)
+    bounds = np.append(sv.group_starts, data.n)
+    q_t = np.repeat(q_pts[1 + np.minimum(np.arange(dt.size), cut)], np.diff(bounds))
     event_weight = np.where(sv.events, 1.0 / truth.phi(sv.times), 0.0)
     prefix_wq = np.concatenate([[0.0], np.cumsum(w * q_t)])
     prefix_w = np.concatenate([[0.0], np.cumsum(w)])
     prefix_ev = np.concatenate([[0.0], np.cumsum(event_weight)])
-    k = np.searchsorted(sv.times, grid, side="right")
-    q_x = truth.hazard_over_phi(grid)
+    k = bounds[right]
+    q_x = _gather_or_eval(truth.hazard_over_phi, pts, q_pts, grid,
+                          np.where(grid > 0, np.minimum(left + 1, pts.size - 1), 0))
     total_w = prefix_w[-1]
     integral_part = prefix_wq[k] + q_x * (total_w - prefix_w[k])
     return (-integral_part + prefix_ev[k]) / data.n
@@ -213,14 +261,24 @@ def xi_plugin(data: SurvivalDataset, fit: CoxFit | None, x_grid) -> InfluenceMat
     agg = build_aggregates(data, beta)
     d_lambda, _ = centered_increments(data, agg)
     event_times = sv.distinct_event_times
-    qhat = StepCurve(event_times, np.cumsum(d_lambda / centered_phi(agg, event_times)))
+    steps = np.cumsum(d_lambda / centered_phi(agg, event_times))
     _, w = centered_weights(data, agg)
-    t, ev = data.times, data.events
-    q_t, q_x, phi_t = qhat(t), qhat(grid), centered_phi(agg, t)
+    t = data.times
+    # After follow-up a row is (delta - w dLambda(t)) / phi(t) - w q(t-): the
+    # own-time jump of q, of size about n / s0(t), is folded into the event
+    # term instead of cancelling against it, and ``w d / s0`` is exactly 1
+    # when the row is alone in its risk set.
+    k = agg.time_index(t)
+    s0 = agg.s0[k]
+    jumps = np.zeros(sv.distinct_times.size)
+    jumps[sv.event_time_index] = sv.event_counts
+    q_before = np.concatenate([[0.0], steps])[_event_groups_before(sv)[k]]
+    after = (data.events - w * jumps[k] / s0) / (s0 / data.n) - w * q_before
+    q_x = StepCurve(event_times, steps)(grid)
     values = np.empty((data.n, grid.size))
     for lo in range(0, data.n, _BLOCK_ROWS):
         b = slice(lo, lo + _BLOCK_ROWS)
-        block = _xi_matrix(t[b], ev[b], w[b], grid, q_t[b], q_x, phi_t[b])
+        block = _xi_matrix(t[b], w[b], grid, q_x, after[b])
         values[b] = to_raw_scale(block, -agg.log_scale)
     return InfluenceMatrix(grid=grid, values=values, mode=MODE_PLUGIN)
 
@@ -284,7 +342,8 @@ def variance_estimate(
 # Exact decomposition of the centered estimate
 
 
-def _piecewise_risk_integrals(truth: TruthModel, agg: RiskAggregates, grid: np.ndarray):
+def _piecewise_risk_integrals(truth: TruthModel, agg: RiskAggregates, grid: np.ndarray,
+                              left: np.ndarray):
     """Integrals of functions of the empirical risk mass against the truth.
 
     The empirical risk mass is constant between consecutive distinct
@@ -292,52 +351,57 @@ def _piecewise_risk_integrals(truth: TruthModel, agg: RiskAggregates, grid: np.n
     exactly to sums of antiderivative differences over those pieces.  Returns
     ``(I_v, I_inv)`` on the grid, where ``I_v`` integrates ``Phi_n *
     rate0/Phi`` and ``I_inv`` integrates ``(1/Phi_n) * Phi * rate0``;
-    ``agg`` is the risk table at ``truth.beta0``.
+    ``agg`` is the risk table at ``truth.beta0`` and ``left`` the grid's
+    bracket (see :func:`_bracket`), so a grid point ``x > 0`` lies in piece
+    ``left``.  Each antiderivative is evaluated once at the piece edges (the
+    last one cut at the grid maximum) and once more only at grid points that
+    are not an edge.
     """
-    edges = np.concatenate([[0.0], agg.distinct_times])
-    v = phi_n(agg, agg.distinct_times)
     hi = float(grid.max())
-    if hi > edges[-1]:
-        raise ValueError(
-            "grid point beyond the last follow-up time: empirical risk mass is zero"
-        )
-    cut = int(np.searchsorted(edges, hi, side="left"))
-    if cut == 0:
+    if hi == 0.0:
         # The grid is all zeros, where every integral vanishes.
         return np.zeros(grid.size), np.zeros(grid.size)
-    edges = edges[: cut + 1].copy()
-    edges[-1] = min(edges[-1], hi)  # partial final piece never extends past the grid
-    v = v[:cut]
-    q_edges = truth.hazard_over_phi(edges)
-    h_edges = truth.h_uc(edges)
-    q_grid = truth.hazard_over_phi(grid)
-    h_grid = truth.h_uc(grid)
+    cut = int(left.max()) + 1
+    # Piece j spans (edges[j], edges[j + 1]]; the final piece never extends
+    # past the grid.
+    edges = np.concatenate([[0.0], agg.distinct_times[: cut - 1], [hi]])
+    v = to_raw_scale(agg.s0[:cut] / agg.n, agg.log_scale)
+    upper = np.where(grid > 0, left + 1, 0)
 
-    def accumulate(gvals, f_edges, f_grid):
-        piece = gvals * np.diff(f_edges)
-        prefix = np.concatenate([[0.0], np.cumsum(piece)])
-        j = np.searchsorted(edges, grid, side="left") - 1
-        jj = np.clip(j, 0, gvals.size - 1)
-        out = prefix[jj] + gvals[jj] * (f_grid - f_edges[jj])
-        return np.where(j >= 0, out, 0.0)
+    def accumulate(gvals, f):
+        f_edges = f(edges)
+        f_grid = _gather_or_eval(f, edges, f_edges, grid, upper)
+        prefix = np.concatenate([[0.0], np.cumsum(gvals * np.diff(f_edges))])
+        out = prefix[left] + gvals[left] * (f_grid - f_edges[left])
+        return np.where(grid > 0, out, 0.0)
 
-    i_v = accumulate(v, q_edges, q_grid)
-    i_inv = accumulate(1.0 / v, h_edges, h_grid)
+    i_v = accumulate(v, truth.hazard_over_phi)
+    i_inv = accumulate(1.0 / v, truth.h_uc)
     return i_v, i_inv
 
 
 def _t2_terms(data: SurvivalDataset, truth: TruthModel, grid: np.ndarray) -> dict:
-    """Terms of the split of cum_haz_n(beta0, x) - cum_haz_0(x)."""
+    """Terms of the split of cum_haz_n(beta0, x) - cum_haz_0(x).
+
+    The grid is bracketed once against the distinct follow-up times (see
+    :func:`_bracket`); the risk-integral pieces, the event-weight prefix and
+    the Breslow step all index off that bracket, and each truth
+    antiderivative sees every distinct query point at most once.
+    """
     agg = build_aggregates(data, truth.beta0)
-    i_v, i_inv = _piecewise_risk_integrals(truth, agg, grid)
-    lam0 = truth.cum_hazard0(grid)
     sv = data.sorted_view
+    if float(grid.max()) > float(sv.distinct_times[-1]):
+        raise ValueError(
+            "grid point beyond the last follow-up time: empirical risk mass is zero"
+        )
+    left, right = _bracket(sv, grid)
+    i_v, i_inv = _piecewise_risk_integrals(truth, agg, grid, left)
+    lam0 = truth.cum_hazard0(grid)
     event_weight = np.where(sv.events, 1.0 / truth.phi(sv.times), 0.0)
     prefix_ev = np.concatenate([[0.0], np.cumsum(event_weight)])
-    k = np.searchsorted(sv.times, grid, side="right")
-    s_phi = prefix_ev[k] / data.n
+    s_phi = prefix_ev[np.append(sv.group_starts, data.n)[right]] / data.n
     d_lambda, _ = event_increments(data, agg)
-    haz_n0 = StepCurve(sv.distinct_event_times, np.cumsum(d_lambda))(grid)
+    haz_n0 = np.concatenate([[0.0], np.cumsum(d_lambda)])[_event_groups_before(sv)[right]]
     b_n = lam0 - i_v
     c_n = s_phi - lam0
     r_n3 = (haz_n0 - s_phi) - (i_inv - lam0)
@@ -409,7 +473,7 @@ def remainder_decomposition(
 def default_m_plugin(data: SurvivalDataset, beta, phi_floor: float = 0.05) -> float:
     """Largest follow-up time with empirical risk mass >= phi_floor."""
     agg = build_aggregates(data, beta)
-    mass = phi_n(agg, agg.distinct_times)
+    mass = to_raw_scale(agg.s0 / agg.n, agg.log_scale)
     ok = np.flatnonzero(mass >= phi_floor)
     if ok.size == 0:
         raise ValueError("empirical risk mass is below the floor everywhere")

@@ -2,14 +2,23 @@
 
 Everything here is deliberately written without touching the package's own
 computational paths: plain counting for the no-covariate hazard estimator,
-central finite differences for derivative checks, and scipy adaptive
-quadrature for population integrals.
+central finite differences for derivative checks, scipy adaptive
+quadrature for population integrals, and exact rational arithmetic for the
+plug-in influence values.  The ``reference_*`` functions are the exception:
+they reuse the package's truth functionals and risk table and redo only the
+index bookkeeping, one search per index, so the package's single-bracket
+bookkeeping can be checked against them bitwise.
 """
 
 import math
+from fractions import Fraction
 
 import numpy as np
 from scipy.integrate import quad
+
+from breslow_lab import build_aggregates, phi_n
+from breslow_lab.risk import event_increments
+from breslow_lab.stepfun import StepCurve
 
 
 def nelson_aalen(times, events):
@@ -202,3 +211,104 @@ def brute_force_post_fit(times, events, covariates, beta, grid):
         "score_residuals": resid,
         "xi": xi,
     }
+
+
+def exact_xi_plugin(times, events, covariates, beta, grid):
+    """Plug-in influence matrix in exact rational arithmetic, O(n^2) per point.
+
+    The relative risks ``exp(beta'z_i)`` are rounded to float once; from
+    there the risk sums ``S0``, the Breslow increments ``d / S0``, the path
+    integral ``q(x) = sum_{s <= x} (d_s / S0(s)) / (S0(s) / n)`` and the
+    event term ``n / S0(t_i)`` are ``Fraction``s, and only each entry
+    ``-w_i q(min(t_i, x)) + delta_i {t_i <= x} n / S0(t_i)`` is rounded.
+    """
+    t = [float(x) for x in times]
+    e = [bool(x) for x in events]
+    z = np.asarray(covariates, dtype=float).reshape(len(t), -1)
+    w = [Fraction(float(x)) for x in np.exp(z @ np.asarray(beta, dtype=float))]
+    n = len(t)
+
+    def s0(s):
+        return sum(wj for tj, wj in zip(t, w) if tj >= s)
+
+    q_jump = {}
+    for s in sorted({ti for ti, ei in zip(t, e) if ei}):
+        d = sum(1 for ti, ei in zip(t, e) if ei and ti == s)
+        q_jump[s] = Fraction(d) / s0(s) / (s0(s) / n)
+    out = np.empty((n, len(grid)))
+    for i in range(n):
+        for g, x in enumerate(grid):
+            value = -w[i] * sum(j for s, j in q_jump.items() if s <= min(t[i], x))
+            if e[i] and t[i] <= x:
+                value += n / s0(t[i])
+            out[i, g] = float(value)
+    return out
+
+
+def reference_t2_terms(data, truth, grid):
+    """The split of ``_t2_terms`` with one independent search per index.
+
+    Bookkeeping only: the truth antiderivatives, the risk table and the
+    Breslow increments are the package's, but every index into the distinct
+    times, the sorted rows and the event times comes from its own
+    ``searchsorted`` (the piece of each grid point, the rows at or before
+    it, the Breslow step), the risk mass from ``phi_n`` lookups, and every
+    antiderivative is evaluated at all edges and all grid points.  The
+    package derives all of these from one bracket and must agree bitwise.
+    """
+    agg = build_aggregates(data, truth.beta0)
+    edges = np.concatenate([[0.0], agg.distinct_times])
+    v = phi_n(agg, agg.distinct_times)
+    hi = float(grid.max())
+    cut = int(np.searchsorted(edges, hi, side="left"))
+    if cut == 0:
+        i_v = i_inv = np.zeros(grid.size)
+    else:
+        edges = edges[: cut + 1].copy()
+        edges[-1] = min(edges[-1], hi)
+        v = v[:cut]
+
+        def accumulate(gvals, f_edges, f_grid):
+            prefix = np.concatenate([[0.0], np.cumsum(gvals * np.diff(f_edges))])
+            j = np.searchsorted(edges, grid, side="left") - 1
+            jj = np.clip(j, 0, gvals.size - 1)
+            out = prefix[jj] + gvals[jj] * (f_grid - f_edges[jj])
+            return np.where(j >= 0, out, 0.0)
+
+        i_v = accumulate(v, truth.hazard_over_phi(edges), truth.hazard_over_phi(grid))
+        i_inv = accumulate(1.0 / v, truth.h_uc(edges), truth.h_uc(grid))
+    lam0 = truth.cum_hazard0(grid)
+    sv = data.sorted_view
+    event_weight = np.where(sv.events, 1.0 / truth.phi(sv.times), 0.0)
+    prefix_ev = np.concatenate([[0.0], np.cumsum(event_weight)])
+    s_phi = prefix_ev[np.searchsorted(sv.times, grid, side="right")] / data.n
+    d_lambda, _ = event_increments(data, agg)
+    haz_n0 = StepCurve(sv.distinct_event_times, np.cumsum(d_lambda))(grid)
+    return {
+        "haz_n_beta0": haz_n0,
+        "t_n2": haz_n0 - lam0,
+        "b_n": lam0 - i_v,
+        "c_n": s_phi - lam0,
+        "r_n3": (haz_n0 - s_phi) - (i_inv - lam0),
+        "r_n4": i_inv - 2.0 * lam0 + i_v,
+    }
+
+
+def reference_xi_truth_mean(data, truth, grid):
+    """``xi_truth_mean`` with ``q`` evaluated at every row and grid point.
+
+    Same prefix sums as the package, but the path integral is evaluated at
+    ``min(t_i, max(grid))`` for every sorted row and at every grid point, and
+    the rows at or before each grid point come from their own search.
+    """
+    hi = float(grid.max())
+    sv = data.sorted_view
+    w = np.exp(data.covariates @ truth.beta0)[sv.order]
+    q_t = truth.hazard_over_phi(np.minimum(sv.times, hi))
+    event_weight = np.where(sv.events, 1.0 / truth.phi(sv.times), 0.0)
+    prefix_wq = np.concatenate([[0.0], np.cumsum(w * q_t)])
+    prefix_w = np.concatenate([[0.0], np.cumsum(w)])
+    prefix_ev = np.concatenate([[0.0], np.cumsum(event_weight)])
+    k = np.searchsorted(sv.times, grid, side="right")
+    integral_part = prefix_wq[k] + truth.hazard_over_phi(grid) * (prefix_w[-1] - prefix_w[k])
+    return (-integral_part + prefix_ev[k]) / data.n

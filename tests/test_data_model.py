@@ -65,6 +65,23 @@ class TestValidateDataset:
         assert data.covariates.shape == (data.n, data.covariate_dim)
 
 
+class TestSortedView:
+    @given(
+        times=st.lists(st.floats(0.01, 50.0), min_size=1, max_size=300),
+        levels=st.sampled_from([None, 1, 3, 40]),
+    )
+    def test_order_is_the_stable_argsort(self, times, levels):
+        # ``levels`` snaps the times to that many distinct values, so most of
+        # them tie; None keeps them (almost surely) distinct.
+        times = np.asarray(times)
+        if levels is not None:
+            times = 1.0 + np.floor(times * levels / 50.0)
+        events = np.ones(times.size, dtype=bool)
+        sv = SurvivalDataset(times, events, np.zeros((times.size, 1))).sorted_view
+        assert np.array_equal(sv.order, np.argsort(times, kind="stable"))
+        assert np.array_equal(sv.times, times[sv.order])
+
+
 class TestCsv:
     def test_two_row_parse(self, tmp_path):
         path = tmp_path / "d.csv"

@@ -14,7 +14,7 @@ from breslow_lab import (
 )
 from breslow_lab.linearize import _BLOCK_ROWS
 
-from oracles import brute_force_post_fit
+from oracles import brute_force_post_fit, exact_xi_plugin
 
 RTOL = 1e-10
 ATOL = 1e-13
@@ -132,3 +132,22 @@ def test_xi_plugin_overflow_in_last_partial_block():
     assert xi_plugin(base, fit, grid).values.shape == (n - 1, grid.size)
     with pytest.raises(ExpOverflowError):
         xi_plugin(data, fit, grid)
+
+
+def test_xi_plugin_last_event_with_tiny_relative_risk():
+    # The last subject is an event alone in its risk set, with relative risk
+    # about 6e-11 times that of the subject before it.  Its own event term
+    # and its own jump of the path integral are each about n / w_last; the
+    # entry is their difference, -w_last q(t-), some 15 orders smaller.
+    times = np.arange(1.0, 10.0)
+    events = np.array([1, 0, 1, 0, 1, 1, 1, 0, 1], dtype=bool)
+    covs = np.array([-3.2, -0.5, -1.6, 1.5, -1.8, -0.6, -0.5, 1.1, 8.1])[:, None]
+    data = SurvivalDataset(times, events, covs)
+    fit = fit_mple(data)
+    assert fit.converged
+    grid = np.array([0.0, 2.5, 8.0, 8.5, 9.0])
+    got = xi_plugin(data, fit, grid).values
+    want = exact_xi_plugin(times, events, covs, fit.beta_hat, grid)
+    assert np.array_equal(got == 0, want == 0)
+    nz = want != 0
+    assert np.max(np.abs(got[nz] - want[nz]) / np.abs(want[nz])) <= 1e-12
