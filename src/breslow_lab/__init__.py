@@ -47,7 +47,6 @@ from .linearize import (
     xi_plugin,
     xi_truth,
     xi_truth_mean,
-    xi_truth_value,
 )
 from .quadrature import PanelAntiderivative, QuadratureError
 from .risk import (

@@ -20,7 +20,7 @@ import numpy as np
 
 from . import breslow as breslow_mod
 from .coxfit import fit_mple
-from .data import DataError, load_csv
+from .data import DataError, load_csv, write_csv
 from .experiments import (
     ExperimentValidityError,
     coupling_remainder_experiment,
@@ -64,13 +64,6 @@ def _write_json(path: Path, payload: dict) -> None:
     path.write_text(json.dumps(payload, sort_keys=True, indent=2) + "\n", encoding="utf-8")
 
 
-def _write_csv(path: Path, header: list[str], rows) -> None:
-    lines = [",".join(header)]
-    for row in rows:
-        lines.append(",".join(f"{v:.17g}" if isinstance(v, float) else str(v) for v in row))
-    path.write_text("\n".join(lines) + "\n", encoding="utf-8")
-
-
 def _load_input(args) -> "SurvivalDataset":
     if getattr(args, "input", None):
         try:
@@ -93,6 +86,16 @@ def _out_dir(args) -> Path:
     out = Path(args.output_dir or os.environ.get("BRESLOW_LAB_OUT", "."))
     out.mkdir(parents=True, exist_ok=True)
     return out
+
+
+def _fit(data, args):
+    """The converged fit of ``data``, or None without covariates."""
+    if data.covariate_dim == 0:
+        return None
+    fit = fit_mple(data, tol=args.tol, max_iter=args.max_iter)
+    if not fit.converged:
+        raise _CliError(EXIT_MODEL, f"fit failed: {fit.status}")
+    return fit
 
 
 def _parse_floats(text: str) -> np.ndarray:
@@ -140,13 +143,9 @@ def cmd_breslow(args) -> int:
                 EXIT_MODEL,
                 f"--beta has {beta.size} entries, dataset has p={data.covariate_dim}",
             )
-    elif data.covariate_dim == 0:
-        beta = np.zeros(0)
     else:
-        fit = fit_mple(data, tol=args.tol, max_iter=args.max_iter)
-        if not fit.converged:
-            raise _CliError(EXIT_MODEL, f"fit failed: {fit.status}")
-        beta = fit.beta_hat
+        fit = _fit(data, args)
+        beta = np.zeros(0) if fit is None else fit.beta_hat
     traditional = breslow_mod.breslow_traditional(data, beta)
     plugin = breslow_mod.breslow_plugin(data, beta)
     trad_vals = traditional.curve.cumulative_values
@@ -155,7 +154,7 @@ def cmd_breslow(args) -> int:
     if rel > 1e-10:
         print(f"estimator forms disagree: relative error {rel:.3e}", file=sys.stderr)
         return EXIT_SELF_CHECK
-    _write_csv(
+    write_csv(
         out / "breslow.csv",
         ["x", "cum_hazard"],
         zip(traditional.curve.jump_times.tolist(), trad_vals.tolist()),
@@ -164,7 +163,7 @@ def cmd_breslow(args) -> int:
     if not a_curve.is_empty:
         jumps = a_curve.components[0].jump_times
         rows = np.column_stack([jumps] + [c.cumulative_values for c in a_curve.components])
-        _write_csv(
+        write_csv(
             out / "a_n.csv",
             ["x"] + [f"a{i}" for i in range(1, data.covariate_dim + 1)],
             (tuple(float(v) for v in row) for row in rows),
@@ -175,14 +174,8 @@ def cmd_breslow(args) -> int:
 def cmd_influence(args) -> int:
     data = _load_input(args)
     out = _out_dir(args)
-    if data.covariate_dim:
-        fit = fit_mple(data, tol=args.tol, max_iter=args.max_iter)
-        if not fit.converged:
-            raise _CliError(EXIT_MODEL, f"fit failed: {fit.status}")
-        beta = fit.beta_hat
-    else:
-        fit = None
-        beta = np.zeros(0)
+    fit = _fit(data, args)
+    beta = np.zeros(0) if fit is None else fit.beta_hat
     m = args.M if args.M is not None else default_m_plugin(data, beta)
     grid = np.linspace(0.0, m, args.grid_points)
     infl = xi_plugin(data, fit, grid)
@@ -190,7 +183,7 @@ def cmd_influence(args) -> int:
     curves = variance_estimate(
         data, infl, fit, None if a_curve.is_empty else a_curve
     )
-    _write_csv(
+    write_csv(
         out / "variance.csv",
         ["x", "variance", "variance_xi_only"],
         zip(grid.tolist(), curves.total.tolist(), curves.xi_only.tolist()),
@@ -200,7 +193,7 @@ def cmd_influence(args) -> int:
         rows = (
             (i, *[float(v) for v in row]) for i, row in enumerate(infl.values)
         )
-        _write_csv(out / "xi_matrix.csv", header, rows)
+        write_csv(out / "xi_matrix.csv", header, rows)
     return EXIT_OK
 
 
@@ -210,12 +203,7 @@ def cmd_decompose(args) -> int:
     out = _out_dir(args)
     if truth.p != data.covariate_dim:
         raise _CliError(EXIT_MODEL, "truth model and dataset covariate dimensions differ")
-    if truth.p:
-        fit = fit_mple(data, tol=args.tol, max_iter=args.max_iter)
-        if not fit.converged:
-            raise _CliError(EXIT_MODEL, f"fit failed: {fit.status}")
-    else:
-        fit = None
+    fit = _fit(data, args)
     m = args.M if args.M is not None else min(
         truth.default_M(), float(data.sorted_view.times[-1])
     )
@@ -227,7 +215,7 @@ def cmd_decompose(args) -> int:
     rows = zip(
         grid.tolist(), *[getattr(report, c).tolist() for c in columns]
     )
-    _write_csv(out / "decomposition.csv", ["x"] + columns, rows)
+    write_csv(out / "decomposition.csv", ["x"] + columns, rows)
     payload = {
         "sup_norms": {k: float(v) for k, v in sorted(report.sup_norms.items())},
         "identity_residual": report.identity_residual(),
@@ -296,7 +284,7 @@ def cmd_rate_lab(args) -> int:
             (r, *[float(result.raw[qty][i, r]) for qty in sorted(result.raw)])
             for r in range(result.replications)
         )
-        _write_csv(out / f"reps_n{n}.csv", header, rows)
+        write_csv(out / f"reps_n{n}.csv", header, rows)
     print(f"claim={claim} seed={options['seed']} slope={result.fitted_slope:.4f}")
     return EXIT_OK
 

@@ -224,10 +224,20 @@ def load_csv(path) -> SurvivalDataset:
         raise DataError(f"{path}: {exc}") from None
 
 
+def write_csv(path, header: list[str], rows) -> None:
+    """Write ``header`` and ``rows`` as CSV with LF line endings.
+
+    Floats are written with 17 significant digits (lossless), everything
+    else with ``str``.
+    """
+    lines = [",".join(header)]
+    for row in rows:
+        lines.append(",".join(f"{v:.17g}" if isinstance(v, float) else str(v) for v in row))
+    with open(path, "w", encoding="utf-8", newline="\n") as fh:
+        fh.write("\n".join(lines) + "\n")
+
+
 def save_csv(data: SurvivalDataset, path) -> None:
-    """Write a dataset back to CSV with 17 significant digits (lossless)."""
-    with open(path, "w", encoding="utf-8", newline="") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(_expected_header(data.covariate_dim))
-        for t, e, z in zip(data.times, data.events, data.covariates):
-            writer.writerow([f"{t:.17g}", "1" if e else "0"] + [f"{v:.17g}" for v in z])
+    """Write a dataset back to CSV (see :func:`write_csv`); ``load_csv`` reads it back."""
+    rows = zip(data.times.tolist(), data.events.tolist(), data.covariates.tolist())
+    write_csv(path, _expected_header(data.covariate_dim), ((t, int(e), *z) for t, e, z in rows))

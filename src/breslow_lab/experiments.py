@@ -14,14 +14,13 @@ master seed and independent of execution order.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
 from .coxfit import fit_mple
 from .data import SurvivalDataset
-from .linearize import _t2_terms, xi_truth_mean
-from .breslow import breslow_traditional
+from .linearize import _linearization_remainder, _t2_terms
 from .risk import build_aggregates, d1_n, phi_n
 from .truth import TruthModel, generate_dataset
 
@@ -83,7 +82,7 @@ class RateExperimentResult:
     M: float
     quantities: dict[str, QuantitySummary]
     raw: dict[str, np.ndarray]          # quantity -> (len(sizes), reps), NaN = excluded
-    excluded: tuple[int, ...] = field(default=())
+    excluded: tuple[int, ...]
     normalized_median: np.ndarray | None = None  # median of a_n * n * sup per n
 
     @property
@@ -187,6 +186,60 @@ def _summaries(sample_sizes, raw: dict[str, np.ndarray]) -> dict[str, QuantitySu
     return out
 
 
+def _run(claim, truth, sample_sizes, replications, seed, names, measure, *,
+         grid_points, phi_floor, a_n=None) -> RateExperimentResult:
+    """The replication loop every claim shares.
+
+    Replication r at size n draws its dataset from ``replication_seed(seed,
+    n, r)`` and calls ``measure(data, fixed, M)``, which returns one sup per
+    quantity in ``names``, or None for an excluded replication (its raw
+    entries stay NaN).  Exceeding the exclusion cap at any n invalidates the
+    experiment.  With ``a_n`` the result carries the per-n medians of ``a_n *
+    n * sup`` of the first quantity, over the replications kept.
+    """
+    sizes = _validate_design(sample_sizes, replications)
+    if a_n is not None and a_n not in A_N_CHOICES:
+        raise ValueError(f"unknown a_n choice {a_n!r}; options: {sorted(A_N_CHOICES)}")
+    M = truth.default_M(phi_floor)
+    fixed = _fixed_grid(M, grid_points)
+    raw = {name: np.full((len(sizes), replications), np.nan) for name in names}
+    excluded = []
+    for i, n in enumerate(sizes):
+        bad = 0
+        for r in range(replications):
+            sups = measure(generate_dataset(truth, n, replication_seed(seed, n, r)), fixed, M)
+            if sups is None:
+                bad += 1
+                continue
+            for table, value in zip(raw.values(), sups):
+                table[i, r] = value
+        excluded.append(bad)
+        if bad > EXCLUSION_CAP * replications:
+            raise ExperimentValidityError(
+                f"{bad}/{replications} replications excluded at n={n}; "
+                f"cap is {EXCLUSION_CAP:.0%}"
+            )
+    normalized = None
+    if a_n is not None:
+        a_fn, primary = A_N_CHOICES[a_n], raw[names[0]]
+        normalized = np.array(
+            [np.nanmedian(a_fn(n) * n * primary[i]) for i, n in enumerate(sizes)]
+        )
+    return RateExperimentResult(
+        claim=claim,
+        sample_sizes=sizes,
+        replications=replications,
+        seed=int(seed),
+        a_n_label="const" if a_n is None else a_n,
+        grid_points=grid_points,
+        M=M,
+        quantities=_summaries(sizes, raw),
+        raw=raw,
+        excluded=tuple(excluded),
+        normalized_median=normalized,
+    )
+
+
 def risk_deviation_experiment(
     truth: TruthModel,
     sample_sizes,
@@ -202,38 +255,19 @@ def risk_deviation_experiment(
     Euclidean norm of the gradient deviation, both evaluated at the true
     coefficients (no fitting).
     """
-    sizes = _validate_design(sample_sizes, replications)
-    M = truth.default_M(phi_floor)
-    fixed = _fixed_grid(M, grid_points)
-    sup_phi = np.empty((len(sizes), replications))
-    sup_d1 = np.empty((len(sizes), replications))
-    for i, n in enumerate(sizes):
-        for r in range(replications):
-            data = generate_dataset(truth, n, replication_seed(seed, n, r))
-            grid = _eval_grid(fixed, data, M, refine_steps=True)
-            agg = build_aggregates(data, truth.beta0)
-            dev_phi = phi_n(agg, grid) - truth.phi(grid)
-            sup_phi[i, r] = np.max(np.abs(dev_phi))
-            if truth.p:
-                dev_d1 = d1_n(agg, grid) - truth.d1(grid)
-                sup_d1[i, r] = np.max(np.linalg.norm(dev_d1, axis=1))
-            else:
-                sup_d1[i, r] = np.nan
-    raw = {"phi": sup_phi}
-    if truth.p:
-        raw["d1"] = sup_d1
-    return RateExperimentResult(
-        claim="risk-deviation",
-        sample_sizes=sizes,
-        replications=replications,
-        seed=int(seed),
-        a_n_label="const",
-        grid_points=grid_points,
-        M=M,
-        quantities=_summaries(sizes, raw),
-        raw=raw,
-        excluded=tuple(0 for _ in sizes),
-    )
+
+    def measure(data, fixed, M):
+        grid = _eval_grid(fixed, data, M, refine_steps=True)
+        agg = build_aggregates(data, truth.beta0)
+        sups = [np.max(np.abs(phi_n(agg, grid) - truth.phi(grid)))]
+        if truth.p:
+            dev_d1 = d1_n(agg, grid) - truth.d1(grid)
+            sups.append(np.max(np.linalg.norm(dev_d1, axis=1)))
+        return sups
+
+    names = ("phi", "d1") if truth.p else ("phi",)
+    return _run("risk-deviation", truth, sample_sizes, replications, seed, names, measure,
+                grid_points=grid_points, phi_floor=phi_floor)
 
 
 def coupling_remainder_experiment(
@@ -253,36 +287,13 @@ def coupling_remainder_experiment(
     rate 1/n.  Evaluated at the true coefficients, so no fitting is involved.
     Reports the slope and the per-n medians of a_n * n * sup|r_n3|.
     """
-    sizes = _validate_design(sample_sizes, replications)
-    if a_n not in A_N_CHOICES:
-        raise ValueError(f"unknown a_n choice {a_n!r}; options: {sorted(A_N_CHOICES)}")
-    a_fn = A_N_CHOICES[a_n]
-    M = truth.default_M(phi_floor)
-    fixed = _fixed_grid(M, grid_points)
-    sup_r3 = np.empty((len(sizes), replications))
-    for i, n in enumerate(sizes):
-        for r in range(replications):
-            data = generate_dataset(truth, n, replication_seed(seed, n, r))
-            grid = _eval_grid(fixed, data, M, cap_at_support=True)
-            terms = _t2_terms(data, truth, grid)
-            sup_r3[i, r] = np.max(np.abs(terms["r_n3"]))
-    raw = {"r_n3": sup_r3}
-    normalized = np.array(
-        [np.median(a_fn(n) * n * sup_r3[i]) for i, n in enumerate(sizes)]
-    )
-    return RateExperimentResult(
-        claim="coupling-remainder",
-        sample_sizes=sizes,
-        replications=replications,
-        seed=int(seed),
-        a_n_label=a_n,
-        grid_points=grid_points,
-        M=M,
-        quantities=_summaries(sizes, raw),
-        raw=raw,
-        excluded=tuple(0 for _ in sizes),
-        normalized_median=normalized,
-    )
+
+    def measure(data, fixed, M):
+        grid = _eval_grid(fixed, data, M, cap_at_support=True)
+        return [np.max(np.abs(_t2_terms(data, truth, grid)["r_n3"]))]
+
+    return _run("coupling-remainder", truth, sample_sizes, replications, seed, ("r_n3",),
+                measure, grid_points=grid_points, phi_floor=phi_floor, a_n=a_n)
 
 
 def linearization_remainder_experiment(
@@ -294,7 +305,6 @@ def linearization_remainder_experiment(
     a_n: str = "1/log n",
     grid_points: int = 512,
     phi_floor: float = 0.05,
-    force_beta0: bool = False,
 ) -> RateExperimentResult:
     """Rate of the linearization remainder r_n with fitted coefficients.
 
@@ -305,64 +315,25 @@ def linearization_remainder_experiment(
 
     with truth-mode influence values and the population sensitivity curve.
     Non-converged fits are excluded and counted; exceeding the exclusion cap
-    invalidates the experiment.  ``force_beta0`` replaces the fitted
-    coefficients by the true ones (the remainder then reduces to r_n3+r_n4).
+    invalidates the experiment.  Without covariates there is nothing to fit:
+    ``beta_hat`` is ``beta0`` and the remainder reduces to r_n3 + r_n4.
     Also tracks sup|mean xi|, the linear term the remainder must stay below.
     """
-    sizes = _validate_design(sample_sizes, replications)
-    if a_n not in A_N_CHOICES:
-        raise ValueError(f"unknown a_n choice {a_n!r}; options: {sorted(A_N_CHOICES)}")
-    a_fn = A_N_CHOICES[a_n]
-    if truth.p == 0 and not force_beta0:
-        raise ValueError("fitting requires covariates; use force_beta0 for p = 0")
-    M = truth.default_M(phi_floor)
-    fixed = _fixed_grid(M, grid_points)
-    sup_r = np.full((len(sizes), replications), np.nan)
-    sup_xi = np.full((len(sizes), replications), np.nan)
-    excluded = []
-    for i, n in enumerate(sizes):
-        bad = 0
-        for r in range(replications):
-            data = generate_dataset(truth, n, replication_seed(seed, n, r))
-            if force_beta0:
-                beta_hat = truth.beta0
-            else:
-                fit = fit_mple(data)
-                if not fit.converged:
-                    bad += 1
-                    continue
-                beta_hat = fit.beta_hat
-            grid = _eval_grid(fixed, data, M, cap_at_support=True)
-            haz = breslow_traditional(data, beta_hat).curve(grid)
-            mean_xi = xi_truth_mean(data, truth, grid)
-            resid = haz - truth.cum_hazard0(grid) - mean_xi
-            if truth.p:
-                resid += truth.a0(grid) @ (beta_hat - truth.beta0)
-            sup_r[i, r] = np.max(np.abs(resid))
-            sup_xi[i, r] = np.max(np.abs(mean_xi))
-        excluded.append(bad)
-        if bad > EXCLUSION_CAP * replications:
-            raise ExperimentValidityError(
-                f"{bad}/{replications} replications excluded at n={n}; "
-                f"cap is {EXCLUSION_CAP:.0%}"
-            )
-    raw = {"r_n": sup_r, "mean_xi": sup_xi}
-    normalized = np.array(
-        [np.nanmedian(a_fn(n) * n * sup_r[i]) for i, n in enumerate(sizes)]
-    )
-    return RateExperimentResult(
-        claim="linearization-remainder",
-        sample_sizes=sizes,
-        replications=replications,
-        seed=int(seed),
-        a_n_label=a_n,
-        grid_points=grid_points,
-        M=M,
-        quantities=_summaries(sizes, raw),
-        raw=raw,
-        excluded=tuple(excluded),
-        normalized_median=normalized,
-    )
+
+    def measure(data, fixed, M):
+        beta_hat = truth.beta0
+        if truth.p:
+            fit = fit_mple(data)
+            if not fit.converged:
+                return None
+            beta_hat = fit.beta_hat
+        grid = _eval_grid(fixed, data, M, cap_at_support=True)
+        _, mean_xi, _, r_n = _linearization_remainder(data, truth, grid, beta_hat)
+        return [np.max(np.abs(r_n)), np.max(np.abs(mean_xi))]
+
+    return _run("linearization-remainder", truth, sample_sizes, replications, seed,
+                ("r_n", "mean_xi"), measure, grid_points=grid_points, phi_floor=phi_floor,
+                a_n=a_n)
 
 
 # ---------------------------------------------------------------------------

@@ -34,7 +34,6 @@ from .risk import (
     RiskAggregates,
     build_aggregates,
     centered_increments,
-    centered_phi,
     centered_weights,
     event_increments,
     to_raw_scale,
@@ -118,15 +117,6 @@ def _as_grid(x_grid) -> np.ndarray:
 # Influence values
 
 
-def xi_truth_value(truth: TruthModel, t: float, delta: bool, z, x: float) -> float:
-    """Influence of one observation at one point, with population plug-ins."""
-    z = np.atleast_1d(np.asarray(z, dtype=float))
-    eta = float(z @ truth.beta0) if truth.p else 0.0
-    integral = truth.hazard_over_phi(min(x, t)) if min(x, t) > 0 else 0.0
-    event = 1.0 / truth.phi(t) if (delta and t <= x) else 0.0
-    return float(-np.exp(eta) * integral + event)
-
-
 def _xi_matrix(times, w, grid, q_x, after) -> np.ndarray:
     """``xi(t, delta, z; x)`` for every row and grid point.
 
@@ -162,6 +152,16 @@ def _event_groups_before(sv) -> np.ndarray:
     count = np.zeros(sv.distinct_times.size + 1, dtype=np.intp)
     count[sv.event_time_index + 1] = 1
     return np.cumsum(count)
+
+
+def _event_weight_prefix(sv, truth: TruthModel) -> np.ndarray:
+    """Prefix sums over the sorted rows of ``delta / phi(t)``, from 0.
+
+    ``phi`` is evaluated at the event rows only; censored rows add 0.
+    """
+    weight = np.zeros(sv.times.size)
+    weight[sv.events] = 1.0 / truth.phi(sv.times[sv.events])
+    return np.concatenate([[0.0], np.cumsum(weight)])
 
 
 def _gather_or_eval(f, pts: np.ndarray, f_pts: np.ndarray, grid: np.ndarray, idx):
@@ -219,10 +219,9 @@ def xi_truth_mean(data: SurvivalDataset, truth: TruthModel, x_grid) -> np.ndarra
     q_pts = truth.hazard_over_phi(pts)
     bounds = np.append(sv.group_starts, data.n)
     q_t = np.repeat(q_pts[1 + np.minimum(np.arange(dt.size), cut)], np.diff(bounds))
-    event_weight = np.where(sv.events, 1.0 / truth.phi(sv.times), 0.0)
     prefix_wq = np.concatenate([[0.0], np.cumsum(w * q_t)])
     prefix_w = np.concatenate([[0.0], np.cumsum(w)])
-    prefix_ev = np.concatenate([[0.0], np.cumsum(event_weight)])
+    prefix_ev = _event_weight_prefix(sv, truth)
     k = bounds[right]
     q_x = _gather_or_eval(truth.hazard_over_phi, pts, q_pts, grid,
                           np.where(grid > 0, np.minimum(left + 1, pts.size - 1), 0))
@@ -260,8 +259,7 @@ def xi_plugin(data: SurvivalDataset, fit: CoxFit | None, x_grid) -> InfluenceMat
     # takes it back to the raw scale.
     agg = build_aggregates(data, beta)
     d_lambda, _ = centered_increments(data, agg)
-    event_times = sv.distinct_event_times
-    steps = np.cumsum(d_lambda / centered_phi(agg, event_times))
+    steps = np.cumsum(d_lambda / (agg.s0[sv.event_time_index] / data.n))
     _, w = centered_weights(data, agg)
     t = data.times
     # After follow-up a row is (delta - w dLambda(t)) / phi(t) - w q(t-): the
@@ -274,7 +272,7 @@ def xi_plugin(data: SurvivalDataset, fit: CoxFit | None, x_grid) -> InfluenceMat
     jumps[sv.event_time_index] = sv.event_counts
     q_before = np.concatenate([[0.0], steps])[_event_groups_before(sv)[k]]
     after = (data.events - w * jumps[k] / s0) / (s0 / data.n) - w * q_before
-    q_x = StepCurve(event_times, steps)(grid)
+    q_x = StepCurve(sv.distinct_event_times, steps)(grid)
     values = np.empty((data.n, grid.size))
     for lo in range(0, data.n, _BLOCK_ROWS):
         b = slice(lo, lo + _BLOCK_ROWS)
@@ -397,9 +395,7 @@ def _t2_terms(data: SurvivalDataset, truth: TruthModel, grid: np.ndarray) -> dic
     left, right = _bracket(sv, grid)
     i_v, i_inv = _piecewise_risk_integrals(truth, agg, grid, left)
     lam0 = truth.cum_hazard0(grid)
-    event_weight = np.where(sv.events, 1.0 / truth.phi(sv.times), 0.0)
-    prefix_ev = np.concatenate([[0.0], np.cumsum(event_weight)])
-    s_phi = prefix_ev[np.append(sv.group_starts, data.n)[right]] / data.n
+    s_phi = _event_weight_prefix(sv, truth)[np.append(sv.group_starts, data.n)[right]] / data.n
     d_lambda, _ = event_increments(data, agg)
     haz_n0 = np.concatenate([[0.0], np.cumsum(d_lambda)])[_event_groups_before(sv)[right]]
     b_n = lam0 - i_v
@@ -414,6 +410,21 @@ def _t2_terms(data: SurvivalDataset, truth: TruthModel, grid: np.ndarray) -> dic
         "r_n3": r_n3,
         "r_n4": r_n4,
     }
+
+
+def _linearization_remainder(data: SurvivalDataset, truth: TruthModel, grid: np.ndarray,
+                             beta_hat: np.ndarray):
+    """``(haz_hat, mean_xi, beta_term, r_n)`` on ``grid`` at coefficients ``beta_hat``.
+
+    ``haz_hat`` is the Breslow estimate at ``beta_hat``, ``mean_xi`` the
+    truth-mode mean influence, ``beta_term = -(beta_hat - beta0)' A0`` and
+    ``r_n = (haz_hat - haz_0) - mean_xi - beta_term``.
+    """
+    haz_hat = breslow_traditional(data, beta_hat).curve(grid)
+    mean_xi = xi_truth_mean(data, truth, grid)
+    beta_term = -truth.a0(grid) @ (beta_hat - truth.beta0) if truth.p else np.zeros(grid.size)
+    r_n = (haz_hat - truth.cum_hazard0(grid)) - mean_xi - beta_term
+    return haz_hat, mean_xi, beta_term, r_n
 
 
 def remainder_decomposition(
@@ -442,15 +453,9 @@ def remainder_decomposition(
         beta_hat = fit.beta_hat
     beta_hat = np.atleast_1d(np.asarray(beta_hat, dtype=float))
     terms = _t2_terms(data, truth, grid)
-    haz_hat = breslow_traditional(data, beta_hat).curve(grid)
-    t_n1 = haz_hat - terms["haz_n_beta0"]
-    mean_xi = xi_truth_mean(data, truth, grid)
-    a0 = truth.a0(grid)
-    beta_term = -a0 @ (beta_hat - truth.beta0) if truth.p else np.zeros(grid.size)
-    lam0 = truth.cum_hazard0(grid)
-    r_n = (haz_hat - lam0) - mean_xi - beta_term
+    haz_hat, mean_xi, beta_term, r_n = _linearization_remainder(data, truth, grid, beta_hat)
     arrays = {
-        "t_n1": t_n1,
+        "t_n1": haz_hat - terms["haz_n_beta0"],
         "t_n2": terms["t_n2"],
         "b_n": terms["b_n"],
         "c_n": terms["c_n"],

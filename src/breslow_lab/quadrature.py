@@ -54,7 +54,7 @@ class PanelAntiderivative:
     Query: ``F(x)`` is the compensated prefix sum of the order-2n Gauss
     values of the panels left of ``x`` plus the interpolant integrated
     exactly from the panel's left end to ``x``; the integrand is not
-    called.
+    called.  ``F(lo)`` is exactly 0.0.
 
     Diagnostics, read-only and set at build: ``panels`` (panel count),
     ``max_gauss_gap`` (worst accepted ``|Gauss_2n - Gauss_n|``) and
@@ -159,4 +159,8 @@ class PanelAntiderivative:
         for row in self._coeffs[:0:-1]:
             b1, b2 = row[idx] + two_t * b1 - b2, b1
         out = self._prefix[idx] + (self._coeffs[0][idx] + t * b1 - b2)
+        # The series vanishes at lo only up to truncation and rounding; pin
+        # F(lo) = 0 so that a point's value does not depend on what shares
+        # the call.
+        out[xq == self.lo] = 0.0
         return out if np.asarray(x).ndim else float(out[0])

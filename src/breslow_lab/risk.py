@@ -182,16 +182,11 @@ def _build_aggregates(data: SurvivalDataset, beta: np.ndarray) -> RiskAggregates
     )
 
 
-def _rows(agg: RiskAggregates, table: np.ndarray, x) -> np.ndarray:
-    """Row of ``table`` at the first distinct time >= x (zero past the last) over n."""
-    padded = np.concatenate([table, np.zeros((1,) + table.shape[1:])])
-    return padded[agg.time_index(x)] / agg.n
-
-
 def _lookup(agg: RiskAggregates, table: np.ndarray, x):
-    """Raw-scale :func:`_rows`."""
+    """Raw-scale row of ``table`` over n at the first distinct time >= x (0 past the last)."""
     x_arr = np.asarray(x, dtype=float)
-    out = to_raw_scale(_rows(agg, table, x_arr), agg.log_scale)
+    padded = np.concatenate([table, np.zeros((1,) + table.shape[1:])])
+    out = to_raw_scale(padded[agg.time_index(x_arr)] / agg.n, agg.log_scale)
     return out if x_arr.ndim or out.ndim else float(out)
 
 
@@ -219,11 +214,6 @@ def d2_n(agg: RiskAggregates, x):
     cross = agg.s1[:, :, None] * m
     raw = agg.s2 + cross + cross.transpose(0, 2, 1) + agg.s0[:, None, None] * np.outer(m, m)
     return _lookup(agg, raw, x)
-
-
-def centered_phi(agg: RiskAggregates, x) -> np.ndarray:
-    """``phi_n(agg, x) * exp(-log_scale)``: the risk mass of the centered table."""
-    return _rows(agg, agg.s0, x)
 
 
 def centered_weights(data: SurvivalDataset, agg: RiskAggregates):

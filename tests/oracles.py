@@ -7,7 +7,9 @@ quadrature for population integrals, and exact rational arithmetic for the
 plug-in influence values.  The ``reference_*`` functions are the exception:
 they reuse the package's truth functionals and risk table and redo only the
 index bookkeeping, one search per index, so the package's single-bracket
-bookkeeping can be checked against them bitwise.
+bookkeeping can be checked against them bitwise.  ``xi_truth_value`` also
+reads the truth functionals: it is the one-observation, one-point form of
+the influence function that ``xi_truth`` vectorizes.
 """
 
 import math
@@ -243,6 +245,19 @@ def exact_xi_plugin(times, events, covariates, beta, grid):
                 value += n / s0(t[i])
             out[i, g] = float(value)
     return out
+
+
+def xi_truth_value(truth, t, delta, z, x):
+    """Influence of one observation at one point, with population plug-ins.
+
+    The scalar form of the influence function, one observation at a time,
+    from the truth model's ``phi`` and ``hazard_over_phi``.
+    """
+    z = np.atleast_1d(np.asarray(z, dtype=float))
+    eta = float(z @ truth.beta0) if truth.p else 0.0
+    integral = truth.hazard_over_phi(min(x, t)) if min(x, t) > 0 else 0.0
+    event = 1.0 / truth.phi(t) if (delta and t <= x) else 0.0
+    return float(-np.exp(eta) * integral + event)
 
 
 def reference_t2_terms(data, truth, grid):

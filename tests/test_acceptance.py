@@ -31,13 +31,18 @@ from breslow_lab import (
     variance_estimate,
     xi_plugin,
     xi_truth,
-    xi_truth_value,
 )
 from breslow_lab.cli import main
 from breslow_lab.experiments import replication_seed
 
 from conftest import random_dataset
-from oracles import central_diff_grad, central_diff_hessian, nelson_aalen, quad_expectation
+from oracles import (
+    central_diff_grad,
+    central_diff_hessian,
+    nelson_aalen,
+    quad_expectation,
+    xi_truth_value,
+)
 
 MASTER_SEED = 20260810
 

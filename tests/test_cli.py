@@ -227,6 +227,17 @@ class TestRateLabCommand:
         assert len(err.strip().splitlines()) == 1 and "replications" in err
         assert not (out / "rates.json").exists()
 
+    def test_theorem_without_covariates(self, tmp_path):
+        out = tmp_path / "out"
+        code = main([
+            "rate-lab", "--claim", "theorem", "--truth", "no-covariates", "--n", "80,160",
+            "--reps", "2", "--seed", "7", "--grid-points", "32", "--output-dir", str(out),
+        ])
+        assert code == 0
+        payload = json.loads((out / "rates.json").read_text())
+        assert payload["claim"] == "linearization-remainder"
+        assert payload["excluded"] == [0, 0]
+
     def test_missing_required_options(self, tmp_path):
         assert main(["rate-lab", "--claim", "lemma1", "--output-dir", str(tmp_path)]) == 2
 

@@ -7,6 +7,7 @@ from breslow_lab import (
     coupling_remainder_experiment,
     fit_loglog_slope,
     linearization_remainder_experiment,
+    no_covariate_truth,
     parse_config,
     replication_seed,
     risk_deviation_experiment,
@@ -39,10 +40,15 @@ class TestPlumbing:
 
 
 class TestDeterminism:
-    def test_bit_identical_reruns(self, ref_truth):
+    @pytest.mark.parametrize("experiment", [
+        risk_deviation_experiment,
+        coupling_remainder_experiment,
+        linearization_remainder_experiment,
+    ], ids=["lemma1", "lemma2", "theorem"])
+    def test_bit_identical_reruns(self, ref_truth, experiment):
         kw = dict(sample_sizes=[80, 160], replications=3, seed=99, grid_points=64)
-        a = risk_deviation_experiment(ref_truth, **kw)
-        b = risk_deviation_experiment(ref_truth, **kw)
+        a = experiment(ref_truth, **kw)
+        b = experiment(ref_truth, **kw)
         for q in a.raw:
             assert np.array_equal(a.raw[q], b.raw[q])
         assert a.to_dict() == b.to_dict()
@@ -81,12 +87,17 @@ class TestExclusions:
                 ref_truth, [60, 120], 3, seed=4, grid_points=32
             )
 
-    def test_force_beta0_skips_fitting(self, ref_truth):
+    def test_theorem_without_covariates_uses_beta0(self, monkeypatch):
+        def no_fit(data, *args, **kwargs):
+            raise AssertionError("nothing to fit without covariates")
+
+        monkeypatch.setattr(experiments, "fit_mple", no_fit)
         res = linearization_remainder_experiment(
-            ref_truth, [80, 160], 2, seed=5, grid_points=32, force_beta0=True
+            no_covariate_truth(), [80, 160], 2, seed=5, grid_points=32
         )
         assert res.excluded == (0, 0)
         assert "r_n" in res.quantities
+        assert np.all(np.isfinite(res.raw["r_n"]))
 
 
 class TestConfigFile:

@@ -5,6 +5,7 @@ import pytest
 from scipy.integrate import quad
 
 from breslow_lab import (
+    SurvivalDataset,
     a_n_curve,
     breslow_traditional,
     build_aggregates,
@@ -19,12 +20,11 @@ from breslow_lab import (
     xi_plugin,
     xi_truth,
     xi_truth_mean,
-    xi_truth_value,
 )
 from breslow_lab.experiments import replication_seed
 from breslow_lab.linearize import _t2_terms
 
-from oracles import quad_expectation, quad_piecewise
+from oracles import quad_expectation, quad_piecewise, xi_truth_value
 
 
 @pytest.fixture
@@ -206,6 +206,17 @@ class TestDecomposition:
         )
         assert np.array_equal(report.t_n1, np.zeros_like(grid))
         assert np.allclose(report.r_n, report.r_n3 + report.r_n4, atol=1e-11)
+
+    def test_censored_row_at_the_horizon(self, ref_truth):
+        # phi(3) = 0 at the reference horizon; only event rows divide by phi.
+        raw = generate_dataset(ref_truth, 200, 61)
+        times, events = raw.times.copy(), raw.events.copy()
+        times[0], events[0] = ref_truth.tau_H, False
+        data = SurvivalDataset(times, events, raw.covariates)
+        grid = np.linspace(0.0, ref_truth.default_M(), 33)
+        report = remainder_decomposition(data, fit_mple(data), ref_truth, grid)
+        assert np.isfinite(report.r_n).all()
+        assert report.identity_residual() <= 1e-12
 
     def test_zero_grid_gives_zero_terms(self, ref_truth):
         # Every term vanishes at x = 0; the grid [0] has no risk-set piece.

@@ -186,6 +186,18 @@ class TestChebyshevAntiderivative:
         with pytest.raises(AttributeError):
             anti.panels = 1
 
+    def test_truth_functionals_vanish_exactly_at_zero(self):
+        # F(0) is 0.0 whatever else the call asks for and whatever the
+        # antiderivative cache already holds.
+        truth = reference_truth()
+        for f in (truth.hazard_over_phi, truth.h_uc, truth.a0):
+            alone_first = f(np.array([0.0]))
+            mixed = f(np.array([0.0, 1.0]))[0]
+            alone_after = f(np.array([0.0]))
+            assert np.all(alone_first == 0.0)
+            assert np.all(mixed == 0.0)
+            assert np.all(alone_after == 0.0)
+
 
 class TestGeneration:
     def test_inverse_transform_formula(self, ref_truth):
