@@ -20,7 +20,7 @@ import numpy as np
 
 from .coxfit import fit_mple
 from .data import SurvivalDataset
-from .linearize import _linearization_remainder, _t2_terms
+from .linearize import _linearization_remainder, _t2_terms, xi_truth_mean
 from .risk import build_aggregates, d1_n, phi_n
 from .truth import TruthModel, generate_dataset
 
@@ -308,27 +308,31 @@ def linearization_remainder_experiment(
 ) -> RateExperimentResult:
     """Rate of the linearization remainder r_n with fitted coefficients.
 
-    Per replication: fit the coefficients, then form
+    Per replication: fit the coefficients from ``beta0``, then form
 
         r_n(x) = haz_n(beta_hat, x) - haz_0(x) - mean_i xi_i(x)
                  + (beta_hat - beta0)' A0(x)
 
     with truth-mode influence values and the population sensitivity curve.
-    Non-converged fits are excluded and counted; exceeding the exclusion cap
-    invalidates the experiment.  Without covariates there is nothing to fit:
-    ``beta_hat`` is ``beta0`` and the remainder reduces to r_n3 + r_n4.
+    The mean influence comes first, so the fit's first trial point reads
+    the ``beta0`` risk table it built (the partial likelihood has one
+    maximizer, so the start does not change the fit).  Non-converged fits
+    are excluded and counted; exceeding the exclusion cap invalidates the
+    experiment.  Without covariates there is nothing to fit: ``beta_hat`` is
+    ``beta0`` and the remainder reduces to r_n3 + r_n4.
     Also tracks sup|mean xi|, the linear term the remainder must stay below.
     """
 
     def measure(data, fixed, M):
+        grid = _eval_grid(fixed, data, M, cap_at_support=True)
+        mean_xi = xi_truth_mean(data, truth, grid)
         beta_hat = truth.beta0
         if truth.p:
-            fit = fit_mple(data)
+            fit = fit_mple(data, init=truth.beta0)
             if not fit.converged:
                 return None
             beta_hat = fit.beta_hat
-        grid = _eval_grid(fixed, data, M, cap_at_support=True)
-        _, mean_xi, _, r_n = _linearization_remainder(data, truth, grid, beta_hat)
+        _, _, r_n = _linearization_remainder(data, truth, grid, beta_hat, mean_xi)
         return [np.max(np.abs(r_n)), np.max(np.abs(mean_xi))]
 
     return _run("linearization-remainder", truth, sample_sizes, replications, seed,

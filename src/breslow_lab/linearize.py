@@ -79,10 +79,11 @@ class DecompositionReport:
 
     ``t_n1`` is the cost of plugging fitted coefficients into the hazard
     estimate; ``t_n2`` the estimation error at the true coefficients, which
-    splits algebraically as ``b_n + c_n + r_n3 + r_n4``.  ``beta_term`` is
-    the first-order coefficient effect ``-(beta_hat-beta0)'A0(x)`` and
-    ``r_n = t_n1 + t_n2 - mean_xi - beta_term`` is the linearization
-    remainder.
+    splits algebraically as ``b_n + c_n + r_n3 + r_n4``; its linear term
+    ``mean_xi = b_n + c_n`` is the truth-mode mean influence.  ``beta_term``
+    is the first-order coefficient effect ``-(beta_hat-beta0)'A0(x)`` and the
+    linearization remainder ``r_n = t_n1 + t_n2 - mean_xi - beta_term`` is
+    ``t_n1 + r_n3 + r_n4 - beta_term`` up to rounding.
     """
 
     grid: np.ndarray
@@ -154,14 +155,21 @@ def _event_groups_before(sv) -> np.ndarray:
     return np.cumsum(count)
 
 
-def _event_weight_prefix(sv, truth: TruthModel) -> np.ndarray:
-    """Prefix sums over the sorted rows of ``delta / phi(t)``, from 0.
+def _event_weight_means(data: SurvivalDataset, truth: TruthModel, right) -> np.ndarray:
+    """``s_phi(x) = mean_i delta_i {t_i <= x} / phi(t_i)`` for a grid bracket.
 
-    ``phi`` is evaluated at the event rows only; censored rows add 0.
+    ``right`` is the grid's bracket (see :func:`_bracket`).  ``phi`` is
+    evaluated at the event rows only; censored rows add 0.  Raises
+    ``ValueError`` when ``phi`` vanishes at an event.
     """
-    weight = np.zeros(sv.times.size)
-    weight[sv.events] = 1.0 / truth.phi(sv.times[sv.events])
-    return np.concatenate([[0.0], np.cumsum(weight)])
+    sv = data.sorted_view
+    phi = truth.phi(sv.times[sv.events])
+    if np.any(phi <= 0):
+        raise ValueError("event at or beyond the follow-up support of the design")
+    weight = np.zeros(data.n)
+    weight[sv.events] = 1.0 / phi
+    prefix = np.concatenate([[0.0], np.cumsum(weight)])
+    return prefix[np.append(sv.group_starts, data.n)[right]] / data.n
 
 
 def _gather_or_eval(f, pts: np.ndarray, f_pts: np.ndarray, grid: np.ndarray, idx):
@@ -195,39 +203,25 @@ def xi_truth(data: SurvivalDataset, truth: TruthModel, x_grid) -> InfluenceMatri
 
 
 def xi_truth_mean(data: SurvivalDataset, truth: TruthModel, x_grid) -> np.ndarray:
-    """Column means of the truth-mode influence matrix, via prefix sums.
+    """Column means of the truth-mode influence matrix, ``b_n + c_n``.
 
-    Same values as ``xi_truth(...).values.mean(axis=0)`` but O((n+g) log n),
-    which is what the rate experiments need at scale.  The grid is bracketed
-    once against the distinct follow-up times, and the path integral ``q`` is
-    evaluated once per distinct point: at 0, at the distinct times below the
-    grid maximum ``hi``, at ``hi``, and at the grid points that are none of
-    these.
+    Same values as ``xi_truth(...).values.mean(axis=0)``, in O((n + g) log n):
+    averaging xi over the subjects and swapping the sum with the integral
+    gives ``s_phi(x) - int_0^x Phi_n(beta0, u) rate0/Phi du``, the mean event
+    weight at or before x minus one :func:`_risk_integral` on the risk table
+    at ``beta0``.  Past the last follow-up time the empirical risk mass is 0,
+    so the grid may reach beyond it.  Raises ``ValueError`` when an event lies
+    where the population risk mass vanishes.
     """
     grid = _as_grid(x_grid)
-    hi = float(grid.max())
-    if truth.phi(hi) <= 0:
+    if truth.phi(float(grid.max())) <= 0:
         raise ValueError("grid extends beyond the follow-up support of the design")
-    sv = data.sorted_view
-    dt = sv.distinct_times
-    w = np.exp(data.covariates @ truth.beta0)[sv.order]
-    left, right = _bracket(sv, grid)
-    # q at 0 and at the distinct times clipped at hi; sorted row i reads
-    # q(min(t_i, hi)), so the groups from ``cut`` on all read q(hi).
-    cut = int(left.max())
-    pts = np.concatenate([[0.0], np.minimum(dt[: cut + 1], hi)])
-    q_pts = truth.hazard_over_phi(pts)
-    bounds = np.append(sv.group_starts, data.n)
-    q_t = np.repeat(q_pts[1 + np.minimum(np.arange(dt.size), cut)], np.diff(bounds))
-    prefix_wq = np.concatenate([[0.0], np.cumsum(w * q_t)])
-    prefix_w = np.concatenate([[0.0], np.cumsum(w)])
-    prefix_ev = _event_weight_prefix(sv, truth)
-    k = bounds[right]
-    q_x = _gather_or_eval(truth.hazard_over_phi, pts, q_pts, grid,
-                          np.where(grid > 0, np.minimum(left + 1, pts.size - 1), 0))
-    total_w = prefix_w[-1]
-    integral_part = prefix_wq[k] + q_x * (total_w - prefix_w[k])
-    return (-integral_part + prefix_ev[k]) / data.n
+    agg = build_aggregates(data, truth.beta0)
+    left, right = _bracket(data.sorted_view, grid)
+    v, edges = _risk_pieces(agg, grid, left)
+    return _event_weight_means(data, truth, right) - _risk_integral(
+        truth.hazard_over_phi, v, edges, grid, left
+    )
 
 
 def xi_plugin(data: SurvivalDataset, fit: CoxFit | None, x_grid) -> InfluenceMatrix:
@@ -340,51 +334,42 @@ def variance_estimate(
 # Exact decomposition of the centered estimate
 
 
-def _piecewise_risk_integrals(truth: TruthModel, agg: RiskAggregates, grid: np.ndarray,
-                              left: np.ndarray):
-    """Integrals of functions of the empirical risk mass against the truth.
+def _risk_pieces(agg: RiskAggregates, grid: np.ndarray, left: np.ndarray):
+    """``(v, edges)``: ``Phi_n`` of ``agg`` is ``v[j]`` on ``(edges[j], edges[j + 1]]``.
 
-    The empirical risk mass is constant between consecutive distinct
-    follow-up times, so integrals like ``int_0^x g(Phi_n(u)) dF(u)`` reduce
-    exactly to sums of antiderivative differences over those pieces.  Returns
-    ``(I_v, I_inv)`` on the grid, where ``I_v`` integrates ``Phi_n *
-    rate0/Phi`` and ``I_inv`` integrates ``(1/Phi_n) * Phi * rate0``;
-    ``agg`` is the risk table at ``truth.beta0`` and ``left`` the grid's
-    bracket (see :func:`_bracket`), so a grid point ``x > 0`` lies in piece
-    ``left``.  Each antiderivative is evaluated once at the piece edges (the
-    last one cut at the grid maximum) and once more only at grid points that
-    are not an edge.
+    The pieces run between consecutive distinct follow-up times, with mass 0
+    past the last one, up to the grid maximum; ``left`` is the grid's bracket.
     """
-    hi = float(grid.max())
-    if hi == 0.0:
-        # The grid is all zeros, where every integral vanishes.
-        return np.zeros(grid.size), np.zeros(grid.size)
     cut = int(left.max()) + 1
-    # Piece j spans (edges[j], edges[j + 1]]; the final piece never extends
-    # past the grid.
-    edges = np.concatenate([[0.0], agg.distinct_times[: cut - 1], [hi]])
-    v = to_raw_scale(agg.s0[:cut] / agg.n, agg.log_scale)
-    upper = np.where(grid > 0, left + 1, 0)
+    edges = np.concatenate([[0.0], agg.distinct_times[: cut - 1], [float(grid.max())]])
+    v = np.append(to_raw_scale(agg.s0[:cut] / agg.n, agg.log_scale), 0.0)[:cut]
+    return v, edges
 
-    def accumulate(gvals, f):
-        f_edges = f(edges)
-        f_grid = _gather_or_eval(f, edges, f_edges, grid, upper)
-        prefix = np.concatenate([[0.0], np.cumsum(gvals * np.diff(f_edges))])
-        out = prefix[left] + gvals[left] * (f_grid - f_edges[left])
-        return np.where(grid > 0, out, 0.0)
 
-    i_v = accumulate(v, truth.hazard_over_phi)
-    i_inv = accumulate(1.0 / v, truth.h_uc)
-    return i_v, i_inv
+def _risk_integral(f, v: np.ndarray, edges: np.ndarray, grid: np.ndarray,
+                   left: np.ndarray) -> np.ndarray:
+    """``int_0^x g df`` on the grid for the step function ``g = v`` on the pieces.
+
+    Exact as a sum of antiderivative differences; a grid point ``x > 0`` lies
+    in piece ``left``.  ``f`` is evaluated once at the edges and once more
+    only at grid points that are not an edge.
+    """
+    f_edges = f(edges)
+    f_grid = _gather_or_eval(f, edges, f_edges, grid, np.where(grid > 0, left + 1, 0))
+    prefix = np.concatenate([[0.0], np.cumsum(v * np.diff(f_edges))])
+    out = prefix[left] + v[left] * (f_grid - f_edges[left])
+    return np.where(grid > 0, out, 0.0)
 
 
 def _t2_terms(data: SurvivalDataset, truth: TruthModel, grid: np.ndarray) -> dict:
     """Terms of the split of cum_haz_n(beta0, x) - cum_haz_0(x).
 
     The grid is bracketed once against the distinct follow-up times (see
-    :func:`_bracket`); the risk-integral pieces, the event-weight prefix and
+    :func:`_bracket`); the risk-integral pieces, the event-weight means and
     the Breslow step all index off that bracket, and each truth
-    antiderivative sees every distinct query point at most once.
+    antiderivative sees every distinct query point at most once.  Also
+    returns ``mean_xi = b_n + c_n = s_phi - I_v``, bitwise the value of
+    :func:`xi_truth_mean`.
     """
     agg = build_aggregates(data, truth.beta0)
     sv = data.sorted_view
@@ -393,38 +378,37 @@ def _t2_terms(data: SurvivalDataset, truth: TruthModel, grid: np.ndarray) -> dic
             "grid point beyond the last follow-up time: empirical risk mass is zero"
         )
     left, right = _bracket(sv, grid)
-    i_v, i_inv = _piecewise_risk_integrals(truth, agg, grid, left)
+    v, edges = _risk_pieces(agg, grid, left)
+    i_v = _risk_integral(truth.hazard_over_phi, v, edges, grid, left)
+    i_inv = _risk_integral(truth.h_uc, 1.0 / v, edges, grid, left)
     lam0 = truth.cum_hazard0(grid)
-    s_phi = _event_weight_prefix(sv, truth)[np.append(sv.group_starts, data.n)[right]] / data.n
+    s_phi = _event_weight_means(data, truth, right)
     d_lambda, _ = event_increments(data, agg)
     haz_n0 = np.concatenate([[0.0], np.cumsum(d_lambda)])[_event_groups_before(sv)[right]]
-    b_n = lam0 - i_v
-    c_n = s_phi - lam0
-    r_n3 = (haz_n0 - s_phi) - (i_inv - lam0)
-    r_n4 = i_inv - 2.0 * lam0 + i_v
     return {
         "haz_n_beta0": haz_n0,
         "t_n2": haz_n0 - lam0,
-        "b_n": b_n,
-        "c_n": c_n,
-        "r_n3": r_n3,
-        "r_n4": r_n4,
+        "b_n": lam0 - i_v,
+        "c_n": s_phi - lam0,
+        "r_n3": (haz_n0 - s_phi) - (i_inv - lam0),
+        "r_n4": i_inv - 2.0 * lam0 + i_v,
+        "mean_xi": s_phi - i_v,
     }
 
 
 def _linearization_remainder(data: SurvivalDataset, truth: TruthModel, grid: np.ndarray,
-                             beta_hat: np.ndarray):
-    """``(haz_hat, mean_xi, beta_term, r_n)`` on ``grid`` at coefficients ``beta_hat``.
+                             beta_hat: np.ndarray, mean_xi: np.ndarray):
+    """``(haz_hat, beta_term, r_n)`` on ``grid`` at coefficients ``beta_hat``.
 
     ``haz_hat`` is the Breslow estimate at ``beta_hat``, ``mean_xi`` the
-    truth-mode mean influence, ``beta_term = -(beta_hat - beta0)' A0`` and
-    ``r_n = (haz_hat - haz_0) - mean_xi - beta_term``.
+    truth-mode mean influence on ``grid`` (:func:`xi_truth_mean`), ``beta_term
+    = -(beta_hat - beta0)' A0`` and ``r_n = (haz_hat - haz_0) - mean_xi -
+    beta_term``.
     """
     haz_hat = breslow_traditional(data, beta_hat).curve(grid)
-    mean_xi = xi_truth_mean(data, truth, grid)
     beta_term = -truth.a0(grid) @ (beta_hat - truth.beta0) if truth.p else np.zeros(grid.size)
     r_n = (haz_hat - truth.cum_hazard0(grid)) - mean_xi - beta_term
-    return haz_hat, mean_xi, beta_term, r_n
+    return haz_hat, beta_term, r_n
 
 
 def remainder_decomposition(
@@ -453,7 +437,8 @@ def remainder_decomposition(
         beta_hat = fit.beta_hat
     beta_hat = np.atleast_1d(np.asarray(beta_hat, dtype=float))
     terms = _t2_terms(data, truth, grid)
-    haz_hat, mean_xi, beta_term, r_n = _linearization_remainder(data, truth, grid, beta_hat)
+    haz_hat, beta_term, r_n = _linearization_remainder(data, truth, grid, beta_hat,
+                                                       terms["mean_xi"])
     arrays = {
         "t_n1": haz_hat - terms["haz_n_beta0"],
         "t_n2": terms["t_n2"],
@@ -462,7 +447,7 @@ def remainder_decomposition(
         "r_n3": terms["r_n3"],
         "r_n4": terms["r_n4"],
         "r_n": r_n,
-        "mean_xi": mean_xi,
+        "mean_xi": terms["mean_xi"],
         "beta_term": beta_term,
     }
     sup_norms = {name: float(np.max(np.abs(val))) for name, val in arrays.items()}

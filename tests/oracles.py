@@ -260,6 +260,43 @@ def xi_truth_value(truth, t, delta, z, x):
     return float(-np.exp(eta) * integral + event)
 
 
+def _reference_pieces(agg, grid):
+    """Edges of the pieces on which the risk mass is constant, and the mass.
+
+    The pieces run from 0 through the distinct follow-up times, with one more
+    piece of mass 0 when the grid reaches past the last of them, and the last
+    piece is cut at the grid maximum.  The mass comes from ``phi_n`` lookups.
+    """
+    edges = np.concatenate([[0.0], agg.distinct_times])
+    v = phi_n(agg, agg.distinct_times)
+    hi = float(grid.max())
+    if hi > edges[-1]:
+        edges, v = np.append(edges, hi), np.append(v, 0.0)
+    cut = int(np.searchsorted(edges, hi, side="left"))
+    edges = edges[: cut + 1].copy()
+    edges[-1] = min(edges[-1], hi)
+    return edges, v[:cut]
+
+
+def _reference_integral(edges, gvals, f, grid):
+    """``int_0^x g df`` for ``g = gvals[j]`` on piece j, every point searched."""
+    if gvals.size == 0:
+        return np.zeros(grid.size)
+    f_edges, f_grid = f(edges), f(grid)
+    prefix = np.concatenate([[0.0], np.cumsum(gvals * np.diff(f_edges))])
+    j = np.searchsorted(edges, grid, side="left") - 1
+    jj = np.clip(j, 0, gvals.size - 1)
+    out = prefix[jj] + gvals[jj] * (f_grid - f_edges[jj])
+    return np.where(j >= 0, out, 0.0)
+
+
+def _reference_s_phi(data, truth, grid):
+    sv = data.sorted_view
+    event_weight = np.where(sv.events, 1.0 / truth.phi(sv.times), 0.0)
+    prefix_ev = np.concatenate([[0.0], np.cumsum(event_weight)])
+    return prefix_ev[np.searchsorted(sv.times, grid, side="right")] / data.n
+
+
 def reference_t2_terms(data, truth, grid):
     """The split of ``_t2_terms`` with one independent search per index.
 
@@ -272,33 +309,13 @@ def reference_t2_terms(data, truth, grid):
     package derives all of these from one bracket and must agree bitwise.
     """
     agg = build_aggregates(data, truth.beta0)
-    edges = np.concatenate([[0.0], agg.distinct_times])
-    v = phi_n(agg, agg.distinct_times)
-    hi = float(grid.max())
-    cut = int(np.searchsorted(edges, hi, side="left"))
-    if cut == 0:
-        i_v = i_inv = np.zeros(grid.size)
-    else:
-        edges = edges[: cut + 1].copy()
-        edges[-1] = min(edges[-1], hi)
-        v = v[:cut]
-
-        def accumulate(gvals, f_edges, f_grid):
-            prefix = np.concatenate([[0.0], np.cumsum(gvals * np.diff(f_edges))])
-            j = np.searchsorted(edges, grid, side="left") - 1
-            jj = np.clip(j, 0, gvals.size - 1)
-            out = prefix[jj] + gvals[jj] * (f_grid - f_edges[jj])
-            return np.where(j >= 0, out, 0.0)
-
-        i_v = accumulate(v, truth.hazard_over_phi(edges), truth.hazard_over_phi(grid))
-        i_inv = accumulate(1.0 / v, truth.h_uc(edges), truth.h_uc(grid))
+    edges, v = _reference_pieces(agg, grid)
+    i_v = _reference_integral(edges, v, truth.hazard_over_phi, grid)
+    i_inv = _reference_integral(edges, 1.0 / v, truth.h_uc, grid)
     lam0 = truth.cum_hazard0(grid)
-    sv = data.sorted_view
-    event_weight = np.where(sv.events, 1.0 / truth.phi(sv.times), 0.0)
-    prefix_ev = np.concatenate([[0.0], np.cumsum(event_weight)])
-    s_phi = prefix_ev[np.searchsorted(sv.times, grid, side="right")] / data.n
+    s_phi = _reference_s_phi(data, truth, grid)
     d_lambda, _ = event_increments(data, agg)
-    haz_n0 = StepCurve(sv.distinct_event_times, np.cumsum(d_lambda))(grid)
+    haz_n0 = StepCurve(data.sorted_view.distinct_event_times, np.cumsum(d_lambda))(grid)
     return {
         "haz_n_beta0": haz_n0,
         "t_n2": haz_n0 - lam0,
@@ -306,24 +323,17 @@ def reference_t2_terms(data, truth, grid):
         "c_n": s_phi - lam0,
         "r_n3": (haz_n0 - s_phi) - (i_inv - lam0),
         "r_n4": i_inv - 2.0 * lam0 + i_v,
+        "mean_xi": s_phi - i_v,
     }
 
 
 def reference_xi_truth_mean(data, truth, grid):
-    """``xi_truth_mean`` with ``q`` evaluated at every row and grid point.
+    """``xi_truth_mean`` as ``s_phi - I_v`` with the bookkeeping above.
 
-    Same prefix sums as the package, but the path integral is evaluated at
-    ``min(t_i, max(grid))`` for every sorted row and at every grid point, and
-    the rows at or before each grid point come from their own search.
+    The grid may reach past the last follow-up time, where the risk mass is
+    0; ``h_uc`` is not needed, so no reciprocal of that mass is formed.
     """
-    hi = float(grid.max())
-    sv = data.sorted_view
-    w = np.exp(data.covariates @ truth.beta0)[sv.order]
-    q_t = truth.hazard_over_phi(np.minimum(sv.times, hi))
-    event_weight = np.where(sv.events, 1.0 / truth.phi(sv.times), 0.0)
-    prefix_wq = np.concatenate([[0.0], np.cumsum(w * q_t)])
-    prefix_w = np.concatenate([[0.0], np.cumsum(w)])
-    prefix_ev = np.concatenate([[0.0], np.cumsum(event_weight)])
-    k = np.searchsorted(sv.times, grid, side="right")
-    integral_part = prefix_wq[k] + truth.hazard_over_phi(grid) * (prefix_w[-1] - prefix_w[k])
-    return (-integral_part + prefix_ev[k]) / data.n
+    agg = build_aggregates(data, truth.beta0)
+    edges, v = _reference_pieces(agg, grid)
+    i_v = _reference_integral(edges, v, truth.hazard_over_phi, grid)
+    return _reference_s_phi(data, truth, grid) - i_v

@@ -186,6 +186,22 @@ class TestDecomposeCommand:
         assert payload["identity_residual"] == 0.0
         assert all(v == 0.0 for v in payload["sup_norms"].values())
 
+    def test_event_beyond_the_horizon_exit_2_one_line(self, tmp_path, capsys):
+        # The reference design's risk mass vanishes from t = 3 on.
+        path = tmp_path / "late.csv"
+        path.write_text(
+            "time,event,z1\n0.3,1,0\n0.5,0,1\n0.8,1,1\n1.1,1,0\n"
+            "1.6,0,1\n2.2,1,0\n3.2,1,1\n"
+        )
+        code = main([
+            "decompose", "--input", str(path), "--truth", "reference",
+            "--output-dir", str(tmp_path / "o"),
+        ])
+        assert code == 2
+        err = capsys.readouterr().err
+        assert err.count("\n") == 1 and "follow-up support" in err
+
+
 class TestRateLabCommand:
     def test_smoke_and_artifacts(self, tmp_path):
         out = tmp_path / "out"

@@ -27,6 +27,12 @@ from breslow_lab.linearize import _t2_terms
 from oracles import quad_expectation, quad_piecewise, xi_truth_value
 
 
+# Seven rows with an event at 3.2, past the reference design's horizon of 3.
+HORIZON_TIMES = np.array([0.3, 0.5, 0.8, 1.1, 1.6, 2.2, 3.2])
+HORIZON_EVENTS = np.array([True, False, True, True, False, True, True])
+HORIZON_Z = np.array([0.0, 1.0, 1.0, 0.0, 1.0, 0.0, 1.0])
+
+
 @pytest.fixture
 def p0_data():
     return validate_dataset([(1.0, True, []), (2.0, False, []), (3.0, True, [])])
@@ -122,6 +128,21 @@ class TestXiTruth:
         fast = xi_truth_mean(data, ref_truth, grid)
         assert np.allclose(infl.values.mean(axis=0), fast, atol=1e-13)
 
+    def test_fast_mean_matches_exact_column_sums(self, ref_truth):
+        # The identity mean xi = s_phi - I_v against the row-by-row matrix,
+        # each column summed exactly.
+        data = generate_dataset(ref_truth, 8000, 53)
+        grid = np.linspace(0.0, ref_truth.default_M(), 65)
+        values = xi_truth(data, ref_truth, grid).values
+        exact = np.array([math.fsum(col) / data.n for col in values.T])
+        assert np.max(np.abs(xi_truth_mean(data, ref_truth, grid) - exact)) <= 1e-13
+
+    def test_event_beyond_the_horizon_rejected(self, ref_truth):
+        # phi(3.2) = 0: the event contradicts the design's follow-up support.
+        data = SurvivalDataset(HORIZON_TIMES, HORIZON_EVENTS, HORIZON_Z[:, None])
+        with pytest.raises(ValueError, match="event at or beyond the follow-up support"):
+            xi_truth_mean(data, ref_truth, np.linspace(0.0, 1.5, 9))
+
     def test_no_covariate_special_case_display(self):
         # With no covariates the influence reduces to
         # -int_0^{x^t} dH_uc/(1-H)^2 + {t<=x}/(1-H(t)).
@@ -197,6 +218,35 @@ class TestDecomposition:
         grid = np.linspace(0.0, ref_truth.default_M(), 64)
         report = remainder_decomposition(data, fit, ref_truth, grid)
         assert np.allclose(report.mean_xi, report.b_n + report.c_n, atol=1e-11)
+
+    def test_mean_xi_is_xi_truth_mean(self, ref_truth):
+        data = generate_dataset(ref_truth, 400, 58)
+        grid = np.linspace(0.0, ref_truth.default_M(), 64)
+        report = remainder_decomposition(data, fit_mple(data), ref_truth, grid)
+        assert report.mean_xi.tobytes() == xi_truth_mean(data, ref_truth, grid).tobytes()
+        ulp = np.spacing(np.max(np.abs(ref_truth.cum_hazard0(grid))))
+        assert np.max(np.abs(report.mean_xi - (report.b_n + report.c_n))) <= 4 * ulp
+
+    def test_phi_evaluated_once_per_event_row(self, ref_truth, monkeypatch):
+        data = generate_dataset(ref_truth, 400, 59)
+        fit = fit_mple(data)
+        grid = np.linspace(0.0, ref_truth.default_M(), 64)
+        # Build the antiderivatives first: their panels evaluate phi too.
+        ref_truth.hazard_over_phi(grid)
+        ref_truth.h_uc(grid)
+        ref_truth.a0(grid)
+        points = []
+        phi = type(ref_truth).phi
+
+        def logged(self, x):
+            points.append(np.atleast_1d(np.asarray(x, dtype=float)).copy())
+            return phi(self, x)
+
+        monkeypatch.setattr(type(ref_truth), "phi", logged)
+        remainder_decomposition(data, fit, ref_truth, grid)
+        seen = np.concatenate(points)
+        event_times = np.sort(data.times[data.events])
+        assert np.array_equal(np.sort(seen[np.isin(seen, event_times)]), event_times)
 
     def test_forcing_beta0_zeroes_t_n1(self, ref_truth):
         data = generate_dataset(ref_truth, 300, 57)

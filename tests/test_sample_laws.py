@@ -1,0 +1,89 @@
+"""Sample laws over random datasets (hypothesis).
+
+The estimators are functions of the empirical distribution of the rows, so
+permuting the rows changes nothing but the order of the per-subject outputs,
+and duplicating every row leaves ``beta_hat`` and the Breslow curve unchanged
+and doubles the information (the score and the information are sums over
+subjects).  Every permuted or duplicated dataset is a new object, so these
+laws also check that no risk table leaks from one dataset to another.
+"""
+
+import numpy as np
+from hypothesis import assume, given, strategies as st
+
+from breslow_lab import (
+    SurvivalDataset,
+    a_n_curve,
+    breslow_traditional,
+    fit_mple,
+    variance_estimate,
+    xi_plugin,
+)
+
+from conftest import survival_datasets
+
+# fit_mple's default score tolerance: a converged fit has |score| <= TOL.
+TOL = 1e-10
+
+
+def rel_err(a, b):
+    a, b = np.asarray(a), np.asarray(b)
+    return np.max(np.abs(a - b), initial=0.0) / (1.0 + np.max(np.abs(b), initial=0.0))
+
+
+def well_determined_fit(data):
+    """The fit, where the laws hold in floating point (as in the shift laws)."""
+    fit = fit_mple(data)
+    assume(fit.converged)
+    eig = np.linalg.eigvalsh(fit.information)
+    assume(eig[0] >= 1e-3 and eig[-1] <= 1e6 * eig[0])
+    return fit, eig[0]
+
+
+@given(data=survival_datasets(min_n=6, max_n=30, min_p=1, max_p=2), seed=st.integers(0, 2**32 - 1))
+def test_row_permutation(data, seed):
+    fit, _ = well_determined_fit(data)
+    order = np.random.default_rng(seed).permutation(data.n)
+    moved = SurvivalDataset(data.times[order], data.events[order], data.covariates[order])
+    fit_p = fit_mple(moved)
+    assert fit_p.status == fit.status
+    # Only the summation order inside tie runs can change, so the laws hold
+    # to rounding.
+    assert rel_err(fit_p.beta_hat, fit.beta_hat) <= 1e-12
+
+    lam = breslow_traditional(data, fit.beta_hat).curve.cumulative_values
+    lam_p = breslow_traditional(moved, fit_p.beta_hat).curve.cumulative_values
+    assert rel_err(lam_p, lam) <= 1e-12
+
+    grid = np.linspace(0.0, float(data.times.max()), 5)
+    infl = xi_plugin(data, fit, grid)
+    infl_p = xi_plugin(moved, fit_p, grid)
+    assert rel_err(infl_p.values, infl.values[order]) <= 1e-12
+    var = variance_estimate(data, infl, fit, a_n_curve(data, fit.beta_hat))
+    var_p = variance_estimate(moved, infl_p, fit_p, a_n_curve(moved, fit_p.beta_hat))
+    assert rel_err(var_p.total, var.total) <= 1e-12
+    assert rel_err(var_p.xi_only, var.xi_only) <= 1e-12
+
+
+@given(data=survival_datasets(min_n=6, max_n=30, min_p=1, max_p=2))
+def test_row_duplication(data):
+    fit, eig_min = well_determined_fit(data)
+    twice = SurvivalDataset(
+        np.tile(data.times, 2), np.tile(data.events, 2), np.tile(data.covariates, (2, 1))
+    )
+    fit_d = fit_mple(twice)
+    assert fit_d.status == fit.status
+    # Both fits stop with |score| <= TOL.  To first order a fit lies within
+    # TOL / eig_min of the common maximizer, and the duplicated one, whose
+    # score and information are doubled, within half that; twice their sum
+    # leaves room for the second-order term, and the floor for rounding.
+    d_beta = 2.0 * 1.5 * TOL / eig_min + 1e-12 * (1.0 + np.max(np.abs(fit.beta_hat)))
+    assert np.max(np.abs(fit_d.beta_hat - fit.beta_hat)) <= d_beta
+
+    # A move of d_beta changes log S0 and every risk-set moment by at most
+    # |Z - zbar| <= 2 max|Z| per unit of beta, in each of p coordinates.
+    drift = 2.0 * np.max(np.abs(data.covariates)) * data.covariate_dim * d_beta
+    assert rel_err(fit_d.information / 2.0, fit.information) <= drift + 1e-12
+    lam = breslow_traditional(data, fit.beta_hat).curve.cumulative_values
+    lam_d = breslow_traditional(twice, fit_d.beta_hat).curve.cumulative_values
+    assert rel_err(lam_d, lam) <= drift + 1e-12
