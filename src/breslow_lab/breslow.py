@@ -24,15 +24,12 @@ class BaselineCumHazEstimate:
 
     Jumps sit exactly at the distinct uncensored times; evaluation beyond the
     last follow-up time extends the last value (the plug-in form is undefined
-    there), which :meth:`beyond_support` flags.
+    there).
     """
 
     curve: StepCurve
     beta_used: np.ndarray
     max_follow_up: float
-
-    def beyond_support(self, x):
-        return np.asarray(x, dtype=float) > self.max_follow_up
 
 
 @dataclass(frozen=True)

@@ -190,9 +190,7 @@ def cmd_influence(args) -> int:
     )
     if args.write_xi:
         header = ["subject"] + [f"x{k}" for k in range(grid.size)]
-        rows = (
-            (i, *[float(v) for v in row]) for i, row in enumerate(infl.values)
-        )
+        rows = ((i, *row) for i, row in enumerate(infl.values.tolist()))
         write_csv(out / "xi_matrix.csv", header, rows)
     return EXIT_OK
 

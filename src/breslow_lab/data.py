@@ -228,11 +228,16 @@ def write_csv(path, header: list[str], rows) -> None:
     """Write ``header`` and ``rows`` as CSV with LF line endings.
 
     Floats are written with 17 significant digits (lossless), everything
-    else with ``str``.
+    else with ``str``, by one ``%`` template per sequence of cell types.
     """
     lines = [",".join(header)]
+    templates: dict[tuple, str] = {}
     for row in rows:
-        lines.append(",".join(f"{v:.17g}" if isinstance(v, float) else str(v) for v in row))
+        row = tuple(row)
+        types = tuple(map(type, row))
+        if types not in templates:
+            templates[types] = ",".join("%.17g" if issubclass(t, float) else "%s" for t in types)
+        lines.append(templates[types] % row)
     with open(path, "w", encoding="utf-8", newline="\n") as fh:
         fh.write("\n".join(lines) + "\n")
 

@@ -177,13 +177,14 @@ def _gather_or_eval(f, pts: np.ndarray, f_pts: np.ndarray, grid: np.ndarray, idx
 
     The remaining grid points reach ``f`` once per distinct value, so with
     ``pts`` distinct no point is evaluated twice.  ``f`` acts elementwise,
-    so a gathered value is bitwise the value ``f`` would return.
+    so a gathered value is bitwise the value ``f`` would return.  ``f`` may
+    return rows, with the points along the last axis.
     """
-    out = f_pts[idx]
-    miss = pts[idx] != grid
-    if miss.any():
+    out = f_pts.take(idx, axis=-1)
+    miss = np.flatnonzero(pts[idx] != grid)
+    if miss.size:
         points, inverse = np.unique(grid[miss], return_inverse=True)
-        out[miss] = f(points)[inverse]
+        out[..., miss] = f(points).take(inverse, axis=-1)
     return out
 
 
@@ -352,13 +353,21 @@ def _risk_integral(f, v: np.ndarray, edges: np.ndarray, grid: np.ndarray,
 
     Exact as a sum of antiderivative differences; a grid point ``x > 0`` lies
     in piece ``left``.  ``f`` is evaluated once at the edges and once more
-    only at grid points that are not an edge.
+    only at grid points that are not an edge.  ``f`` and ``v`` may also
+    return and hold rows, with the pieces along the last axis: one integral
+    per row.
     """
     f_edges = f(edges)
     f_grid = _gather_or_eval(f, edges, f_edges, grid, np.where(grid > 0, left + 1, 0))
-    prefix = np.concatenate([[0.0], np.cumsum(v * np.diff(f_edges))])
-    out = prefix[left] + v[left] * (f_grid - f_edges[left])
-    return np.where(grid > 0, out, 0.0)
+    steps = np.cumsum(v * np.diff(f_edges), axis=-1)
+    prefix = np.concatenate([np.zeros_like(steps[..., :1]), steps], axis=-1)
+    # prefix[left] + v[left] (f_grid - f_edges[left]), built in place so that
+    # fewer (rows, grid) temporaries are alive at once.
+    out = f_grid - f_edges.take(left, axis=-1)
+    out *= v.take(left, axis=-1)
+    out += prefix.take(left, axis=-1)
+    np.copyto(out, 0.0, where=grid == 0)
+    return out
 
 
 def _t2_terms(data: SurvivalDataset, truth: TruthModel, grid: np.ndarray) -> dict:
@@ -366,10 +375,10 @@ def _t2_terms(data: SurvivalDataset, truth: TruthModel, grid: np.ndarray) -> dic
 
     The grid is bracketed once against the distinct follow-up times (see
     :func:`_bracket`); the risk-integral pieces, the event-weight means and
-    the Breslow step all index off that bracket, and each truth
-    antiderivative sees every distinct query point at most once.  Also
-    returns ``mean_xi = b_n + c_n = s_phi - I_v``, bitwise the value of
-    :func:`xi_truth_mean`.
+    the Breslow step all index off that bracket, and the truth path
+    integrals ``q`` and ``H_uc`` are read together, once per distinct query
+    point.  Also returns ``mean_xi = b_n + c_n = s_phi - I_v``, bitwise the
+    value of :func:`xi_truth_mean`.
     """
     agg = build_aggregates(data, truth.beta0)
     sv = data.sorted_view
@@ -379,8 +388,10 @@ def _t2_terms(data: SurvivalDataset, truth: TruthModel, grid: np.ndarray) -> dic
         )
     left, right = _bracket(sv, grid)
     v, edges = _risk_pieces(agg, grid, left)
-    i_v = _risk_integral(truth.hazard_over_phi, v, edges, grid, left)
-    i_inv = _risk_integral(truth.h_uc, 1.0 / v, edges, grid, left)
+    # q against Phi_n and H_uc against 1/Phi_n, read together: columns 0 and
+    # 1 of the truth's path integrals, one row each.
+    i_v, i_inv = _risk_integral(lambda x: truth.path_integrals(x, [0, 1]).T,
+                                np.stack([v, 1.0 / v]), edges, grid, left)
     lam0 = truth.cum_hazard0(grid)
     s_phi = _event_weight_means(data, truth, right)
     d_lambda, _ = event_increments(data, agg)

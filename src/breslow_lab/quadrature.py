@@ -41,34 +41,39 @@ def _gauss_rule(order: int):
 
 
 class PanelAntiderivative:
-    """Cumulative integral of a vectorized integrand on [lo, hi].
+    """Cumulative integrals of a vectorized integrand on [lo, hi].
 
-    Build: a panel is accepted when its order-n and order-2n Gauss values
-    agree within its share of ``atol`` and the degree-32 Chebyshev
-    interpolant of the integrand, checked at the 3n Gauss nodes (none of
-    them interpolation nodes), satisfies ``max |p - f| * width <= atol/10``.
-    That check budget does not shrink with the panel, so rounding noise in
-    the integrand cannot force endless bisection.  Other panels are
-    bisected, up to ``max_panels``.
+    The integrand returns one value per point, or a row of k values per point:
+    k columns that share one set of panels (Chebfun's quasimatrix), with
+    ``atol`` one tolerance for all columns or one per column.
+
+    Build: a panel is accepted when, in every column, its order-n and
+    order-2n Gauss values agree within the panel's share of that column's
+    ``atol`` and the degree-32 Chebyshev interpolant of the integrand,
+    checked at the 3n Gauss nodes (none of them interpolation nodes),
+    satisfies ``max |p - f| * width <= atol/10``.  That check budget does
+    not shrink with the panel, so rounding noise in the integrand cannot
+    force endless bisection.  Other panels are bisected, up to
+    ``max_panels``.
 
     Query: ``F(x)`` is the compensated prefix sum of the order-2n Gauss
     values of the panels left of ``x`` plus the interpolant integrated
     exactly from the panel's left end to ``x``; the integrand is not
-    called.  ``F(lo)`` is exactly 0.0.
+    called.  ``F(lo)`` is exactly 0.0.  ``columns`` (an index, a slice or a
+    list) picks the columns to evaluate; an index gives one value per point.
 
     Diagnostics, read-only and set at build: ``panels`` (panel count),
     ``max_gauss_gap`` (worst accepted ``|Gauss_2n - Gauss_n|``) and
-    ``max_interp_error`` (worst accepted ``max |p - f| * width``), both in
-    units of the integral.
+    ``max_interp_error`` (worst accepted ``max |p - f| * width``), in units
+    of the integral, one per column for a column integrand.
     """
 
-    def __init__(self, f, lo: float, hi: float, *, atol: float = 1e-11,
+    def __init__(self, f, lo: float, hi: float, *, atol=1e-11,
                  order: int = 16, initial_panels: int = 16, max_panels: int = 20000):
         if not (math.isfinite(lo) and math.isfinite(hi) and hi > lo):
             raise ValueError("need finite lo < hi")
         self.lo = float(lo)
         self.hi = float(hi)
-        self.atol = float(atol)
         nodes_lo, weights_lo = _gauss_rule(order)
         nodes_hi, weights_hi = _gauss_rule(2 * order)
         nodes = np.concatenate([nodes_lo, nodes_hi, _CHEB_NODES])
@@ -77,90 +82,110 @@ class PanelAntiderivative:
         to_check = chebyshev.chebvander(nodes[:cut_hi], CHEB_POINTS - 1) @ _VALUES_TO_COEFFS
 
         # Only panels created by the last bisection are evaluated; accepted
-        # ones keep their values.
+        # ones keep their values.  Arrays are (column, panel, ...).
         edges = np.linspace(lo, hi, initial_panels + 1)
         a, b = edges[:-1], edges[1:]
         accepted = []  # (left ends, Gauss values, antiderivative coefficients)
         n_accepted = 0
-        gauss_gap = interp_error = 0.0
-        for _ in range(60):
+        for sweep in range(60):
             half = 0.5 * (b - a)
             pts = (a + half)[:, None] + half[:, None] * nodes[None, :]
-            vals = np.asarray(f(pts.ravel()), dtype=float).reshape(pts.shape)
-            val_lo = half * (vals[:, :cut_lo] @ weights_lo)
-            val_hi = half * (vals[:, cut_lo:cut_hi] @ weights_hi)
-            cheb = vals[:, cut_hi:]
+            vals = np.asarray(f(pts.ravel()), dtype=float)
+            if sweep == 0:
+                self._scalar = vals.ndim == 1
+                tol = np.broadcast_to(np.asarray(atol, dtype=float), vals.shape[1:] or (1,))
+                gauss_gap = interp_error = np.zeros(tol.size)
+            vals = np.moveaxis(vals.reshape(*pts.shape, -1), 2, 0)
+            val_lo = half * (vals[..., :cut_lo] @ weights_lo)
+            val_hi = half * (vals[..., cut_lo:cut_hi] @ weights_hi)
+            cheb = vals[..., cut_hi:]
             gap = np.abs(val_hi - val_lo)
-            err = np.abs(cheb @ to_check.T - vals[:, :cut_hi]).max(axis=1) * (2.0 * half)
-            budget = np.maximum(self.atol * (2.0 * half) / (self.hi - self.lo), 1e-16)
+            err = np.abs(cheb @ to_check.T - vals[..., :cut_hi]).max(axis=2) * (2.0 * half)
+            budget = np.maximum(tol[:, None] * (2.0 * half) / (self.hi - self.lo), 1e-16)
             # Written as "not within" so that a NaN fails the test.
-            bad = ~((gap <= budget) & (err <= 0.1 * self.atol))
+            bad = ~((gap <= budget) & (err <= 0.1 * tol[:, None])).all(axis=0)
             good = ~bad
             if good.any():
-                accepted.append((a[good], val_hi[good],
-                                 half[good, None] * (cheb[good] @ _VALUES_TO_ANTI.T)))
+                accepted.append((a[good], val_hi[:, good],
+                                 half[good, None] * (cheb[:, good] @ _VALUES_TO_ANTI.T)))
                 n_accepted += int(good.sum())
-                gauss_gap = max(gauss_gap, float(gap[good].max()))
-                interp_error = max(interp_error, float(err[good].max()))
+                gauss_gap = np.maximum(gauss_gap, gap[:, good].max(axis=1))
+                interp_error = np.maximum(interp_error, err[:, good].max(axis=1))
             if not bad.any():
                 break
             if n_accepted + 2 * int(bad.sum()) > max_panels:
                 raise QuadratureError(
-                    f"quadrature did not converge below atol={self.atol} "
+                    f"quadrature did not converge below atol={atol} "
                     f"within {max_panels} panels"
                 )
             mids = 0.5 * (a[bad] + b[bad])
             a, b = np.concatenate([a[bad], mids]), np.concatenate([mids, b[bad]])
         else:
             raise QuadratureError("quadrature refinement loop did not terminate")
-        starts, panel_vals, anti = (np.concatenate(parts) for parts in zip(*accepted))
+        starts, panel_vals, anti = zip(*accepted)
+        starts = np.concatenate(starts)
+        panel_vals = np.concatenate(panel_vals, axis=1)
+        anti = np.concatenate(anti, axis=1)
         order_lr = np.argsort(starts)
         self.edges = np.append(starts[order_lr], self.hi)
-        panel_vals = panel_vals[order_lr]
-        prefix = _running_sums(panel_vals, np.arange(panel_vals.size))
-        self._prefix = np.concatenate([[0.0], prefix])
-        # Trailing terms whose summed size, a bound on what they add to any
-        # query, is below atol/1000 are dropped from every panel.
-        tail = np.cumsum(np.abs(anti).max(axis=0)[::-1])[::-1]
-        degree = max(int(np.count_nonzero(tail > 1e-3 * self.atol)), 1)
-        # One row per coefficient so that Clenshaw gathers contiguous rows.
-        self._coeffs = np.ascontiguousarray(anti[order_lr, :degree].T)
-        self._max_gauss_gap = gauss_gap
-        self._max_interp_error = interp_error
+        prefix = _running_sums(panel_vals[:, order_lr].T, np.arange(order_lr.size))
+        self._prefix = np.ascontiguousarray(np.concatenate([np.zeros((1, tol.size)), prefix]).T)
+        # Per column, trailing terms whose summed size, a bound on what they
+        # add to any query, is below atol/1000 are dropped from every panel;
+        # one row per coefficient so that Clenshaw gathers contiguous rows.
+        tail = np.cumsum(np.abs(anti).max(axis=1)[:, ::-1], axis=1)[:, ::-1]
+        degrees = np.maximum(np.count_nonzero(tail > 1e-3 * tol[:, None], axis=1), 1)
+        self._coeffs = [np.ascontiguousarray(c[order_lr, :d].T) for c, d in zip(anti, degrees)]
+        # A scalar integrand keeps scalar diagnostics.
+        self.atol, self._max_gauss_gap, self._max_interp_error = (
+            float(v[0]) if self._scalar else v for v in (tol, gauss_gap, interp_error)
+        )
 
     @property
     def panels(self) -> int:
         return self.edges.size - 1
 
     @property
-    def max_gauss_gap(self) -> float:
+    def max_gauss_gap(self):
         return self._max_gauss_gap
 
     @property
-    def max_interp_error(self) -> float:
+    def max_interp_error(self):
         return self._max_interp_error
 
-    def __call__(self, x):
+    def __call__(self, x, columns=None):
         x_arr = np.atleast_1d(np.asarray(x, dtype=float))
         if x_arr.size and (x_arr.min() < self.lo - 1e-12 or x_arr.max() > self.hi + 1e-12):
             raise ValueError(
                 f"query outside [{self.lo}, {self.hi}]: "
                 f"[{x_arr.min()}, {x_arr.max()}]"
             )
+        if columns is None:
+            columns = 0 if self._scalar else slice(None)
+        picked = np.arange(len(self._coeffs))[columns]
         xq = np.clip(x_arr, self.lo, self.hi)
         idx = np.clip(np.searchsorted(self.edges, xq, side="right") - 1, 0, self.edges.size - 2)
         a = self.edges[idx]
         t = np.clip(2.0 * (xq - a) / (self.edges[idx + 1] - a) - 1.0, -1.0, 1.0)
-        # Clenshaw: b_k = c_k + 2 t b_{k+1} - b_{k+2}; the sum is
-        # c_0 + t b_1 - b_2.
+        # The series vanishes at lo only up to truncation and rounding; F(lo)
+        # is pinned to 0 so that a point's value does not depend on what
+        # shares the call.
+        at_lo = xq == self.lo
+        # Clenshaw, one 1-D pass per column: b_k = c_k + 2 t b_{k+1} - b_{k+2};
+        # the sum is c_0 + t b_1 - b_2.
         two_t = 2.0 * t
-        b1 = np.zeros_like(t)
-        b2 = np.zeros_like(t)
-        for row in self._coeffs[:0:-1]:
-            b1, b2 = row[idx] + two_t * b1 - b2, b1
-        out = self._prefix[idx] + (self._coeffs[0][idx] + t * b1 - b2)
-        # The series vanishes at lo only up to truncation and rounding; pin
-        # F(lo) = 0 so that a point's value does not depend on what shares
-        # the call.
-        out[xq == self.lo] = 0.0
-        return out if np.asarray(x).ndim else float(out[0])
+        cols = []
+        for j in np.atleast_1d(picked):
+            coeffs = self._coeffs[j]
+            b1 = np.zeros_like(t)
+            b2 = np.zeros_like(t)
+            for row in coeffs[:0:-1]:
+                b1, b2 = row[idx] + two_t * b1 - b2, b1
+            cols.append(self._prefix[j][idx] + (coeffs[0][idx] + t * b1 - b2))
+            cols[-1][at_lo] = 0.0
+        # Several columns are stored one per row (an empty selection too), so
+        # each stays contiguous in the (points, columns) transpose.
+        out = cols[0] if picked.ndim == 0 else np.array(cols).reshape(picked.size, t.size).T
+        if np.asarray(x).ndim:
+            return out
+        return float(out[0]) if out.ndim == 1 else out[0]

@@ -192,11 +192,12 @@ class TruthModel:
     Censoring is uniform on (0, tau_c), so the follow-up support ends at
     ``tau_c`` while survival support is unbounded (the usual support
     condition holds by construction).  Population functionals are evaluated
-    from the covariate atoms; path integrals against the baseline hazard are
-    cached panel antiderivatives: per-panel Chebyshev series of the
-    integrand, integrated exactly and anchored at Gauss prefix sums, accurate
-    to ~1e-11 absolute (``atol``; 1e-10 for ``a0``), with each panel's
-    interpolant checked to ``atol/10``.
+    from the covariate atoms.  The path integrals against the baseline
+    hazard, ``[q, H_uc, A0_1 .. A0_p]``, are the columns of one cached panel
+    antiderivative (see :meth:`path_integrals`): per-panel Chebyshev series
+    of the integrands, integrated exactly and anchored at Gauss prefix sums,
+    accurate to ~1e-11 absolute (``atol``; 1e-10 for ``A0``), with each
+    panel's interpolant checked to ``atol/10`` in every column.
     """
 
     def __init__(self, beta0, baseline: BaselineHazard, covariate_law: CovariateLaw,
@@ -213,7 +214,8 @@ class TruthModel:
         self._atom_weights = w
         self._atom_points = z
         self._atom_eta = z @ self.beta0 if self.p else np.zeros(w.size)
-        self._anti_cache: dict[str, tuple[float, object]] = {}
+        self._atom_coef = w * np.exp(self._atom_eta)
+        self._integrals: PanelAntiderivative | None = None
 
     @property
     def p(self) -> int:
@@ -229,9 +231,6 @@ class TruthModel:
     def censor_survival(self, x):
         return np.clip(1.0 - np.asarray(x, dtype=float) / self.censor_upper, 0.0, 1.0)
 
-    def lambda0(self, x):
-        return self.baseline.rate(x)
-
     def cum_hazard0(self, x):
         return self.baseline.cumulative(x)
 
@@ -243,27 +242,21 @@ class TruthModel:
     def phi(self, x):
         """Population weighted risk mass Phi(beta0, x) = E[{T>=x} e^{beta0'Z}]."""
         x_arr = np.atleast_1d(np.asarray(x, dtype=float))
-        surv = self._atom_survival(x_arr)
-        mix = surv @ (self._atom_weights * np.exp(self._atom_eta))
-        out = self.censor_survival(x_arr) * mix
+        out = self.censor_survival(x_arr) * (self._atom_survival(x_arr) @ self._atom_coef)
         return out if np.asarray(x).ndim else float(out[0])
 
     def d1(self, x):
         """Gradient of phi in beta; shape (len(x), p)."""
         x_arr = np.atleast_1d(np.asarray(x, dtype=float))
-        surv = self._atom_survival(x_arr)
-        coef = self._atom_weights * np.exp(self._atom_eta)
-        mix = surv @ (coef[:, None] * self._atom_points)
+        mix = self._atom_survival(x_arr) @ (self._atom_coef[:, None] * self._atom_points)
         out = self.censor_survival(x_arr)[:, None] * mix
         return out if np.asarray(x).ndim else out.reshape(self.p)
 
     def d2(self, x):
         """Hessian of phi in beta; shape (len(x), p, p)."""
         x_arr = np.atleast_1d(np.asarray(x, dtype=float))
-        surv = self._atom_survival(x_arr)
-        coef = self._atom_weights * np.exp(self._atom_eta)
         zz = self._atom_points[:, :, None] * self._atom_points[:, None, :]
-        mix = np.einsum("xk,k,kij->xij", surv, coef, zz)
+        mix = np.einsum("xk,k,kij->xij", self._atom_survival(x_arr), self._atom_coef, zz)
         out = self.censor_survival(x_arr)[:, None, None] * mix
         return out if np.asarray(x).ndim else out.reshape(self.p, self.p)
 
@@ -271,66 +264,53 @@ class TruthModel:
         """Density of the uncensored sub-distribution: phi(beta0, x) rate0(x)."""
         return self.phi(np.atleast_1d(x)) * self.baseline.rate(np.atleast_1d(x))
 
-    # -- cached antiderivatives -------------------------------------------
+    # -- path integrals -----------------------------------------------------
 
-    def _antiderivative(self, name: str, integrand, hi: float, *, atol=1e-11):
-        cached = self._anti_cache.get(name)
-        if cached is not None and cached[0] >= hi:
-            return cached[1]
-        anti = PanelAntiderivative(integrand, 0.0, hi, atol=atol)
-        self._anti_cache[name] = (hi, anti)
-        return anti
+    def _path_integrands(self, u):
+        """Integrands ``[rate0/phi, phi rate0, d1 rate0/phi]`` at ``u``, all
+        from one atom-survival matrix."""
+        cens = self.censor_survival(u)
+        surv = self._atom_survival(u)
+        phi = cens * (surv @ self._atom_coef)
+        d1 = cens[:, None] * (surv @ (self._atom_coef[:, None] * self._atom_points))
+        rate = self.baseline.rate(u)
+        return np.column_stack([rate / phi, phi * rate, d1 * rate[:, None] / phi[:, None]])
 
-    def _require_phi_positive(self, hi: float):
-        if hi >= self.tau_H or self.phi(hi) <= 1e-12:
-            raise ValueError(
-                f"requested point {hi} is at or beyond the follow-up support "
-                f"(risk mass vanishes)"
-            )
+    def path_integrals(self, x, columns):
+        """Columns ``[q, H_uc, A0_1 .. A0_p]`` of the path integrals at ``x``.
+
+        ``columns`` indexes them (an index gives one value per point).  All
+        are read from one antiderivative over ``[0, hi]``, rebuilt over ``[0,
+        max(x)]`` when ``max(x)`` passes ``hi``; a build needs ``max(x) <
+        tau_H`` and positive risk mass there and raises ``ValueError``
+        otherwise.  Every column is exactly 0.0 at 0.
+        """
+        x_arr = np.asarray(x, dtype=float)
+        hi = float(x_arr.max()) if x_arr.size else 0.0
+        if hi == 0.0:
+            out = np.zeros((x_arr.size, 2 + self.p))[:, columns]
+            return out if x_arr.ndim else out[0]
+        if self._integrals is None or self._integrals.hi < hi:
+            if hi >= self.tau_H or self.phi(hi) <= 1e-12:
+                raise ValueError(f"requested point {hi} is at or beyond the follow-up "
+                                 "support (risk mass vanishes)")
+            atol = np.r_[1e-11, 1e-11, np.full(self.p, 1e-10)]
+            self._integrals = PanelAntiderivative(self._path_integrands, 0.0, hi, atol=atol)
+        return self._integrals(x_arr, columns)
 
     def hazard_over_phi(self, x):
         """q(x) = int_0^x rate0(u) / phi(beta0, u) du, the integral in xi."""
-        x_arr = np.atleast_1d(np.asarray(x, dtype=float))
-        hi = float(x_arr.max()) if x_arr.size else 0.0
-        if hi == 0.0:
-            return np.zeros_like(x_arr) if np.asarray(x).ndim else 0.0
-        self._require_phi_positive(hi)
-        anti = self._antiderivative(
-            "q", lambda u: self.baseline.rate(u) / self.phi(u), hi
-        )
-        out = anti(x_arr)
-        return out if np.asarray(x).ndim else float(out[0])
+        return self.path_integrals(x, 0)
 
     def h_uc(self, x):
         """Uncensored sub-distribution H^{uc}(x) = int_0^x phi rate0 du."""
-        x_arr = np.atleast_1d(np.asarray(x, dtype=float))
-        hi = min(max(float(x_arr.max()), 1e-12), self.tau_H)
-        anti = self._antiderivative("h_uc", self.h_uc_density, hi)
-        out = anti(np.clip(x_arr, 0.0, self.tau_H))
-        return out if np.asarray(x).ndim else float(out[0])
+        return self.path_integrals(x, 1)
 
     def a0(self, x):
         """Sensitivity integral A0(x) = int_0^x d1(u) rate0(u) / phi(u) du."""
-        x_arr = np.atleast_1d(np.asarray(x, dtype=float))
-        if self.p == 0:
-            return np.zeros((x_arr.size, 0))
-        hi = float(x_arr.max()) if x_arr.size else 0.0
-        if hi == 0.0:
-            return np.zeros((x_arr.size, self.p))
-        self._require_phi_positive(hi)
-        cols = []
-        for j in range(self.p):
-            anti = self._antiderivative(
-                f"a0_{j}",
-                lambda u, j=j: self.d1(u)[:, j] * self.baseline.rate(u) / self.phi(u),
-                hi,
-                atol=1e-10,
-            )
-            cols.append(anti(x_arr))
-        out = np.column_stack(cols)
-        return out if np.asarray(x).ndim else out.reshape(self.p)
+        return self.path_integrals(x, slice(2, None))
 
-    # -- policies and checks ------------------------------------------------
+    # -- policies -------------------------------------------------------------
 
     def default_M(self, phi_floor: float = 0.05) -> float:
         """Largest x with phi(beta0, x) >= phi_floor."""
@@ -340,36 +320,6 @@ class TruthModel:
         if self.phi(hi) >= phi_floor:
             return hi
         return float(brentq(lambda x: self.phi(x) - phi_floor, 0.0, hi, xtol=1e-12))
-
-    def event_probability(self) -> float:
-        """P(event observed) = H^{uc} at the follow-up horizon."""
-        return float(self.h_uc(self.tau_H))
-
-    def exp_moment(self, beta) -> float:
-        """E[|Z|^2 exp(2 beta'Z)] from the covariate atoms."""
-        beta = np.atleast_1d(np.asarray(beta, dtype=float))
-        norms = np.einsum("kj,kj->k", self._atom_points, self._atom_points)
-        return float(np.sum(self._atom_weights * norms * np.exp(2.0 * (self._atom_points @ beta))))
-
-    def check_assumptions(self, eps: float = 0.25) -> dict:
-        """Verify the support and exponential-moment conditions.
-
-        Survival support is unbounded for the supported baselines, so the
-        support condition reduces to a positive censoring horizon.  The
-        moment condition is evaluated on a ball of radius ``eps`` around the
-        true coefficients (coordinatewise extremes suffice for bounded
-        covariate laws).
-        """
-        worst = 0.0
-        if self.p:
-            for signs in np.ndindex(*([2] * self.p)):
-                shift = eps * (2 * np.array(signs) - 1) / math.sqrt(self.p)
-                worst = max(worst, self.exp_moment(self.beta0 + shift))
-        else:
-            worst = self.exp_moment(self.beta0)
-        if not math.isfinite(worst):
-            raise ValueError("exponential moment condition fails near beta0")
-        return {"censor_upper": self.censor_upper, "sup_exp_moment": worst}
 
 
 def reference_truth() -> TruthModel:

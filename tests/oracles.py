@@ -109,7 +109,7 @@ def quad_expectation(truth, f, *, limit=400, points=None):
             return np.exp(-float(truth.cum_hazard0(t)) * r)
 
         def event_part(t):
-            lam = float(truth.lambda0(np.array([t]))[0])
+            lam = float(truth.baseline.rate(np.array([t]))[0])
             return f(t, True, z) * lam * r * surv(t) * (1.0 - t / tau)
 
         def censor_part(t):

@@ -47,8 +47,6 @@ class TestTraditionalForm:
     def test_constant_extension_and_flag(self, three_point):
         est = breslow_traditional(three_point, [0.0])
         assert est.curve(100.0) == est.curve.cumulative_values[-1]
-        assert est.beyond_support(100.0)
-        assert not est.beyond_support(3.0)
 
     def test_jumps_only_at_event_times(self):
         data = validate_dataset(

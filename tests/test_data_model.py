@@ -12,6 +12,7 @@ from breslow_lab import (
     save_csv,
     validate_dataset,
 )
+from breslow_lab.data import write_csv
 
 from conftest import survival_datasets
 
@@ -136,6 +137,22 @@ class TestCsv:
         assert np.array_equal(back.times, data.times)
         assert np.array_equal(back.events, data.events)
         assert np.array_equal(back.covariates, data.covariates)
+
+    def test_write_csv_matches_per_cell_rendering(self, tmp_path):
+        rows = [
+            (0, math.nan, math.inf, -math.inf),
+            (1, -0.0, 5e-324, 0.1),
+            (2, 1.0, np.float64(1 / 3), -2.5e300),
+            (3, "x", True, 7),
+            (4, math.nan, math.inf, -math.inf),
+        ]
+        path = tmp_path / "w.csv"
+        write_csv(path, ["a", "b", "c", "d"], iter(rows))
+        want = ["a,b,c,d"] + [
+            ",".join(f"{v:.17g}" if isinstance(v, float) else str(v) for v in row)
+            for row in rows
+        ]
+        assert path.read_bytes() == ("\n".join(want) + "\n").encode()
 
 
 class TestStepCurve:

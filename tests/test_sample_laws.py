@@ -4,8 +4,11 @@ The estimators are functions of the empirical distribution of the rows, so
 permuting the rows changes nothing but the order of the per-subject outputs,
 and duplicating every row leaves ``beta_hat`` and the Breslow curve unchanged
 and doubles the information (the score and the information are sums over
-subjects).  Every permuted or duplicated dataset is a new object, so these
-laws also check that no risk table leaks from one dataset to another.
+subjects).  A strictly increasing map of the times keeps their ranks and
+ties, on which the partial likelihood and the Breslow increments depend, so
+it changes nothing but where the Breslow curve jumps.  Every permuted,
+duplicated or time-mapped dataset is a new object, so these laws also check
+that no risk table leaks from one dataset to another.
 """
 
 import numpy as np
@@ -24,6 +27,13 @@ from conftest import survival_datasets
 
 # fit_mple's default score tolerance: a converged fit has |score| <= TOL.
 TOL = 1e-10
+
+# Strictly increasing maps that keep the times positive and finite.
+TIME_MAPS = {
+    "cube": lambda t: t**3,
+    "exp": np.exp,
+    "log1p": np.log1p,
+}
 
 
 def rel_err(a, b):
@@ -87,3 +97,21 @@ def test_row_duplication(data):
     lam = breslow_traditional(data, fit.beta_hat).curve.cumulative_values
     lam_d = breslow_traditional(twice, fit_d.beta_hat).curve.cumulative_values
     assert rel_err(lam_d, lam) <= drift + 1e-12
+
+
+@given(data=survival_datasets(min_n=6, max_n=30, min_p=1, max_p=2),
+       name=st.sampled_from(sorted(TIME_MAPS)))
+def test_time_transform(data, name):
+    g = TIME_MAPS[name]
+    # The map must stay strict on the distinct times in float64 too.
+    assume(np.all(np.diff(g(np.unique(data.times))) > 0))
+    moved = SurvivalDataset(g(data.times), data.events, data.covariates)
+    fit, fit_g = fit_mple(data), fit_mple(moved)
+    assert (fit_g.status, fit_g.iterations) == (fit.status, fit.iterations)
+    assert fit_g.beta_hat.tobytes() == fit.beta_hat.tobytes()
+    # A fit that diverged may leave float64 on the raw scale.
+    assume(fit.converged)
+    curve = breslow_traditional(data, fit.beta_hat).curve
+    curve_g = breslow_traditional(moved, fit.beta_hat).curve
+    assert curve_g.cumulative_values.tobytes() == curve.cumulative_values.tobytes()
+    assert curve_g.jump_times.tobytes() == g(curve.jump_times).tobytes()

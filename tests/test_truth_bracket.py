@@ -121,9 +121,9 @@ def query_log(monkeypatch):
     log = {}
     call = PanelAntiderivative.__call__
 
-    def counting(self, x):
+    def counting(self, x, *columns):
         log.setdefault(id(self), []).append(np.atleast_1d(np.asarray(x, dtype=float)).copy())
-        return call(self, x)
+        return call(self, x, *columns)
 
     monkeypatch.setattr(PanelAntiderivative, "__call__", counting)
     return log
