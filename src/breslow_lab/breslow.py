@@ -36,24 +36,22 @@ class BaselineCumHazEstimate:
 class PluginACurve:
     """Sensitivity of the cumulative hazard estimate to the coefficients.
 
-    One step curve per covariate coordinate; minus this curve is the beta
-    gradient of the cumulative hazard estimate at fixed x.  Empty when the
+    One step curve with a column per covariate coordinate, jumping at the
+    distinct event times; minus this curve is the beta gradient of the
+    cumulative hazard estimate at fixed x.  Empty (0 columns) when the
     dataset has no covariates.
     """
 
-    components: tuple[StepCurve, ...]
+    curve: StepCurve
     beta_used: np.ndarray
 
     @property
     def is_empty(self) -> bool:
-        return len(self.components) == 0
+        return self.curve.cumulative_values.shape[1] == 0
 
     def values_at(self, x) -> np.ndarray:
         """Evaluate all coordinates; shape (len(x), p)."""
-        x_arr = np.atleast_1d(np.asarray(x, dtype=float))
-        if self.is_empty:
-            return np.zeros((x_arr.size, 0))
-        return np.column_stack([c(x_arr) for c in self.components])
+        return self.curve(np.atleast_1d(x))
 
 
 def breslow_traditional(data: SurvivalDataset, beta) -> BaselineCumHazEstimate:
@@ -90,14 +88,11 @@ def a_n_curve(data: SurvivalDataset, beta) -> PluginACurve:
 
     ``zbar = S1/S0`` is the risk-set covariate mean and ``dL = d/S0`` the
     Breslow increment at the distinct event time ``t_k``; equivalently
-    (1/n) sum over events with T_i <= x of d1_n/phi_n^2.  Returns an empty,
-    flagged curve when there are no covariates.
+    (1/n) sum over events with T_i <= x of d1_n/phi_n^2.  The curve has no
+    columns when there are no covariates.
     """
     agg = build_aggregates(data, beta)
-    if agg.p == 0:
-        return PluginACurve(components=(), beta_used=agg.beta)
     d_lambda, zbar = event_increments(data, agg)
-    jumps = data.sorted_view.distinct_event_times
     values = np.cumsum(zbar * d_lambda[:, None], axis=0)
-    components = tuple(StepCurve(jumps, col, monotone=False) for col in values.T)
-    return PluginACurve(components=components, beta_used=agg.beta)
+    curve = StepCurve(data.sorted_view.distinct_event_times, values, monotone=False)
+    return PluginACurve(curve=curve, beta_used=agg.beta)

@@ -161,12 +161,11 @@ def cmd_breslow(args) -> int:
     )
     a_curve = breslow_mod.a_n_curve(data, beta)
     if not a_curve.is_empty:
-        jumps = a_curve.components[0].jump_times
-        rows = np.column_stack([jumps] + [c.cumulative_values for c in a_curve.components])
+        curve = a_curve.curve
         write_csv(
             out / "a_n.csv",
             ["x"] + [f"a{i}" for i in range(1, data.covariate_dim + 1)],
-            (tuple(float(v) for v in row) for row in rows),
+            np.column_stack([curve.jump_times, curve.cumulative_values]).tolist(),
         )
     return EXIT_OK
 
@@ -180,9 +179,7 @@ def cmd_influence(args) -> int:
     grid = np.linspace(0.0, m, args.grid_points)
     infl = xi_plugin(data, fit, grid)
     a_curve = breslow_mod.a_n_curve(data, beta)
-    curves = variance_estimate(
-        data, infl, fit, None if a_curve.is_empty else a_curve
-    )
+    curves = variance_estimate(data, infl, fit, a_curve)
     write_csv(
         out / "variance.csv",
         ["x", "variance", "variance_xi_only"],

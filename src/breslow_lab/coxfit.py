@@ -20,6 +20,7 @@ from .risk import (
     centered_increments,
     centered_weights,
 )
+from .stepfun import StepCurve
 
 STATUS_CONVERGED = "converged"
 STATUS_MAX_ITERATIONS = "max_iterations"
@@ -148,10 +149,13 @@ def fit_mple(
     ratio of e^30; for a 0/1 covariate this is ``|beta| > 30``).  Near a
     finite optimum the step shrinks with the score, so a wide spread alone
     is never reported.  ``max_iterations`` otherwise (also when every trial
-    point of a line search leaves the float64 range).  The criteria and
-    the fit are invariant to a constant shift of a covariate and to its
-    units: rescaling a covariate by c divides its coefficient by c.  An ``init``
-    whose risk table leaves the float64 range raises ``ValueError``.
+    point of a line search leaves the float64 range).  The iterate after
+    ``max_iter`` steps faces the same tests as every earlier one, so raising
+    ``max_iter`` past the step a fit stops at does not change its status.
+    The criteria and the fit are invariant to a constant shift of a
+    covariate and to its units: rescaling a covariate by c divides its
+    coefficient by c.  An ``init`` whose risk table leaves the float64 range
+    raises ``ValueError``.
     """
     p = data.covariate_dim
     if p == 0:
@@ -165,7 +169,6 @@ def fit_mple(
     if ll == -np.inf:
         raise ValueError(f"init {init!r}: the risk table leaves the float64 range")
     z = data.sorted_view.centered
-    iterations = 0
 
     def result(status, score, info):
         return CoxFit(
@@ -177,7 +180,8 @@ def fit_mple(
             status=status,
         )
 
-    for _ in range(max_iter):
+    # Pass k tests the iterate after k accepted steps; the last pass only tests.
+    for iterations in range(max_iter + 1):
         score, info = score_and_information(data, beta)
         if _is_singular(info):
             return result(STATUS_SINGULAR, score, info)
@@ -193,6 +197,8 @@ def fit_mple(
         # ridge; near a finite optimum the step shrinks with the score.
         if score_small and spread > _SEPARATION_SPREAD:
             return result(STATUS_SEPARATION, score, info)
+        if iterations == max_iter:
+            break
         if step_spread <= 1e-6 * (1.0 + spread):
             # Quadratic-convergence region: the true likelihood gain is below
             # evaluation noise, so a monotonicity line search would stall.
@@ -206,14 +212,8 @@ def fit_mple(
                 break
         if ll_new == -np.inf:
             # Every trial point left float64: the line search cannot move.
-            return result(STATUS_MAX_ITERATIONS, score, info)
+            break
         beta, ll = candidate, ll_new
-        iterations += 1
-    score, info = score_and_information(data, beta)
-    if _is_singular(info):
-        return result(STATUS_SINGULAR, score, info)
-    if np.linalg.norm(score) <= tol:
-        return result(STATUS_CONVERGED, score, info)
     return result(STATUS_MAX_ITERATIONS, score, info)
 
 
@@ -223,10 +223,11 @@ def score_residuals(data: SurvivalDataset, beta) -> np.ndarray:
     Subject ``i`` contributes its event term ``Z_i - zbar(T_i)`` minus its
     accumulated exposure ``exp(beta'Z_i) * sum_{t_k <= T_i} (Z_i - zbar(t_k))
     dL(t_k)``, where ``zbar`` is the risk-set covariate mean and ``dL`` the
-    baseline hazard increment.  The exposure is read off the Breslow curve
-    ``sum dL`` and the sensitivity curve ``A_n = sum zbar dL``, both running
-    sums over one risk table.  The residuals sum to the total score and are
-    the per-subject terms of the coefficient estimator's linear expansion.
+    baseline hazard increment.  The exposure is read with one search off one
+    step curve with the columns ``[sum dL, sum zbar dL]`` (the Breslow curve
+    and ``A_n``, centered), running sums over one risk table.  The residuals
+    sum to the total score and are the per-subject terms of the coefficient
+    estimator's linear expansion.
     """
     if data.covariate_dim == 0:
         raise ValueError("score residuals require at least one covariate")
@@ -235,15 +236,15 @@ def score_residuals(data: SurvivalDataset, beta) -> np.ndarray:
     # and Z_i - zbar is unchanged by centering, so no raw-scale factor enters.
     d_lambda, zbar = centered_increments(data, agg)
     sv = data.sorted_view
-    cum_dl = np.concatenate([[0.0], np.cumsum(d_lambda)])
-    cum_zbar_dl = np.concatenate(
-        [np.zeros((1, data.covariate_dim)), np.cumsum(zbar * d_lambda[:, None], axis=0)]
-    )
+    steps = np.column_stack([d_lambda, zbar * d_lambda[:, None]])
+    sums = StepCurve(sv.distinct_event_times, np.cumsum(steps, axis=0), monotone=False)
+    at_t = sums(data.times)
     z, w = centered_weights(data, agg)
-    pos = np.searchsorted(sv.distinct_event_times, data.times, side="right")
-    exposure = w[:, None] * (z * cum_dl[pos][:, None] - cum_zbar_dl[pos])
+    exposure = w[:, None] * (z * at_t[:, :1] - at_t[:, 1:])
+    # Event rows, in time order, fall on the distinct event times in runs of
+    # ``event_counts``.
     event_term = np.zeros_like(z)
-    ev = data.events
-    idx = np.searchsorted(sv.distinct_event_times, data.times[ev])
-    event_term[ev] = z[ev] - zbar[idx]
+    event_term[sv.order[sv.events]] = sv.centered[sv.events] - np.repeat(
+        zbar, sv.event_counts, axis=0
+    )
     return event_term - exposure

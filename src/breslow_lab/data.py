@@ -194,32 +194,31 @@ def load_csv(path) -> SurvivalDataset:
         p = len(header) - 2
         if p < 0 or header != _expected_header(p):
             raise DataError(f"{path}: header must be time,event,z1,...,zp; got {header!r}")
-        rows = []
+        times, events, covs = [], [], []
         for i, cells in enumerate(reader, start=1):
             if not cells or all(not c.strip() for c in cells):
                 continue
             if len(cells) != p + 2:
                 raise DataError(f"{path}: row {i}: expected {p + 2} fields, got {len(cells)}")
             try:
-                t = float(cells[0])
+                times.append(float(cells[0]))
             except ValueError:
                 raise DataError(f"{path}: row {i}: bad time value {cells[0]!r}") from None
             ev_token = cells[1].strip().lower()
             if ev_token in _CSV_TRUE:
-                e = True
+                events.append(True)
             elif ev_token in _CSV_FALSE:
-                e = False
+                events.append(False)
             else:
                 raise DataError(f"{path}: row {i}: bad event value {cells[1]!r}")
             try:
-                z = [float(c) for c in cells[2:]]
+                covs.extend(map(float, cells[2:]))
             except ValueError:
                 raise DataError(f"{path}: row {i}: bad covariate value") from None
-            rows.append((t, e, z))
-    if not rows:
+    if not times:
         raise DataError(f"{path}: no data rows")
     try:
-        return validate_dataset(rows)
+        return SurvivalDataset(times, events, np.reshape(covs, (len(times), p)))
     except DataError as exc:
         raise DataError(f"{path}: {exc}") from None
 

@@ -100,10 +100,7 @@ class RateExperimentResult:
 
     @property
     def primary_quantity(self) -> str:
-        order = ["r_n", "r_n3", "phi"]
-        for name in order:
-            if name in self.quantities:
-                return name
+        """The first tracked quantity, the one ``normalized_median`` reads."""
         return next(iter(self.quantities))
 
     def normalized_stability_ratio(self) -> float:

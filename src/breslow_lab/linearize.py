@@ -192,8 +192,6 @@ def xi_truth(data: SurvivalDataset, truth: TruthModel, x_grid) -> InfluenceMatri
     """Influence matrix with population plug-ins, one row per subject."""
     grid = _as_grid(x_grid)
     hi = float(grid.max())
-    if truth.phi(hi) <= 0:
-        raise ValueError("grid extends beyond the follow-up support of the design")
     t = data.times
     q_t = truth.hazard_over_phi(np.minimum(t, hi))
     w = np.exp(data.covariates @ truth.beta0)
@@ -215,8 +213,6 @@ def xi_truth_mean(data: SurvivalDataset, truth: TruthModel, x_grid) -> np.ndarra
     where the population risk mass vanishes.
     """
     grid = _as_grid(x_grid)
-    if truth.phi(float(grid.max())) <= 0:
-        raise ValueError("grid extends beyond the follow-up support of the design")
     agg = build_aggregates(data, truth.beta0)
     left, right = _bracket(data.sorted_view, grid)
     v, edges = _risk_pieces(agg, grid, left)
@@ -438,8 +434,6 @@ def remainder_decomposition(
     with positive population risk mass.
     """
     grid = _as_grid(x_grid)
-    if truth.phi(float(grid.max())) <= 0:
-        raise ValueError("grid extends beyond the follow-up support of the design")
     if beta_hat is None:
         if fit is None:
             raise ValueError("either a fit or explicit coefficients are required")

@@ -81,11 +81,11 @@ class TestPluginFormIdentity:
 class TestSensitivityCurve:
     def test_hand_value(self, three_point):
         curve = a_n_curve(three_point, [0.0])
-        assert curve.components[0](1.0) == pytest.approx(2.0 / 9.0, rel=1e-14)
+        assert curve.values_at(1.0)[:, 0] == pytest.approx(2.0 / 9.0, rel=1e-14)
 
     def test_zero_before_first_event(self, three_point):
         curve = a_n_curve(three_point, [0.0])
-        assert curve.components[0](0.0) == 0.0
+        assert curve.values_at(0.0)[:, 0] == 0.0
 
     def test_empty_flag_for_p0(self):
         data = validate_dataset([(1.0, True, [])])
@@ -111,6 +111,6 @@ class TestSensitivityCurve:
             [(1.0, True, [-1.0]), (2.0, False, [-1.0]), (3.0, True, [1.0])]
         )
         curve = a_n_curve(data, [0.0])
-        vals = curve.components[0].cumulative_values
+        vals = curve.curve.cumulative_values[:, 0]
         assert vals[0] == pytest.approx(-1.0 / 9.0, rel=1e-14)
         assert vals[0] < 0 < vals[1] - vals[0]

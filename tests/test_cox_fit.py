@@ -123,6 +123,17 @@ class TestFitMple:
         assert fit.status != STATUS_CONVERGED
         assert not fit.converged
 
+    def test_last_iterate_faces_every_stopping_test(self):
+        # The rows above stop moving after 30 steps with a tiny score and a
+        # wide spread: with max_iter = 30 that last iterate must be told
+        # apart from an optimum just as it is with more iterations to spare.
+        data = validate_dataset(
+            [(1.0, True, [709.0]), (2.0, True, [709.0]), (3.0, True, [709.0]), (4.0, True, [0.0])]
+        )
+        fits = [fit_mple(data, max_iter=m) for m in (30, 31, 50)]
+        assert [f.status for f in fits] == [STATUS_SEPARATION] * 3
+        assert [f.iterations for f in fits] == [30] * 3
+
     def test_covariate_shift_equivariance(self):
         rng = np.random.default_rng(23)
         for _ in range(10):
@@ -162,7 +173,7 @@ class TestFitMple:
         beta = fit0.beta_hat
         resid0 = score_residuals(base, beta)
         lam0 = breslow_traditional(base, beta).curve.cumulative_values
-        a0 = a_n_curve(base, beta).components[0].cumulative_values
+        a0 = a_n_curve(base, beta).curve.cumulative_values[:, 0]
         for s in [30.0, 1100.0, 1e4, 1e5]:
             shifted = SurvivalDataset(base.times, base.events, base.covariates + s)
             fit = fit_mple(shifted)
@@ -174,7 +185,7 @@ class TestFitMple:
             factor = np.exp(-beta[0] * s)
             if s < 1100.0:
                 lam = breslow_traditional(shifted, beta).curve.cumulative_values
-                a_n = a_n_curve(shifted, beta).components[0].cumulative_values
+                a_n = a_n_curve(shifted, beta).curve.cumulative_values[:, 0]
                 assert rel(lam, factor * lam0) <= 1e-12
                 assert rel(a_n, factor * (a0 + s * lam0)) <= 1e-12
             else:

@@ -182,6 +182,21 @@ class TestStepCurve:
             StepCurve(np.array([1.0, 2.0]), np.array([1.0, 0.5]))
         StepCurve(np.array([1.0, 2.0]), np.array([1.0, 0.5]), monotone=False)
 
+    def test_columns_read_like_single_curves(self):
+        jumps = np.array([1.0, 3.0])
+        cols = np.array([[0.5, -1.0], [1.2, 0.25]])
+        curve = StepCurve(jumps, cols, monotone=False)
+        x = np.array([0.0, 1.0, 2.9, 3.0, 10.0])
+        out = curve(x)
+        assert out.shape == (5, 2)
+        for k in range(2):
+            single = StepCurve(jumps, cols[:, k], monotone=False)
+            assert np.array_equal(out[:, k], single(x))
+        assert np.array_equal(curve(2.0), cols[0])
+        assert StepCurve(jumps, np.zeros((2, 0)))(x).shape == (5, 0)
+        with pytest.raises(ValueError):
+            StepCurve(jumps, cols)  # the second column starts below 0
+
     @given(
         jumps=st.lists(st.floats(0.1, 50, allow_nan=False), min_size=1, max_size=12, unique=True),
         incs=st.lists(st.floats(0, 3, allow_nan=False), min_size=12, max_size=12),

@@ -143,6 +143,15 @@ class TestXiTruth:
         with pytest.raises(ValueError, match="event at or beyond the follow-up support"):
             xi_truth_mean(data, ref_truth, np.linspace(0.0, 1.5, 9))
 
+    @pytest.mark.parametrize("hi", [3.0, 3.5])
+    def test_grid_at_or_past_the_horizon_rejected(self, ref_truth, hi):
+        # The reference design's risk mass vanishes from t = 3 on.
+        data = generate_dataset(ref_truth, 200, 54)
+        grid = np.linspace(0.0, hi, 9)
+        for functional in (xi_truth, xi_truth_mean):
+            with pytest.raises(ValueError, match="support"):
+                functional(data, ref_truth, grid)
+
     def test_no_covariate_special_case_display(self):
         # With no covariates the influence reduces to
         # -int_0^{x^t} dH_uc/(1-H)^2 + {t<=x}/(1-H(t)).
