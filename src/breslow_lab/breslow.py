@@ -59,7 +59,7 @@ def breslow_traditional(data: SurvivalDataset, beta) -> BaselineCumHazEstimate:
     agg = build_aggregates(data, beta)
     d_lambda, _ = event_increments(data, agg)
     sv = data.sorted_view
-    curve = StepCurve(sv.distinct_event_times, np.cumsum(d_lambda))
+    curve = StepCurve(sv.distinct_event_times, np.cumsum(d_lambda)[sv.event_counts > 0])
     return BaselineCumHazEstimate(
         curve=curve, beta_used=agg.beta, max_follow_up=float(sv.times[-1])
     )
@@ -93,6 +93,7 @@ def a_n_curve(data: SurvivalDataset, beta) -> PluginACurve:
     """
     agg = build_aggregates(data, beta)
     d_lambda, zbar = event_increments(data, agg)
-    values = np.cumsum(zbar * d_lambda[:, None], axis=0)
-    curve = StepCurve(data.sorted_view.distinct_event_times, values, monotone=False)
+    sv = data.sorted_view
+    values = np.cumsum(zbar * d_lambda[:, None], axis=0)[sv.event_counts > 0]
+    curve = StepCurve(sv.distinct_event_times, values, monotone=False)
     return PluginACurve(curve=curve, beta_used=agg.beta)

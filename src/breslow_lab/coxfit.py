@@ -20,7 +20,6 @@ from .risk import (
     centered_increments,
     centered_weights,
 )
-from .stepfun import StepCurve
 
 STATUS_CONVERGED = "converged"
 STATUS_MAX_ITERATIONS = "max_iterations"
@@ -59,7 +58,7 @@ class CoxFit:
 def _log_likelihood(data: SurvivalDataset, agg: RiskAggregates) -> float:
     """Breslow-tie log partial likelihood read off a (centered) risk table."""
     sv = data.sorted_view
-    terms = sv.event_cov_sums @ agg.beta - sv.event_counts * np.log(agg.s0[sv.event_time_index])
+    terms = sv.event_cov_sums @ agg.beta - sv.event_counts * np.log(agg.s0)
     return float(_running_sums(terms, -1))
 
 
@@ -86,9 +85,8 @@ def score_and_information(data: SurvivalDataset, beta):
         raise ValueError("score requires at least one covariate")
     agg = build_aggregates(data, beta)
     sv = data.sorted_view
-    k = sv.event_time_index
-    s0 = agg.s0[k][:, None]
-    means = agg.s1[k] / s0
+    s0 = agg.s0[:, None]
+    means = agg.s1 / s0
     d = sv.event_counts[:, None]
     p = data.covariate_dim
     iu, ju = np.triu_indices(p)
@@ -98,7 +96,7 @@ def score_and_information(data: SurvivalDataset, beta):
     # in cancellation).
     terms = np.column_stack([
         sv.event_cov_sums - d * means,
-        d * (agg.s2[k][:, iu, ju] / s0 - means[:, iu] * means[:, ju]),
+        d * (agg.s2[:, iu, ju] / s0 - means[:, iu] * means[:, ju]),
     ])
     totals = _running_sums(terms, -1)
     info = np.empty((p, p))
@@ -223,11 +221,11 @@ def score_residuals(data: SurvivalDataset, beta) -> np.ndarray:
     Subject ``i`` contributes its event term ``Z_i - zbar(T_i)`` minus its
     accumulated exposure ``exp(beta'Z_i) * sum_{t_k <= T_i} (Z_i - zbar(t_k))
     dL(t_k)``, where ``zbar`` is the risk-set covariate mean and ``dL`` the
-    baseline hazard increment.  The exposure is read with one search off one
-    step curve with the columns ``[sum dL, sum zbar dL]`` (the Breslow curve
-    and ``A_n``, centered), running sums over one risk table.  The residuals
-    sum to the total score and are the per-subject terms of the coefficient
-    estimator's linear expansion.
+    baseline hazard increment.  The exposure is read, at each subject's
+    distinct-time index and without a search, off the running sums ``[sum
+    dL, sum zbar dL]`` (the Breslow curve and ``A_n``, centered) over one
+    risk table.  The residuals sum to the total score and are the
+    per-subject terms of the coefficient estimator's linear expansion.
     """
     if data.covariate_dim == 0:
         raise ValueError("score residuals require at least one covariate")
@@ -237,11 +235,10 @@ def score_residuals(data: SurvivalDataset, beta) -> np.ndarray:
     d_lambda, zbar = centered_increments(data, agg)
     sv = data.sorted_view
     steps = np.column_stack([d_lambda, zbar * d_lambda[:, None]])
-    sums = StepCurve(sv.distinct_event_times, np.cumsum(steps, axis=0), monotone=False)
-    at_t = sums(data.times)
+    at_t = np.cumsum(steps, axis=0)[sv.time_group]
     z, w = centered_weights(data, agg)
     exposure = w[:, None] * (z * at_t[:, :1] - at_t[:, 1:])
-    # Event rows, in time order, fall on the distinct event times in runs of
+    # Event rows, in time order, fall on the distinct times in runs of
     # ``event_counts``.
     event_term = np.zeros_like(z)
     event_term[sv.order[sv.events]] = sv.centered[sv.events] - np.repeat(

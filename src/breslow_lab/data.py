@@ -19,6 +19,8 @@ class DataError(ValueError):
 
 
 class _SortedView(NamedTuple):
+    """Rows in time order on one time axis, the distinct follow-up times."""
+
     order: np.ndarray            # stable argsort of follow-up times
     times: np.ndarray            # times[order]
     events: np.ndarray           # events[order]
@@ -26,10 +28,10 @@ class _SortedView(NamedTuple):
     means: np.ndarray            # column means of the covariates
     group_starts: np.ndarray     # first sorted index of each distinct time
     distinct_times: np.ndarray
-    event_time_index: np.ndarray     # distinct-time index of each distinct event time
+    time_group: np.ndarray       # distinct-time index of each input row
     distinct_event_times: np.ndarray
-    event_counts: np.ndarray         # events per distinct event time
-    event_cov_sums: np.ndarray       # per distinct event time, sum of centered event covariates
+    event_counts: np.ndarray     # events per distinct time (0 where none falls)
+    event_cov_sums: np.ndarray   # per distinct time, sum of centered event covariates
 
 
 class SurvivalDataset:
@@ -98,7 +100,10 @@ class SurvivalDataset:
         followed, if any times tie, by one integer sort of the keys ``tie
         group * n + row`` that puts each run of tied rows back in input
         order (cheaper than a stable sort of the floats).  One centering at
-        the column means, so a shifted column fits the same.
+        the column means, so a shifted column fits the same.  Event data
+        have one row per distinct time, 0 where no event falls, and
+        ``time_group`` holds each input row's distinct-time index, so every
+        running sum is read by index.
         """
         order = np.argsort(self._times)
         times = self._times[order]
@@ -117,15 +122,13 @@ class SurvivalDataset:
         distinct = times[group_starts]
         ev_groups_per_row = group_of[events]
         d_counts = np.bincount(ev_groups_per_row, minlength=distinct.size)
-        event_groups = np.flatnonzero(d_counts)
-        p = self.covariate_dim
-        sums = np.zeros((event_groups.size, p))
-        if p and event_groups.size:
-            ev_covs = covs[events]
-            for col in range(p):
-                sums[:, col] = np.bincount(
-                    ev_groups_per_row, weights=ev_covs[:, col], minlength=distinct.size
-                )[event_groups]
+        sums = np.zeros((distinct.size, self.covariate_dim))
+        for col in range(self.covariate_dim):
+            sums[:, col] = np.bincount(
+                ev_groups_per_row, weights=covs[events, col], minlength=distinct.size
+            )
+        time_group = np.empty_like(group_of)
+        time_group[order] = group_of
         return _SortedView(
             order=order,
             times=times,
@@ -134,9 +137,9 @@ class SurvivalDataset:
             means=means,
             group_starts=group_starts,
             distinct_times=distinct,
-            event_time_index=event_groups,
-            distinct_event_times=distinct[event_groups],
-            event_counts=d_counts[event_groups],
+            time_group=time_group,
+            distinct_event_times=distinct[d_counts > 0],
+            event_counts=d_counts,
             event_cov_sums=sums,
         )
 

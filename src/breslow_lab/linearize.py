@@ -38,7 +38,6 @@ from .risk import (
     event_increments,
     to_raw_scale,
 )
-from .stepfun import StepCurve
 from .truth import TruthModel
 
 MODE_PLUGIN = "plugin"
@@ -148,13 +147,6 @@ def _bracket(sv, grid: np.ndarray):
     return left, right
 
 
-def _event_groups_before(sv) -> np.ndarray:
-    """Entry k is the number of distinct event times before distinct time k."""
-    count = np.zeros(sv.distinct_times.size + 1, dtype=np.intp)
-    count[sv.event_time_index + 1] = 1
-    return np.cumsum(count)
-
-
 def _event_weight_means(data: SurvivalDataset, truth: TruthModel, right) -> np.ndarray:
     """``s_phi(x) = mean_i delta_i {t_i <= x} / phi(t_i)`` for a grid bracket.
 
@@ -189,14 +181,18 @@ def _gather_or_eval(f, pts: np.ndarray, f_pts: np.ndarray, grid: np.ndarray, idx
 
 
 def xi_truth(data: SurvivalDataset, truth: TruthModel, x_grid) -> InfluenceMatrix:
-    """Influence matrix with population plug-ins, one row per subject."""
+    """Influence matrix with population plug-ins, one row per subject.
+
+    ``q`` is read in one query, at the follow-up times and the grid, so the
+    truth model builds its antiderivative at most once.
+    """
     grid = _as_grid(x_grid)
-    hi = float(grid.max())
     t = data.times
-    q_t = truth.hazard_over_phi(np.minimum(t, hi))
+    q = truth.hazard_over_phi(np.concatenate([np.minimum(t, float(grid.max())), grid]))
+    q_t, q_x = q[: t.size], q[t.size :]
     w = np.exp(data.covariates @ truth.beta0)
-    q_x = truth.hazard_over_phi(grid)
-    after = np.where(data.events, 1.0 / truth.phi(t), 0.0) - w * q_t
+    event_term = np.divide(1.0, truth.phi(t), out=np.zeros(data.n), where=data.events)
+    after = event_term - w * q_t
     values = _xi_matrix(t, w, grid, q_x, after)
     return InfluenceMatrix(grid=grid, values=values, mode=MODE_TRUTH)
 
@@ -226,10 +222,11 @@ def xi_plugin(data: SurvivalDataset, fit: CoxFit | None, x_grid) -> InfluenceMat
 
     The path integral is replaced by the sum of hazard-estimate increments
     over the empirical risk mass; the event term uses the empirical risk mass
-    at the subject's own time.  ``fit`` may be None only for covariate-free
-    data; otherwise it must have converged.  Reads the fit's risk table at
-    ``beta_hat`` and fills the matrix in blocks of rows small enough to stay
-    in cache; raises :class:`ExpOverflowError` when any entry leaves float64.
+    at the subject's own time; both are read by distinct-time index.  ``fit``
+    may be None only for covariate-free data; otherwise it must have
+    converged.  Reads the fit's risk table at ``beta_hat`` and fills the
+    matrix in blocks of rows small enough to stay in cache; raises
+    :class:`ExpOverflowError` when any entry leaves float64.
     """
     grid = _as_grid(x_grid)
     if data.covariate_dim == 0:
@@ -250,20 +247,19 @@ def xi_plugin(data: SurvivalDataset, fit: CoxFit | None, x_grid) -> InfluenceMat
     # takes it back to the raw scale.
     agg = build_aggregates(data, beta)
     d_lambda, _ = centered_increments(data, agg)
-    steps = np.cumsum(d_lambda / (agg.s0[sv.event_time_index] / data.n))
+    # q_prior[k] is q before the k-th distinct time, q_prior[k + 1] at it.
+    q_prior = np.concatenate([[0.0], np.cumsum(d_lambda / (agg.s0 / data.n))])
     _, w = centered_weights(data, agg)
     t = data.times
     # After follow-up a row is (delta - w dLambda(t)) / phi(t) - w q(t-): the
     # own-time jump of q, of size about n / s0(t), is folded into the event
     # term instead of cancelling against it, and ``w d / s0`` is exactly 1
     # when the row is alone in its risk set.
-    k = agg.time_index(t)
+    k = sv.time_group
     s0 = agg.s0[k]
-    jumps = np.zeros(sv.distinct_times.size)
-    jumps[sv.event_time_index] = sv.event_counts
-    q_before = np.concatenate([[0.0], steps])[_event_groups_before(sv)[k]]
-    after = (data.events - w * jumps[k] / s0) / (s0 / data.n) - w * q_before
-    q_x = StepCurve(sv.distinct_event_times, steps)(grid)
+    after = (data.events - w * sv.event_counts[k] / s0) / (s0 / data.n) - w * q_prior[k]
+    _, right = _bracket(sv, grid)
+    q_x = q_prior[right]
     values = np.empty((data.n, grid.size))
     for lo in range(0, data.n, _BLOCK_ROWS):
         b = slice(lo, lo + _BLOCK_ROWS)
@@ -391,7 +387,7 @@ def _t2_terms(data: SurvivalDataset, truth: TruthModel, grid: np.ndarray) -> dic
     lam0 = truth.cum_hazard0(grid)
     s_phi = _event_weight_means(data, truth, right)
     d_lambda, _ = event_increments(data, agg)
-    haz_n0 = np.concatenate([[0.0], np.cumsum(d_lambda)])[_event_groups_before(sv)[right]]
+    haz_n0 = np.concatenate([[0.0], np.cumsum(d_lambda)])[right]
     return {
         "haz_n_beta0": haz_n0,
         "t_n2": haz_n0 - lam0,

@@ -29,15 +29,18 @@ _VALUES_TO_COEFFS = np.linalg.inv(chebyshev.chebvander(_CHEB_NODES, CHEB_POINTS 
 # Values at the nodes -> coefficients of the antiderivative that vanishes at
 # the panel's left end, on the reference interval [-1, 1].
 _VALUES_TO_ANTI = chebyshev.chebint(np.eye(CHEB_POINTS), lbnd=-1) @ _VALUES_TO_COEFFS
+# Gauss-Legendre orders n and 2n per panel, and the panels of the first sweep.
+GAUSS_ORDER = 16
+INITIAL_PANELS = 16
+_NODES_LO, _WEIGHTS_LO = np.polynomial.legendre.leggauss(GAUSS_ORDER)
+_NODES_HI, _WEIGHTS_HI = np.polynomial.legendre.leggauss(2 * GAUSS_ORDER)
+_NODES = np.concatenate([_NODES_LO, _NODES_HI, _CHEB_NODES])  # where a panel is sampled
+# Values at the Chebyshev points -> the interpolant at the 3n Gauss nodes.
+_CHEB_TO_GAUSS = chebyshev.chebvander(_NODES[: 3 * GAUSS_ORDER], CHEB_POINTS - 1) @ _VALUES_TO_COEFFS
 
 
 class QuadratureError(RuntimeError):
     """Adaptive refinement failed to reach the requested tolerance."""
-
-
-def _gauss_rule(order: int):
-    nodes, weights = np.polynomial.legendre.leggauss(order)
-    return nodes, weights
 
 
 class PanelAntiderivative:
@@ -47,8 +50,9 @@ class PanelAntiderivative:
     k columns that share one set of panels (Chebfun's quasimatrix), with
     ``atol`` one tolerance for all columns or one per column.
 
-    Build: a panel is accepted when, in every column, its order-n and
-    order-2n Gauss values agree within the panel's share of that column's
+    Build: from ``INITIAL_PANELS`` equal panels, a panel is accepted when,
+    in every column, its order-n and order-2n Gauss values (n =
+    ``GAUSS_ORDER``) agree within the panel's share of that column's
     ``atol`` and the degree-32 Chebyshev interpolant of the integrand,
     checked at the 3n Gauss nodes (none of them interpolation nodes),
     satisfies ``max |p - f| * width <= atol/10``.  That check budget does
@@ -68,39 +72,33 @@ class PanelAntiderivative:
     of the integral, one per column for a column integrand.
     """
 
-    def __init__(self, f, lo: float, hi: float, *, atol=1e-11,
-                 order: int = 16, initial_panels: int = 16, max_panels: int = 20000):
+    def __init__(self, f, lo: float, hi: float, *, atol=1e-11, max_panels: int = 20000):
         if not (math.isfinite(lo) and math.isfinite(hi) and hi > lo):
             raise ValueError("need finite lo < hi")
         self.lo = float(lo)
         self.hi = float(hi)
-        nodes_lo, weights_lo = _gauss_rule(order)
-        nodes_hi, weights_hi = _gauss_rule(2 * order)
-        nodes = np.concatenate([nodes_lo, nodes_hi, _CHEB_NODES])
-        cut_lo, cut_hi = order, 3 * order
-        # Maps values at the Chebyshev points to the interpolant at the Gauss nodes.
-        to_check = chebyshev.chebvander(nodes[:cut_hi], CHEB_POINTS - 1) @ _VALUES_TO_COEFFS
+        cut_lo, cut_hi = GAUSS_ORDER, 3 * GAUSS_ORDER
 
         # Only panels created by the last bisection are evaluated; accepted
         # ones keep their values.  Arrays are (column, panel, ...).
-        edges = np.linspace(lo, hi, initial_panels + 1)
+        edges = np.linspace(lo, hi, INITIAL_PANELS + 1)
         a, b = edges[:-1], edges[1:]
         accepted = []  # (left ends, Gauss values, antiderivative coefficients)
         n_accepted = 0
         for sweep in range(60):
             half = 0.5 * (b - a)
-            pts = (a + half)[:, None] + half[:, None] * nodes[None, :]
+            pts = (a + half)[:, None] + half[:, None] * _NODES[None, :]
             vals = np.asarray(f(pts.ravel()), dtype=float)
             if sweep == 0:
                 self._scalar = vals.ndim == 1
                 tol = np.broadcast_to(np.asarray(atol, dtype=float), vals.shape[1:] or (1,))
                 gauss_gap = interp_error = np.zeros(tol.size)
             vals = np.moveaxis(vals.reshape(*pts.shape, -1), 2, 0)
-            val_lo = half * (vals[..., :cut_lo] @ weights_lo)
-            val_hi = half * (vals[..., cut_lo:cut_hi] @ weights_hi)
+            val_lo = half * (vals[..., :cut_lo] @ _WEIGHTS_LO)
+            val_hi = half * (vals[..., cut_lo:cut_hi] @ _WEIGHTS_HI)
             cheb = vals[..., cut_hi:]
             gap = np.abs(val_hi - val_lo)
-            err = np.abs(cheb @ to_check.T - vals[..., :cut_hi]).max(axis=2) * (2.0 * half)
+            err = np.abs(cheb @ _CHEB_TO_GAUSS.T - vals[..., :cut_hi]).max(axis=2) * (2.0 * half)
             budget = np.maximum(tol[:, None] * (2.0 * half) / (self.hi - self.lo), 1e-16)
             # Written as "not within" so that a NaN fails the test.
             bad = ~((gap <= budget) & (err <= 0.1 * tol[:, None])).all(axis=0)

@@ -71,10 +71,6 @@ class RiskAggregates:
     def p(self) -> int:
         return int(self.beta.size)
 
-    def time_index(self, x) -> np.ndarray:
-        """Index of the first distinct time >= x (len(distinct_times) if none)."""
-        return np.searchsorted(self.distinct_times, np.asarray(x, dtype=float), side="left")
-
 
 def _running_sums(addends: np.ndarray, rows) -> np.ndarray:
     """Compensated running sums of ``addends`` along axis 0, read at ``rows``.
@@ -186,7 +182,7 @@ def _lookup(agg: RiskAggregates, table: np.ndarray, x):
     """Raw-scale row of ``table`` over n at the first distinct time >= x (0 past the last)."""
     x_arr = np.asarray(x, dtype=float)
     padded = np.concatenate([table, np.zeros((1,) + table.shape[1:])])
-    out = to_raw_scale(padded[agg.time_index(x_arr)] / agg.n, agg.log_scale)
+    out = to_raw_scale(padded[np.searchsorted(agg.distinct_times, x_arr)] / agg.n, agg.log_scale)
     return out if x_arr.ndim or out.ndim else float(out)
 
 
@@ -233,28 +229,29 @@ def centered_weights(data: SurvivalDataset, agg: RiskAggregates):
 
 
 def centered_increments(data: SurvivalDataset, agg: RiskAggregates):
-    """Breslow increments and risk-set means at the distinct event times, centered.
+    """Breslow increments and risk-set means at the distinct follow-up times, centered.
 
     Returns ``(d_lambda, zbar)`` with ``d_lambda[k] = d_k / s0[t_k]`` and
     ``zbar[k] = s1[t_k] / s0[t_k]``: the baseline hazard jump times
     ``exp(beta'means)`` and the risk-set mean of the centered covariates.
-    Both are invariant to a covariate shift.
+    One row per distinct follow-up time, so a running sum of them is read at
+    a time's index; ``d_lambda`` is 0 where no event falls.  Both are
+    invariant to a covariate shift.
     """
-    sv = data.sorted_view
-    s0 = agg.s0[sv.event_time_index]
-    return sv.event_counts / s0, agg.s1[sv.event_time_index] / s0[:, None]
+    return data.sorted_view.event_counts / agg.s0, agg.s1 / agg.s0[:, None]
 
 
 def event_increments(data: SurvivalDataset, agg: RiskAggregates):
-    """Breslow increments and risk-set means at the distinct event times.
+    """Breslow increments and risk-set means at the distinct follow-up times.
 
     Returns ``(d_lambda, zbar)`` on the raw scale: ``d_lambda[k] = d_k /
-    S0(t_k)``, the baseline hazard jump at the k-th distinct event time, and
-    ``zbar[k] = S1(t_k) / S0(t_k)``, the risk-set covariate mean there (shape
-    (m, p)).  Every post-fit estimator is a running sum of these: the Breslow
-    curve is ``cumsum(d_lambda)`` and the sensitivity curve ``A_n`` is
-    ``cumsum(zbar * d_lambda)``.  Raises :class:`ExpOverflowError` when an
-    increment leaves float64.
+    S0(t_k)``, the baseline hazard jump at the k-th distinct follow-up time
+    (0 where no event falls), and ``zbar[k] = S1(t_k) / S0(t_k)``, the
+    risk-set covariate mean there (shape (m, p)).  Every post-fit estimator
+    is a running sum of these: the Breslow curve is ``cumsum(d_lambda)`` and
+    the sensitivity curve ``A_n`` is ``cumsum(zbar * d_lambda)``, each read
+    at the rows with ``event_counts > 0``.  Raises :class:`ExpOverflowError`
+    when an increment leaves float64.
     """
     d_lambda, zbar = centered_increments(data, agg)
     return to_raw_scale(d_lambda, -agg.log_scale), zbar + agg.means

@@ -69,6 +69,24 @@ def brute_force_score(times, events, covariates, beta):
     return score
 
 
+def brute_force_log_likelihood(times, events, covariates, beta):
+    """Breslow-tie log partial likelihood from explicit risk-set masks, O(n^2).
+
+    Each event adds its linear predictor minus the log of the sum of
+    ``exp(beta'Z)`` over every subject still at risk at its time (tied
+    events share that full risk set); the logs are shifted by the risk set's
+    largest linear predictor and the terms summed with ``math.fsum``.
+    """
+    t = np.asarray(times, dtype=float)
+    eta = np.asarray(covariates, dtype=float) @ np.asarray(beta, dtype=float)
+    terms = []
+    for i in np.flatnonzero(events):
+        risk = eta[t >= t[i]]
+        top = risk.max()
+        terms.append(eta[i] - top - math.log(np.exp(risk - top).sum()))
+    return math.fsum(terms)
+
+
 def central_diff_hessian(f, beta, h=1e-4):
     beta = np.asarray(beta, dtype=float)
     p = beta.size
@@ -315,7 +333,7 @@ def reference_t2_terms(data, truth, grid):
     lam0 = truth.cum_hazard0(grid)
     s_phi = _reference_s_phi(data, truth, grid)
     d_lambda, _ = event_increments(data, agg)
-    haz_n0 = StepCurve(data.sorted_view.distinct_event_times, np.cumsum(d_lambda))(grid)
+    haz_n0 = StepCurve(data.sorted_view.distinct_times, np.cumsum(d_lambda))(grid)
     return {
         "haz_n_beta0": haz_n0,
         "t_n2": haz_n0 - lam0,

@@ -2,11 +2,13 @@ import math
 
 import numpy as np
 import pytest
+from scipy.optimize import minimize
 
 from breslow_lab import (
     STATUS_CONVERGED,
     STATUS_SEPARATION,
     STATUS_SINGULAR,
+    SurvivalDataset,
     fit_mple,
     log_partial_likelihood,
     score_and_information,
@@ -15,7 +17,7 @@ from breslow_lab import (
 )
 
 from conftest import random_dataset
-from oracles import brute_force_score, central_diff_grad
+from oracles import brute_force_log_likelihood, brute_force_score, central_diff_grad
 
 
 @pytest.fixture
@@ -246,6 +248,28 @@ class TestFitMple:
                 data.times, data.covariates, status=data.events.astype(int), ties="breslow"
             ).fit()
             assert np.allclose(fit.beta_hat, res.params, atol=1e-8)
+
+    @pytest.mark.parametrize("seed", [3, 4])
+    def test_matches_brute_force_maximizer(self, seed):
+        # Tied p = 2 data: BFGS on the O(n^2) risk-set-mask likelihood, which
+        # shares no code with the risk tables, finds the same maximizer.
+        rng = np.random.default_rng(seed)
+        n = 300
+        z = np.column_stack([rng.random(n) < 0.5, rng.normal(size=n)]).astype(float)
+        times = np.round(rng.exponential(1.0 / np.exp(z @ [0.7, -0.4])), 1) + 0.1
+        events = rng.random(n) < 0.75
+        assert np.unique(times[events]).size < events.sum() / 4
+        fit = fit_mple(SurvivalDataset(times, events, z))
+        assert fit.converged
+        res = minimize(
+            lambda b: -brute_force_log_likelihood(times, events, z, b),
+            np.zeros(2),
+            method="BFGS",
+            jac=lambda b: -brute_force_score(times, events, z, b),
+            options={"gtol": 1e-11},
+        )
+        np.testing.assert_allclose(fit.beta_hat, res.x, rtol=0, atol=1e-8)
+        assert fit.log_partial_likelihood == pytest.approx(-res.fun, rel=1e-10)
 
     def test_stabilized_fit_with_large_exponents(self):
         # Linear predictors beyond the raw exp() range must not abort the fit.

@@ -82,6 +82,18 @@ class TestSortedView:
         assert np.array_equal(sv.order, np.argsort(times, kind="stable"))
         assert np.array_equal(sv.times, times[sv.order])
 
+    def test_event_data_live_on_the_distinct_times(self):
+        # Censored-only times at 1.0 and 3.0 keep a zero row; z is centered
+        # at its mean 3.
+        data = SurvivalDataset([2.0, 1.0, 2.0, 3.0, 1.5], [True, False, True, False, True],
+                               [[1.0], [2.0], [3.0], [4.0], [5.0]])
+        sv = data.sorted_view
+        assert np.array_equal(sv.distinct_times, [1.0, 1.5, 2.0, 3.0])
+        assert np.array_equal(sv.distinct_times[sv.time_group], data.times)
+        assert np.array_equal(sv.event_counts, [0, 1, 2, 0])
+        assert np.array_equal(sv.event_cov_sums[:, 0], [0.0, 2.0, -2.0, 0.0])
+        assert np.array_equal(sv.distinct_event_times, [1.5, 2.0])
+
 
 class TestCsv:
     def test_two_row_parse(self, tmp_path):

@@ -14,6 +14,7 @@ from breslow_lab import (
     generate_dataset,
     no_covariate_truth,
     phi_n,
+    reference_truth,
     remainder_decomposition,
     validate_dataset,
     variance_estimate,
@@ -23,6 +24,7 @@ from breslow_lab import (
 )
 from breslow_lab.experiments import replication_seed
 from breslow_lab.linearize import _t2_terms
+from breslow_lab.quadrature import PanelAntiderivative
 
 from oracles import quad_expectation, quad_piecewise, xi_truth_value
 
@@ -127,6 +129,23 @@ class TestXiTruth:
         infl = xi_truth(data, ref_truth, grid)
         fast = xi_truth_mean(data, ref_truth, grid)
         assert np.allclose(infl.values.mean(axis=0), fast, atol=1e-13)
+
+    def test_one_build_when_the_grid_passes_the_data(self, monkeypatch):
+        # The follow-up times (max 2.69) and a grid reaching 2.99 go to the
+        # antiderivative in one query, so it is built once, over [0, 2.99].
+        builds = []
+        init = PanelAntiderivative.__init__
+
+        def counting(self, *args, **kwargs):
+            builds.append(args[2])
+            init(self, *args, **kwargs)
+
+        monkeypatch.setattr(PanelAntiderivative, "__init__", counting)
+        truth = reference_truth()
+        data = generate_dataset(truth, 300, 5)
+        assert data.times.max() < 2.99
+        xi_truth(data, truth, np.linspace(0.0, 2.99, 17))
+        assert builds == [2.99]
 
     def test_fast_mean_matches_exact_column_sums(self, ref_truth):
         # The identity mean xi = s_phi - I_v against the row-by-row matrix,

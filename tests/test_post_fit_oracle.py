@@ -20,14 +20,7 @@ RTOL = 1e-10
 ATOL = 1e-13
 
 
-@pytest.fixture(scope="module")
-def tied_case():
-    # p = 2, times rounded to a coarse grid so that most event times are tied.
-    rng = np.random.default_rng(31)
-    n = 60
-    times = np.round(rng.exponential(1.5, n), 1) + 0.1
-    events = rng.random(n) < 0.7
-    covs = rng.normal(0.0, 1.0, size=(n, 2))
+def _post_fit_case(times, events, covs):
     data = SurvivalDataset(times, events, covs)
     fit = fit_mple(data)
     assert fit.converged
@@ -37,32 +30,58 @@ def tied_case():
     return data, fit, grid, expected
 
 
-def test_breslow_traditional(tied_case):
-    data, fit, _, expected = tied_case
-    curve = breslow_traditional(data, fit.beta_hat).curve
-    assert np.array_equal(curve.jump_times, expected["event_times"])
-    np.testing.assert_allclose(
-        curve.cumulative_values, expected["cum_hazard"], rtol=RTOL, atol=ATOL
-    )
+@pytest.fixture(scope="module")
+def tied_cases():
+    # p = 2, times rounded to a coarse grid so that most event times are tied
+    # and events share times with censored rows; the first dataset ends on a
+    # censored-only time.
+    rng = np.random.default_rng(31)
+    n = 60
+    times = np.round(rng.exponential(1.5, n), 1) + 0.1
+    events = rng.random(n) < 0.7
+    covs = rng.normal(0.0, 1.0, size=(n, 2))
+    cases = {"tied": _post_fit_case(times, events, covs)}
+    # The two smallest times are censored only, so every running sum over
+    # the distinct follow-up times starts with zero increments.
+    rng = np.random.default_rng(7)
+    n = 40
+    times = np.round(rng.exponential(1.5, n), 1) + 0.3
+    events = rng.random(n) < 0.7
+    times[[5, 17]] = [0.2, 0.1]
+    events[[5, 17]] = False
+    covs = rng.normal(0.0, 1.0, size=(n, 2))
+    assert np.sort(times)[1] < times[events].min()
+    cases["censored_first"] = _post_fit_case(times, events, covs)
+    return cases
 
 
-def test_a_n_curve(tied_case):
-    data, fit, _, expected = tied_case
-    a_curve = a_n_curve(data, fit.beta_hat)
-    values = a_curve.values_at(expected["event_times"])
-    np.testing.assert_allclose(values, expected["a_n"], rtol=RTOL, atol=ATOL)
+def test_breslow_traditional(tied_cases):
+    for name, (data, fit, _, expected) in tied_cases.items():
+        curve = breslow_traditional(data, fit.beta_hat).curve
+        assert np.array_equal(curve.jump_times, expected["event_times"]), name
+        np.testing.assert_allclose(
+            curve.cumulative_values, expected["cum_hazard"], rtol=RTOL, atol=ATOL, err_msg=name
+        )
 
 
-def test_score_residuals(tied_case):
-    data, fit, _, expected = tied_case
-    resid = score_residuals(data, fit.beta_hat)
-    np.testing.assert_allclose(resid, expected["score_residuals"], rtol=RTOL, atol=ATOL)
+def test_a_n_curve(tied_cases):
+    for name, (data, fit, _, expected) in tied_cases.items():
+        values = a_n_curve(data, fit.beta_hat).values_at(expected["event_times"])
+        np.testing.assert_allclose(values, expected["a_n"], rtol=RTOL, atol=ATOL, err_msg=name)
 
 
-def test_xi_plugin(tied_case):
-    data, fit, grid, expected = tied_case
-    infl = xi_plugin(data, fit, grid)
-    np.testing.assert_allclose(infl.values, expected["xi"], rtol=RTOL, atol=ATOL)
+def test_score_residuals(tied_cases):
+    for name, (data, fit, _, expected) in tied_cases.items():
+        resid = score_residuals(data, fit.beta_hat)
+        np.testing.assert_allclose(
+            resid, expected["score_residuals"], rtol=RTOL, atol=ATOL, err_msg=name
+        )
+
+
+def test_xi_plugin(tied_cases):
+    for name, (data, fit, grid, expected) in tied_cases.items():
+        infl = xi_plugin(data, fit, grid)
+        np.testing.assert_allclose(infl.values, expected["xi"], rtol=RTOL, atol=ATOL, err_msg=name)
 
 
 # The influence and variance passes work in blocks of 512 rows: n = 1100 is

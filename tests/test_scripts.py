@@ -32,3 +32,17 @@ def test_variance_check(tmp_path):
                       cwd=tmp_path)
     assert proc.returncode == 0, proc.stderr
     assert proc.stdout.startswith("n=400 reps=20")
+
+
+def test_artifact_digest(tmp_path):
+    runs = [run_script("artifact_digest.py", cwd=tmp_path) for _ in range(2)]
+    for proc in runs:
+        assert proc.returncode == 0, proc.stderr
+    lines = runs[0].stdout.splitlines()
+    assert runs[1].stdout.splitlines() == lines
+    labels = [line.split("  ", 1)[1] for line in lines]
+    assert labels == sorted(labels)
+    for label in ("fit-tied/fit.json", "influence-tied/xi_matrix.csv",
+                  "decompose-p0/decomposition.csv", "rate-lab-theorem/rates.json"):
+        assert label in labels
+    assert not list(tmp_path.iterdir())  # the artifacts live in a temporary directory
