@@ -28,10 +28,9 @@ from breslow_lab import SurvivalDataset, generate_dataset, no_covariate_truth, s
 from breslow_lab.cli import main as cli_main
 
 
-def _tied_p3() -> SurvivalDataset:
+def tied_p3(n: int = 600, seed: int = 2015) -> SurvivalDataset:
     """Three covariates (one binary); times and censoring rounded to weeks."""
-    rng = np.random.default_rng(2015)
-    n = 600
+    rng = np.random.default_rng(seed)
     z = np.column_stack([rng.random(n) < 0.5, rng.normal(size=(n, 2))]).astype(float)
     event_t = rng.exponential(1.0 / np.exp(z @ [0.7, 0.5, -0.3]))
     censor_t = rng.uniform(0.0, 3.0, n)
@@ -62,7 +61,7 @@ def digest(work: Path) -> list[str]:
     """Write the inputs into ``work`` and run every command with its own
     output directory there; the sorted digest lines."""
     tied, p0 = work / "tied_p3.csv", work / "p0.csv"
-    save_csv(_tied_p3(), tied)
+    save_csv(tied_p3(), tied)
     save_csv(generate_dataset(no_covariate_truth(), 500, 11), p0)
     lines = []
     for name, argv in _commands(str(tied), str(p0)).items():

@@ -16,6 +16,7 @@ from .risk import (
     ExpOverflowError,
     RiskAggregates,
     _running_sums,
+    _upper_pairs,
     build_aggregates,
     centered_increments,
     centered_weights,
@@ -89,7 +90,7 @@ def score_and_information(data: SurvivalDataset, beta):
     means = agg.s1 / s0
     d = sv.event_counts[:, None]
     p = data.covariate_dim
-    iu, ju = np.triu_indices(p)
+    iu, ju = _upper_pairs(p)
     # Per-event-time terms are O(1); one compensated total per column keeps
     # the score's floating-point floor far below the 1e-10 convergence
     # tolerance even at n = 1e5 (a single big-sum difference would drown it

@@ -9,7 +9,10 @@ they reuse the package's truth functionals and risk table and redo only the
 index bookkeeping, one search per index, so the package's single-bracket
 bookkeeping can be checked against them bitwise.  ``xi_truth_value`` also
 reads the truth functionals: it is the one-observation, one-point form of
-the influence function that ``xi_truth`` vectorizes.
+the influence function that ``xi_truth`` vectorizes.  ``stacked_risk_sums``
+reads only the sorted view and redoes the risk-table sums the way the
+package once did, in one stack, so the columnar build can be checked
+against it bitwise.
 """
 
 import math
@@ -355,3 +358,28 @@ def reference_xi_truth_mean(data, truth, grid):
     edges, v = _reference_pieces(agg, grid)
     i_v = _reference_integral(edges, v, truth.hazard_over_phi, grid)
     return _reference_s_phi(data, truth, grid) - i_v
+
+
+def stacked_risk_sums(data, beta):
+    """``(s0, s1, s2)`` from one ``(n, k)`` addend stack and an axis-0 Sum2.
+
+    The stack is ``[w, w Zc_j, w (Zc_i Zc_j)]`` over the centered covariates
+    of the sorted view, with ``w = exp(beta'Zc)`` taken before the rows are
+    reversed into descending time order; the compensated running sum (Ogita,
+    Rump & Oishi) forms each TwoSum error from the previous running total.
+    """
+    sv = data.sorted_view
+    p = data.covariate_dim
+    z = sv.centered
+    iu, ju = np.triu_indices(p)
+    w = np.exp(z @ np.asarray(beta, dtype=float))
+    addends = np.column_stack([w, w[:, None] * z, w[:, None] * (z[:, iu] * z[:, ju])])[::-1]
+    total = np.cumsum(addends, axis=0)
+    prev = np.concatenate([np.zeros_like(total[:1]), total[:-1]])
+    step = total - prev
+    err = (prev - (total - step)) + (addends - step)
+    rows = data.n - 1 - sv.group_starts
+    table = total[rows] + np.cumsum(err, axis=0)[rows]
+    s2 = np.empty((rows.size, p, p))
+    s2[:, iu, ju] = s2[:, ju, iu] = table[:, 1 + p:]
+    return table[:, 0], table[:, 1:1 + p], s2

@@ -1,3 +1,6 @@
+import importlib.util
+from pathlib import Path
+
 import numpy as np
 import pytest
 from hypothesis import given, strategies as st
@@ -7,12 +10,17 @@ from breslow_lab import (
     build_aggregates,
     d1_n,
     d2_n,
+    generate_dataset,
+    no_covariate_truth,
     phi_n,
+    reference_truth,
     validate_dataset,
 )
 
 from conftest import random_dataset, survival_datasets
-from oracles import central_diff_grad, central_diff_hessian
+from oracles import central_diff_grad, central_diff_hessian, stacked_risk_sums
+
+SCRIPTS = Path(__file__).resolve().parents[1] / "scripts"
 
 
 @pytest.fixture
@@ -144,6 +152,34 @@ class TestDerivativeIdentities:
                 lambda b: phi_n(build_aggregates(data, b), x), beta, h=1e-4
             )
             assert np.allclose(d2_n(agg, x), fd, rtol=1e-5, atol=1e-7)
+
+
+def _digest_tied_p3():
+    """The artifact digest's 600-row input: three covariates, weekly ties."""
+    spec = importlib.util.spec_from_file_location("artifact_digest", SCRIPTS / "artifact_digest.py")
+    module = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(module)
+    return module.tied_p3()
+
+
+@pytest.mark.parametrize("case", ["tied_p3", "reference_8000", "p0", "n_1001"])
+def test_columnar_build_matches_stacked_sums_bitwise(case):
+    # One contiguous Sum2 pass per column must give the bits of the old
+    # single pass over the addend stack, the exp taken before the reversal.
+    if case == "tied_p3":
+        data, beta = _digest_tied_p3(), [0.5, 0.3, -0.2]
+    elif case == "reference_8000":
+        truth = reference_truth()
+        data, beta = generate_dataset(truth, 8000, 1), truth.beta0
+    elif case == "p0":
+        data, beta = generate_dataset(no_covariate_truth(), 500, 11), []
+    else:
+        data = random_dataset(np.random.default_rng(8), 1001, 2)
+        beta = [0.7, -0.4]
+    agg = build_aggregates(data, beta)
+    for got, want in zip((agg.s0, agg.s1, agg.s2), stacked_risk_sums(data, beta)):
+        assert got.shape == want.shape
+        assert np.array_equal(got, want)
 
 
 def test_kahan_accumulation_accuracy():
