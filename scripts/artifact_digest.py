@@ -28,9 +28,10 @@ from breslow_lab import SurvivalDataset, generate_dataset, no_covariate_truth, s
 from breslow_lab.cli import main as cli_main
 
 
-def tied_p3(n: int = 600, seed: int = 2015) -> SurvivalDataset:
+def tied_p3() -> SurvivalDataset:
     """Three covariates (one binary); times and censoring rounded to weeks."""
-    rng = np.random.default_rng(seed)
+    rng = np.random.default_rng(2015)
+    n = 600
     z = np.column_stack([rng.random(n) < 0.5, rng.normal(size=(n, 2))]).astype(float)
     event_t = rng.exponential(1.0 / np.exp(z @ [0.7, 0.5, -0.3]))
     censor_t = rng.uniform(0.0, 3.0, n)

@@ -98,8 +98,7 @@ def _running_sums(addends: np.ndarray, rows) -> np.ndarray:
     np.subtract(addends[1:], step, out=step)
     step += tmp
     np.cumsum(err, axis=0, out=err)
-    total += err
-    return total[rows]
+    return total[rows] + err[rows]
 
 
 @lru_cache

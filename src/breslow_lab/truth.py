@@ -242,15 +242,13 @@ class TruthModel:
     def phi(self, x):
         """Population weighted risk mass Phi(beta0, x) = E[{T>=x} e^{beta0'Z}]."""
         x_arr = np.atleast_1d(np.asarray(x, dtype=float))
-        out = self.censor_survival(x_arr) * np.einsum("xk,k->x", self._atom_survival(x_arr),
-                                                      self._atom_coef)
+        out = self.censor_survival(x_arr) * (self._atom_survival(x_arr) @ self._atom_coef)
         return out if np.asarray(x).ndim else float(out[0])
 
     def d1(self, x):
         """Gradient of phi in beta; shape (len(x), p)."""
         x_arr = np.atleast_1d(np.asarray(x, dtype=float))
-        mix = np.einsum("xk,kp->xp", self._atom_survival(x_arr),
-                        self._atom_coef[:, None] * self._atom_points)
+        mix = self._atom_survival(x_arr) @ (self._atom_coef[:, None] * self._atom_points)
         out = self.censor_survival(x_arr)[:, None] * mix
         return out if np.asarray(x).ndim else out.reshape(self.p)
 
@@ -273,8 +271,8 @@ class TruthModel:
         from one atom-survival matrix."""
         cens = self.censor_survival(u)
         surv = self._atom_survival(u)
-        phi = cens * np.einsum("xk,k->x", surv, self._atom_coef)
-        d1 = cens[:, None] * np.einsum("xk,kp->xp", surv, self._atom_coef[:, None] * self._atom_points)
+        phi = cens * (surv @ self._atom_coef)
+        d1 = cens[:, None] * (surv @ (self._atom_coef[:, None] * self._atom_points))
         rate = self.baseline.rate(u)
         return np.column_stack([rate / phi, phi * rate, d1 * rate[:, None] / phi[:, None]])
 

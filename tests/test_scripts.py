@@ -4,7 +4,6 @@ Each script runs in a fresh interpreter with RuntimeWarnings as errors (the
 suite's own policy), from a temporary working directory.
 """
 
-import json
 import subprocess
 import sys
 from pathlib import Path
@@ -33,15 +32,6 @@ def test_variance_check(tmp_path):
                       cwd=tmp_path)
     assert proc.returncode == 0, proc.stderr
     assert proc.stdout.startswith("n=400 reps=20")
-
-
-def test_layer_times(tmp_path):
-    proc = run_script("layer_times.py", "--repeats", "1", cwd=tmp_path)
-    assert proc.returncode == 0, proc.stderr
-    times = json.loads(proc.stdout)
-    assert set(times) == {"build_ref_n1000", "build_ref_n8000", "build_ref_n100000",
-                          "build_tied_p3_n8000", "fit_ref_n8000"}
-    assert all(t > 0 for t in times.values())
 
 
 def test_artifact_digest(tmp_path):

@@ -314,24 +314,3 @@ class TestOtherDesigns:
         xs = np.linspace(0, 2.9, 11)
         expected = np.exp(-xs) * (1 - xs / 3)
         assert np.allclose(truth.phi(xs), expected, atol=1e-14)
-
-    def test_phi_and_d1_do_not_depend_on_their_batch(self):
-        # The p = 3 analyst design (8192 atoms) with times rounded up to
-        # days.  A BLAS product over the atoms rounds a row differently
-        # depending on the rows that share its call; the atom sums must not,
-        # so a caller may split or merge a query set without changing bits.
-        truth = TruthModel(
-            beta0=np.array([math.log(2.0), 0.5, -0.3]),
-            baseline=constant_hazard(1.0),
-            covariate_law=Product(laws=(bernoulli(0.5), TruncatedNormal(0.0, 1.0, -2.0, 2.0),
-                                        TruncatedNormal(0.0, 1.0, -2.0, 2.0))),
-            censor_upper=3.0,
-        )
-        data = generate_dataset(truth, 3000, 11)
-        t = np.ceil(data.times * 365.0) / 365.0
-        for idx in (np.flatnonzero(data.events), np.arange(0, t.size, 7)):
-            assert np.array_equal(truth.phi(t)[idx], truth.phi(t[idx]))
-            assert np.array_equal(truth.d1(t)[idx], truth.d1(t[idx]))
-        few = np.arange(5)
-        assert np.array_equal(truth.phi(t)[few], [truth.phi(x) for x in t[few]])
-        assert np.array_equal(truth.d1(t)[few], [truth.d1(x) for x in t[few]])
