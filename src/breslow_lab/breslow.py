@@ -28,8 +28,6 @@ class BaselineCumHazEstimate:
     """
 
     curve: StepCurve
-    beta_used: np.ndarray
-    max_follow_up: float
 
 
 @dataclass(frozen=True)
@@ -43,7 +41,6 @@ class PluginACurve:
     """
 
     curve: StepCurve
-    beta_used: np.ndarray
 
     @property
     def is_empty(self) -> bool:
@@ -60,9 +57,7 @@ def breslow_traditional(data: SurvivalDataset, beta) -> BaselineCumHazEstimate:
     d_lambda, _ = event_increments(data, agg)
     sv = data.sorted_view
     curve = StepCurve(sv.distinct_event_times, np.cumsum(d_lambda)[sv.event_counts > 0])
-    return BaselineCumHazEstimate(
-        curve=curve, beta_used=agg.beta, max_follow_up=float(sv.times[-1])
-    )
+    return BaselineCumHazEstimate(curve=curve)
 
 
 def breslow_plugin(data: SurvivalDataset, beta) -> BaselineCumHazEstimate:
@@ -78,9 +73,7 @@ def breslow_plugin(data: SurvivalDataset, beta) -> BaselineCumHazEstimate:
     group = np.searchsorted(sv.distinct_event_times, ev_times)
     sums = np.bincount(group, weights=contributions, minlength=sv.distinct_event_times.size)
     curve = StepCurve(sv.distinct_event_times, np.cumsum(sums))
-    return BaselineCumHazEstimate(
-        curve=curve, beta_used=agg.beta, max_follow_up=float(sv.times[-1])
-    )
+    return BaselineCumHazEstimate(curve=curve)
 
 
 def a_n_curve(data: SurvivalDataset, beta) -> PluginACurve:
@@ -96,4 +89,4 @@ def a_n_curve(data: SurvivalDataset, beta) -> PluginACurve:
     sv = data.sorted_view
     values = np.cumsum(zbar * d_lambda[:, None], axis=0)[sv.event_counts > 0]
     curve = StepCurve(sv.distinct_event_times, values, monotone=False)
-    return PluginACurve(curve=curve, beta_used=agg.beta)
+    return PluginACurve(curve=curve)

@@ -88,11 +88,11 @@ def _out_dir(args) -> Path:
     return out
 
 
-def _fit(data, args):
+def _fit(data):
     """The converged fit of ``data``, or None without covariates."""
     if data.covariate_dim == 0:
         return None
-    fit = fit_mple(data, tol=args.tol, max_iter=args.max_iter)
+    fit = fit_mple(data)
     if not fit.converged:
         raise _CliError(EXIT_MODEL, f"fit failed: {fit.status}")
     return fit
@@ -115,7 +115,7 @@ def cmd_fit(args) -> int:
     out = _out_dir(args)
     if data.covariate_dim == 0:
         raise _CliError(EXIT_MODEL, "fit requires at least one covariate column")
-    fit = fit_mple(data, tol=args.tol, max_iter=args.max_iter)
+    fit = fit_mple(data)
     payload = {
         "beta_hat": [float(v) for v in fit.beta_hat],
         "log_partial_likelihood": fit.log_partial_likelihood,
@@ -143,8 +143,10 @@ def cmd_breslow(args) -> int:
                 EXIT_MODEL,
                 f"--beta has {beta.size} entries, dataset has p={data.covariate_dim}",
             )
+        if not np.all(np.isfinite(beta)):
+            raise _CliError(EXIT_MODEL, "--beta entries must be finite")
     else:
-        fit = _fit(data, args)
+        fit = _fit(data)
         beta = np.zeros(0) if fit is None else fit.beta_hat
     traditional = breslow_mod.breslow_traditional(data, beta)
     plugin = breslow_mod.breslow_plugin(data, beta)
@@ -173,7 +175,7 @@ def cmd_breslow(args) -> int:
 def cmd_influence(args) -> int:
     data = _load_input(args)
     out = _out_dir(args)
-    fit = _fit(data, args)
+    fit = _fit(data)
     beta = np.zeros(0) if fit is None else fit.beta_hat
     m = args.M if args.M is not None else default_m_plugin(data, beta)
     grid = np.linspace(0.0, m, args.grid_points)
@@ -198,7 +200,7 @@ def cmd_decompose(args) -> int:
     out = _out_dir(args)
     if truth.p != data.covariate_dim:
         raise _CliError(EXIT_MODEL, "truth model and dataset covariate dimensions differ")
-    fit = _fit(data, args)
+    fit = _fit(data)
     m = args.M if args.M is not None else min(
         truth.default_M(), float(data.sorted_view.times[-1])
     )
@@ -297,8 +299,6 @@ def build_parser() -> argparse.ArgumentParser:
 
     def add_common(p, *, with_input=True, with_truth_gen=False):
         p.add_argument("--output-dir", default=None, help="artifact directory")
-        p.add_argument("--tol", type=float, default=1e-10)
-        p.add_argument("--max-iter", type=int, default=50)
         if with_input:
             p.add_argument("--input", default=None, help="input CSV (time,event,z1,...)")
         if with_truth_gen:

@@ -32,6 +32,8 @@ STATUS_SINGULAR = "singular_information"
 # e^30 between two subjects.
 _SEPARATION_SPREAD = 30.0
 _MAX_CONDITION = 1e12
+# Convergence bound on the score norm; absolute, so in the covariates' units.
+_SCORE_TOL = 1e-10
 _MAX_HALVINGS = 30
 
 
@@ -41,7 +43,7 @@ class CoxFit:
 
     ``information`` is the observed information (minus the Hessian of the
     log partial likelihood) at ``beta_hat``.  ``status == "converged"``
-    guarantees ``score_norm <= tol``.
+    guarantees ``score_norm <= 1e-10``.
     """
 
     beta_hat: np.ndarray
@@ -124,17 +126,12 @@ def _is_singular(info: np.ndarray) -> bool:
     return not (eig[-1] > 0.0 and eig[0] * _MAX_CONDITION >= eig[-1])
 
 
-def fit_mple(
-    data: SurvivalDataset,
-    init=None,
-    tol: float = 1e-10,
-    max_iter: int = 50,
-) -> CoxFit:
+def fit_mple(data: SurvivalDataset, init=None, max_iter: int = 50) -> CoxFit:
     """Newton-Raphson maximization of the partial likelihood.
 
     Full Newton steps with step-halving (halve until the log likelihood does
     not decrease, at most 30 halvings).  Convergence requires the score norm
-    at or below ``tol`` together with a stable iterate: a Newton step that
+    at or below 1e-10 together with a stable iterate: a Newton step that
     moves the linear predictor by a spread ``ptp(Z step)`` of at most 1e-4
     times ``1 + ptp(Z beta)``.  A tiny score paired with O(1) steps signals
     a flat ridge, which is how monotone likelihoods (separation) are told
@@ -142,7 +139,7 @@ def fit_mple(
 
     Failure statuses: ``singular_information`` when the information matrix
     is not positive definite or has condition number above 1e12,
-    ``separation_detected`` when the score is at or below ``tol`` while the
+    ``separation_detected`` when the score is at or below 1e-10 while the
     Newton step is not small and the spread of the linear predictor,
     ``max beta'Z - min beta'Z`` over the subjects, exceeds 30 (a hazard
     ratio of e^30; for a 0/1 covariate this is ``|beta| > 30``).  Near a
@@ -159,8 +156,8 @@ def fit_mple(
     p = data.covariate_dim
     if p == 0:
         raise ValueError("nothing to fit: dataset has no covariates")
-    if tol <= 0 or max_iter <= 0:
-        raise ValueError("tol and max_iter must be positive")
+    if max_iter <= 0:
+        raise ValueError("max_iter must be positive")
     beta = np.zeros(p) if init is None else np.array(init, dtype=float).reshape(p)
     # One risk table per trial point: the accepted trial is the last one
     # built, so the next score and information reuse its table.
@@ -189,7 +186,7 @@ def fit_mple(
         # so both tests are invariant to the units of every covariate.
         spread = np.ptp(z @ beta)
         step_spread = np.ptp(z @ direction)
-        score_small = np.linalg.norm(score) <= tol
+        score_small = np.linalg.norm(score) <= _SCORE_TOL
         if score_small and step_spread <= 1e-4 * (1.0 + spread):
             return result(STATUS_CONVERGED, score, info)
         # A flat likelihood that still asks for a large step runs off along a

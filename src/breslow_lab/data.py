@@ -185,9 +185,10 @@ def load_csv(path) -> SurvivalDataset:
 
     `p = 0` (header ``time,event``) is accepted.  The event column must be
     one of ``0``, ``1``, ``true``, ``false``.  Malformed rows are reported
-    with their 1-based data-row number.
+    with their 1-based data-row number.  A leading UTF-8 byte-order mark
+    is skipped.
     """
-    with open(path, "r", encoding="utf-8", newline="") as fh:
+    with open(path, "r", encoding="utf-8-sig", newline="") as fh:
         reader = csv.reader(fh)
         try:
             header = next(reader)

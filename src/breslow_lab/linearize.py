@@ -40,9 +40,6 @@ from .risk import (
 )
 from .truth import TruthModel
 
-MODE_PLUGIN = "plugin"
-MODE_TRUTH = "truth"
-
 # Rows per block of the n-by-grid influence passes: a 512 x 64 float64 block
 # is 256 KiB, so a block and its temporaries stay in L2 while the whole
 # matrix (4 MiB at n = 8000) does not.
@@ -55,7 +52,6 @@ class InfluenceMatrix:
 
     grid: np.ndarray
     values: np.ndarray
-    mode: str
 
 
 @dataclass(frozen=True)
@@ -194,7 +190,7 @@ def xi_truth(data: SurvivalDataset, truth: TruthModel, x_grid) -> InfluenceMatri
     event_term = np.divide(1.0, truth.phi(t), out=np.zeros(data.n), where=data.events)
     after = event_term - w * q_t
     values = _xi_matrix(t, w, grid, q_x, after)
-    return InfluenceMatrix(grid=grid, values=values, mode=MODE_TRUTH)
+    return InfluenceMatrix(grid=grid, values=values)
 
 
 def xi_truth_mean(data: SurvivalDataset, truth: TruthModel, x_grid) -> np.ndarray:
@@ -265,7 +261,7 @@ def xi_plugin(data: SurvivalDataset, fit: CoxFit | None, x_grid) -> InfluenceMat
         b = slice(lo, lo + _BLOCK_ROWS)
         block = _xi_matrix(t[b], w[b], grid, q_x, after[b])
         values[b] = to_raw_scale(block, -agg.log_scale)
-    return InfluenceMatrix(grid=grid, values=values, mode=MODE_PLUGIN)
+    return InfluenceMatrix(grid=grid, values=values)
 
 
 # ---------------------------------------------------------------------------

@@ -72,10 +72,6 @@ class RiskAggregates:
     means: np.ndarray
     log_scale: float
 
-    @property
-    def p(self) -> int:
-        return int(self.beta.size)
-
 
 def _running_sums(addends: np.ndarray, rows) -> np.ndarray:
     """Compensated running sums of ``addends`` along axis 0, read at ``rows``.

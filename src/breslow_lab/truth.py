@@ -14,7 +14,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Callable
+from typing import Callable, ClassVar
 
 import numpy as np
 from scipy.optimize import brentq
@@ -22,6 +22,8 @@ from scipy.special import ndtr, ndtri
 
 from .data import SurvivalDataset
 from .quadrature import PanelAntiderivative
+
+_TRUNCNORM_QUAD_POINTS = 64
 
 
 # ---------------------------------------------------------------------------
@@ -50,7 +52,7 @@ class CovariateLaw:
 class Discrete(CovariateLaw):
     values: tuple[float, ...]
     probs: tuple[float, ...]
-    dim: int = 1
+    dim: ClassVar[int] = 1
 
     def __post_init__(self):
         if len(self.values) != len(self.probs) or not self.values:
@@ -80,8 +82,7 @@ class TruncatedNormal(CovariateLaw):
     sigma: float
     lo: float
     hi: float
-    dim: int = 1
-    quad_points: int = 64
+    dim: ClassVar[int] = 1
 
     def __post_init__(self):
         if not (self.lo < self.hi and self.sigma > 0):
@@ -99,7 +100,7 @@ class TruncatedNormal(CovariateLaw):
         return np.clip(z, self.lo, self.hi).reshape(n, 1)
 
     def atoms(self):
-        nodes, weights = np.polynomial.legendre.leggauss(self.quad_points)
+        nodes, weights = np.polynomial.legendre.leggauss(_TRUNCNORM_QUAD_POINTS)
         half = 0.5 * (self.hi - self.lo)
         pts = self.lo + half * (nodes + 1.0)
         a, b = self._cdf_bounds()
@@ -156,7 +157,6 @@ class BaselineHazard:
     rate: Callable[[np.ndarray], np.ndarray]
     cumulative: Callable[[np.ndarray], np.ndarray]
     inverse_cumulative: Callable[[np.ndarray], np.ndarray]
-    label: str
 
 
 def constant_hazard(rate: float = 1.0) -> BaselineHazard:
@@ -166,7 +166,6 @@ def constant_hazard(rate: float = 1.0) -> BaselineHazard:
         rate=lambda x: np.full_like(np.asarray(x, dtype=float), rate),
         cumulative=lambda x: rate * np.asarray(x, dtype=float),
         inverse_cumulative=lambda y: np.asarray(y, dtype=float) / rate,
-        label=f"constant({rate})",
     )
 
 
@@ -178,7 +177,6 @@ def weibull_hazard(shape: float, scale: float = 1.0) -> BaselineHazard:
         rate=lambda x: shape * scale * (scale * np.asarray(x, dtype=float)) ** (shape - 1.0),
         cumulative=lambda x: (scale * np.asarray(x, dtype=float)) ** shape,
         inverse_cumulative=lambda y: np.asarray(y, dtype=float) ** (1.0 / shape) / scale,
-        label=f"weibull({shape},{scale})",
     )
 
 
@@ -211,7 +209,6 @@ class TruthModel:
         if self.beta0.size != covariate_law.dim:
             raise ValueError("beta0 length must match covariate dimension")
         w, z = covariate_law.atoms()
-        self._atom_weights = w
         self._atom_points = z
         self._atom_eta = z @ self.beta0 if self.p else np.zeros(w.size)
         self._atom_coef = w * np.exp(self._atom_eta)
@@ -220,11 +217,6 @@ class TruthModel:
     @property
     def p(self) -> int:
         return int(self.beta0.size)
-
-    @property
-    def tau_H(self) -> float:
-        """End of the follow-up support (the censoring horizon)."""
-        return self.censor_upper
 
     # -- population functionals ------------------------------------------
 
@@ -282,7 +274,7 @@ class TruthModel:
         ``columns`` indexes them (an index gives one value per point).  All
         are read from one antiderivative over ``[0, hi]``, rebuilt over ``[0,
         max(x)]`` when ``max(x)`` passes ``hi``; a build needs ``max(x) <
-        tau_H`` and positive risk mass there and raises ``ValueError``
+        censor_upper`` and positive risk mass there and raises ``ValueError``
         otherwise.  Every column is exactly 0.0 at 0.
         """
         x_arr = np.asarray(x, dtype=float)
@@ -291,7 +283,7 @@ class TruthModel:
             out = np.zeros((x_arr.size, 2 + self.p))[:, columns]
             return out if x_arr.ndim else out[0]
         if self._integrals is None or self._integrals.hi < hi:
-            if hi >= self.tau_H or self.phi(hi) <= 1e-12:
+            if hi >= self.censor_upper or self.phi(hi) <= 1e-12:
                 raise ValueError(f"requested point {hi} is at or beyond the follow-up "
                                  "support (risk mass vanishes)")
             atol = np.r_[1e-11, 1e-11, np.full(self.p, 1e-10)]
@@ -316,7 +308,7 @@ class TruthModel:
         """Largest x with phi(beta0, x) >= phi_floor."""
         if self.phi(0.0) < phi_floor:
             raise ValueError("risk mass already below the floor at x = 0")
-        hi = self.tau_H * (1.0 - 1e-9)
+        hi = self.censor_upper * (1.0 - 1e-9)
         if self.phi(hi) >= phi_floor:
             return hi
         return float(brentq(lambda x: self.phi(x) - phi_floor, 0.0, hi, xtol=1e-12))
@@ -356,11 +348,11 @@ def generate_dataset(truth: TruthModel, n: int, seed) -> SurvivalDataset:
     Draw order: covariates first, then one uniform per subject inverted
     through the cumulative baseline hazard (X = Lambda0^{-1}(-ln U / e^{eta})),
     then the censoring times.  ``seed`` may be an integer, a SeedSequence, or
-    a Generator.
+    a Generator, which the draws advance.
     """
     if n < 1:
         raise ValueError("n must be >= 1")
-    rng = seed if isinstance(seed, np.random.Generator) else np.random.default_rng(seed)
+    rng = np.random.default_rng(seed)
     z = truth.covariate_law.sample(rng, n)
     eta = z @ truth.beta0 if truth.p else np.zeros(n)
     u = rng.random(n)

@@ -55,7 +55,7 @@ def _report(index, name, elapsed, budget):
 def test_01_hand_solved_mple_and_baseline():
     t0 = time.time()
     data = validate_dataset([(1.0, True, [1.0]), (2.0, True, [0.0]), (3.0, True, [1.0])])
-    fit = fit_mple(data, tol=1e-10)
+    fit = fit_mple(data)
     assert fit.status == "converged"
     assert abs(fit.beta_hat[0] - (-math.log(2.0) / 2.0)) <= 1e-10
     est = breslow_traditional(data, fit.beta_hat)

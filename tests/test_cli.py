@@ -103,9 +103,7 @@ class TestBreslowCommand:
             curve = type(est.curve)(
                 est.curve.jump_times, est.curve.cumulative_values * 1.001
             )
-            return type(est)(
-                curve=curve, beta_used=est.beta_used, max_follow_up=est.max_follow_up
-            )
+            return type(est)(curve=curve)
 
         monkeypatch.setattr(breslow_lab.breslow, "breslow_plugin", corrupted)
         code = main(["breslow", "--input", str(three_point_csv), "--output-dir", str(tmp_path / "o")])
@@ -117,6 +115,14 @@ class TestBreslowCommand:
             "--output-dir", str(tmp_path / "o"),
         ])
         assert code == 2
+
+    def test_beta_not_finite(self, three_point_csv, tmp_path, capsys):
+        code = main([
+            "breslow", "--input", str(three_point_csv), "--beta", "nan",
+            "--output-dir", str(tmp_path / "o"),
+        ])
+        assert code == 2
+        assert capsys.readouterr().err == "--beta entries must be finite\n"
 
     def test_overflow_exit_2_one_line(self, tmp_path, capsys):
         path = tmp_path / "big.csv"

@@ -87,7 +87,7 @@ class TestScoreAndInformation:
 
 class TestFitMple:
     def test_hand_solved_root(self, three_point):
-        fit = fit_mple(three_point, tol=1e-10)
+        fit = fit_mple(three_point)
         assert fit.status == STATUS_CONVERGED
         assert fit.beta_hat[0] == pytest.approx(-math.log(2.0) / 2.0, abs=1e-10)
         assert fit.score_norm <= 1e-10

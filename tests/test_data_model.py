@@ -141,6 +141,16 @@ class TestCsv:
         data = load_csv(path)
         assert np.array_equal(data.events, [True, False])
 
+    @pytest.mark.parametrize("prefix,eol", [(b"", b"\n"), (b"", b"\r\n"), (b"\xef\xbb\xbf", b"\r\n")])
+    def test_line_endings_and_byte_order_mark(self, tmp_path, prefix, eol):
+        lines = [b"time,event,z1", b"1.5,1,0.25", b"2.0,0,-1", b"0.5,true,3"]
+        path = tmp_path / "d.csv"
+        path.write_bytes(prefix + eol.join(lines) + eol)
+        data = load_csv(path)
+        assert np.array_equal(data.times, [1.5, 2.0, 0.5])
+        assert np.array_equal(data.events, [True, False, True])
+        assert np.array_equal(data.covariates, [[0.25], [-1.0], [3.0]])
+
     @given(data=survival_datasets(max_n=12))
     def test_roundtrip_exact(self, data, tmp_path_factory):
         path = tmp_path_factory.mktemp("csv") / "rt.csv"

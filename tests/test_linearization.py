@@ -289,7 +289,7 @@ class TestDecomposition:
         # phi(3) = 0 at the reference horizon; only event rows divide by phi.
         raw = generate_dataset(ref_truth, 200, 61)
         times, events = raw.times.copy(), raw.events.copy()
-        times[0], events[0] = ref_truth.tau_H, False
+        times[0], events[0] = ref_truth.censor_upper, False
         data = SurvivalDataset(times, events, raw.covariates)
         grid = np.linspace(0.0, ref_truth.default_M(), 33)
         report = remainder_decomposition(data, fit_mple(data), ref_truth, grid)

@@ -120,7 +120,7 @@ def test_variance_estimate_across_blocks(blocked_case):
     k = np.searchsorted(expected["event_times"], grid, side="right") - 1
     a_grid = np.where(k[:, None] >= 0, expected["a_n"][np.maximum(k, 0)], 0.0)
     psi = xi - ell @ a_grid.T
-    infl = InfluenceMatrix(grid=grid, values=xi, mode="plugin")
+    infl = InfluenceMatrix(grid=grid, values=xi)
     curves = variance_estimate(data, infl, fit, a_n_curve(data, fit.beta_hat))
     for got, ref in ((curves.xi_only, xi), (curves.total, psi)):
         want = ref.var(axis=0, ddof=1) / data.n

@@ -22,11 +22,9 @@ from breslow_lab import (
     variance_estimate,
     xi_plugin,
 )
+from breslow_lab.coxfit import _SCORE_TOL
 
 from conftest import survival_datasets
-
-# fit_mple's default score tolerance: a converged fit has |score| <= TOL.
-TOL = 1e-10
 
 # Strictly increasing maps that keep the times positive and finite.
 TIME_MAPS = {
@@ -57,6 +55,7 @@ def test_row_permutation(data, seed):
     moved = SurvivalDataset(data.times[order], data.events[order], data.covariates[order])
     fit_p = fit_mple(moved)
     assert fit_p.status == fit.status
+    assert max(fit.score_norm, fit_p.score_norm) <= _SCORE_TOL
     # Only the summation order inside tie runs can change, so the laws hold
     # to rounding.
     assert rel_err(fit_p.beta_hat, fit.beta_hat) <= 1e-12
@@ -83,11 +82,12 @@ def test_row_duplication(data):
     )
     fit_d = fit_mple(twice)
     assert fit_d.status == fit.status
-    # Both fits stop with |score| <= TOL.  To first order a fit lies within
-    # TOL / eig_min of the common maximizer, and the duplicated one, whose
-    # score and information are doubled, within half that; twice their sum
-    # leaves room for the second-order term, and the floor for rounding.
-    d_beta = 2.0 * 1.5 * TOL / eig_min + 1e-12 * (1.0 + np.max(np.abs(fit.beta_hat)))
+    assert max(fit.score_norm, fit_d.score_norm) <= _SCORE_TOL
+    # To first order a fit lies within _SCORE_TOL / eig_min of the common
+    # maximizer, and the duplicated one, whose score and information are
+    # doubled, within half that; twice their sum leaves room for the
+    # second-order term, and the floor for rounding.
+    d_beta = 2.0 * 1.5 * _SCORE_TOL / eig_min + 1e-12 * (1.0 + np.max(np.abs(fit.beta_hat)))
     assert np.max(np.abs(fit_d.beta_hat - fit.beta_hat)) <= d_beta
 
     # A move of d_beta changes log S0 and every risk-set moment by at most
@@ -111,6 +111,7 @@ def test_time_transform(data, name):
     assert fit_g.beta_hat.tobytes() == fit.beta_hat.tobytes()
     # A fit that diverged may leave float64 on the raw scale.
     assume(fit.converged)
+    assert max(fit.score_norm, fit_g.score_norm) <= _SCORE_TOL
     curve = breslow_traditional(data, fit.beta_hat).curve
     curve_g = breslow_traditional(moved, fit.beta_hat).curve
     assert curve_g.cumulative_values.tobytes() == curve.cumulative_values.tobytes()

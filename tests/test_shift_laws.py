@@ -18,6 +18,7 @@ from breslow_lab import (
     score_residuals,
     xi_plugin,
 )
+from breslow_lab.coxfit import _SCORE_TOL
 
 from conftest import survival_datasets
 
@@ -53,6 +54,7 @@ def test_shift_laws(data, col, s):
 
     fit_s = fit_mple(moved)
     assert fit_s.status == fit.status
+    assert max(fit.score_norm, fit_s.score_norm) <= _SCORE_TOL
     assert close(fit_s.beta_hat, beta, 1e-8)
 
     # At the same beta: invariant information and score residuals ...

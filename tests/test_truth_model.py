@@ -261,6 +261,17 @@ class TestGeneration:
         assert np.array_equal(a.times, b.times)
         assert np.array_equal(a.events, b.events)
         assert np.array_equal(a.covariates, b.covariates)
+        # An int, a SeedSequence and a fresh Generator of one seed draw alike.
+        for seed in (np.random.SeedSequence(31), np.random.default_rng(31)):
+            c = generate_dataset(ref_truth, 200, seed)
+            assert np.array_equal(a.times, c.times)
+            assert np.array_equal(a.events, c.events)
+            assert np.array_equal(a.covariates, c.covariates)
+        # A Generator is advanced by the draws, so reusing it draws anew.
+        rng = np.random.default_rng(31)
+        first = generate_dataset(ref_truth, 200, rng)
+        second = generate_dataset(ref_truth, 200, rng)
+        assert not np.array_equal(first.times, second.times)
 
     def test_different_seed_differs(self, ref_truth):
         a = generate_dataset(ref_truth, 200, 31)
