@@ -11,6 +11,7 @@ with identical inputs and seeds produce byte-identical files.
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import os
 import sys
@@ -290,7 +291,9 @@ def cmd_rate_lab(args) -> int:
 # Parser
 
 
+@functools.cache
 def build_parser() -> argparse.ArgumentParser:
+    """The CLI parser, built once per process and shared by every ``main`` call."""
     parser = argparse.ArgumentParser(
         prog="breslow-lab",
         description="Proportional hazards estimation and rate experiments",
@@ -346,8 +349,7 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def main(argv=None) -> int:
-    parser = build_parser()
-    args = parser.parse_args(argv)
+    args = build_parser().parse_args(argv)
     if getattr(args, "input_required", False) and not args.input:
         print("--input is required for this subcommand", file=sys.stderr)
         return EXIT_MODEL

@@ -17,8 +17,6 @@ from dataclasses import dataclass
 from typing import Callable, ClassVar
 
 import numpy as np
-from scipy.optimize import brentq
-from scipy.special import ndtr, ndtri
 
 from .data import SurvivalDataset
 from .quadrature import PanelAntiderivative
@@ -89,11 +87,15 @@ class TruncatedNormal(CovariateLaw):
             raise ValueError("need lo < hi and sigma > 0")
 
     def _cdf_bounds(self):
+        from scipy.special import ndtr  # on first use, not at package import
+
         a = ndtr((self.lo - self.mu) / self.sigma)
         b = ndtr((self.hi - self.mu) / self.sigma)
         return a, b
 
     def sample(self, rng, n):
+        from scipy.special import ndtri
+
         a, b = self._cdf_bounds()
         u = rng.random(n)
         z = self.mu + self.sigma * ndtri(a + u * (b - a))
@@ -305,13 +307,23 @@ class TruthModel:
     # -- policies -------------------------------------------------------------
 
     def default_M(self, phi_floor: float = 0.05) -> float:
-        """Largest x with phi(beta0, x) >= phi_floor."""
+        """The window end M: ``phi(M) >= phi_floor > phi(nextafter(M, inf))``.
+
+        A bisection on floats keeps ``phi(lo) >= phi_floor > phi(hi)`` until
+        ``lo`` and ``hi`` are adjacent and returns ``lo``, the largest such
+        float when ``phi`` is nonincreasing; ``censor_upper * (1 - 1e-9)`` if
+        ``phi`` is still at the floor there."""
         if self.phi(0.0) < phi_floor:
             raise ValueError("risk mass already below the floor at x = 0")
-        hi = self.censor_upper * (1.0 - 1e-9)
+        lo, hi = 0.0, self.censor_upper * (1.0 - 1e-9)
         if self.phi(hi) >= phi_floor:
             return hi
-        return float(brentq(lambda x: self.phi(x) - phi_floor, 0.0, hi, xtol=1e-12))
+        while (mid := 0.5 * (lo + hi)) not in (lo, hi):
+            if self.phi(mid) >= phi_floor:
+                lo = mid
+            else:
+                hi = mid
+        return lo
 
 
 def reference_truth() -> TruthModel:

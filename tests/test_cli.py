@@ -297,6 +297,21 @@ class TestRateLabCommand:
         ])
         assert code == 4
 
+    def test_flags_of_one_call_do_not_reach_the_next(self, tmp_path):
+        cfg = tmp_path / "lab.cfg"
+        cfg.write_text("claim = lemma1\nsample_sizes = 50,100\nreplications = 2\nseed = 4\n")
+
+        def rate_lab(out, *flags):
+            return ["rate-lab", "--config", str(cfg), "--output-dir", str(tmp_path / out), *flags]
+
+        assert main(rate_lab("a", "--phi-floor", "0.2", "--reps", "3")) == 0
+        assert main(rate_lab("b")) == 0
+        alone = run_module(*rate_lab("alone"))
+        assert alone.returncode == 0, alone.stderr
+        rates = (tmp_path / "b" / "rates.json").read_bytes()
+        assert rates == (tmp_path / "alone" / "rates.json").read_bytes()
+        assert rates != (tmp_path / "a" / "rates.json").read_bytes()
+
     def test_env_var_output_dir(self, tmp_path, monkeypatch):
         target = tmp_path / "env_out"
         monkeypatch.setenv("BRESLOW_LAB_OUT", str(target))
@@ -308,14 +323,18 @@ class TestRateLabCommand:
         assert (target / "rates.json").exists()
 
 
-def run_module(*argv):
-    """``python -m breslow_lab.cli`` in a fresh interpreter on this package."""
+def run_python(*argv):
+    """``python *argv`` in a fresh interpreter on this package."""
     src = Path(breslow_lab.__file__).resolve().parent.parent
     env = dict(os.environ, PYTHONPATH=str(src))
     return subprocess.run(
-        [sys.executable, "-m", "breslow_lab.cli", *argv],
-        capture_output=True, text=True, env=env, timeout=120,
+        [sys.executable, *argv], capture_output=True, text=True, env=env, timeout=120,
     )
+
+
+def run_module(*argv):
+    """``python -m breslow_lab.cli`` in a fresh interpreter on this package."""
+    return run_python("-m", "breslow_lab.cli", *argv)
 
 
 class TestModuleInvocation:
@@ -334,3 +353,25 @@ class TestModuleInvocation:
         assert proc.returncode == 2
         assert proc.stderr.count("\n") == 1 and "overflow" in proc.stderr
         assert not (out / "breslow.csv").exists()
+
+
+def scipy_modules_imported(*argv):
+    """The scipy modules a fresh interpreter on this package imports while
+    running ``python *argv``, read from ``-X importtime``."""
+    proc = run_python("-X", "importtime", *argv)
+    assert proc.returncode == 0, proc.stderr
+    names = [line.rsplit("|", 1)[-1].strip() for line in proc.stderr.splitlines()
+             if line.startswith("import time:")]
+    assert "breslow_lab" in names
+    return [name for name in names if name == "scipy" or name.startswith("scipy.")]
+
+
+class TestColdStart:
+    def test_import_loads_no_scipy(self):
+        assert scipy_modules_imported("-c", "import breslow_lab") == []
+
+    def test_rate_lab_loads_no_scipy(self, tmp_path):
+        assert scipy_modules_imported(
+            "-m", "breslow_lab.cli", "rate-lab", "--claim", "lemma1", "--n", "50,100",
+            "--reps", "2", "--seed", "0", "--truth", "reference", "--output-dir", str(tmp_path),
+        ) == []

@@ -77,6 +77,14 @@ class TestReferenceClosedForms:
         assert ref_truth.phi(m + 0.01) < 0.05
 
 
+@pytest.mark.parametrize("make_truth", [reference_truth, no_covariate_truth])
+@pytest.mark.parametrize("floor", [0.05, 0.2, 0.5])
+def test_default_m_is_the_last_float_at_the_floor(make_truth, floor):
+    truth = make_truth()
+    m = truth.default_M(floor)
+    assert truth.phi(m) >= floor > truth.phi(np.nextafter(m, np.inf))
+
+
 class TestQuadratureMachinery:
     def test_antiderivatives_match_scipy(self, ref_truth):
         for x in [0.3, 1.0, 1.7, 2.2]:
