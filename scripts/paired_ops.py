@@ -1,0 +1,119 @@
+#!/usr/bin/env python3
+"""Time rate-lab ops of two source trees side by side, in one process.
+
+    python scripts/paired_ops.py PARENT_SRC CHANGE_SRC [--claim lemma2]
+        [--n 8000,100000] [--reps 1] [--ops 30]
+
+Each ``*_SRC`` is a ``src`` directory holding a ``breslow_lab`` package; the
+two are imported under their own module names, so both live in this process.
+Op k runs ``rate-lab --claim C --truth reference --n N --reps R --seed k``
+through each tree's ``cli.main`` (one untimed warm-up op per tree first), the
+parent first when k is even and the change first when k is odd.  Because the
+two sides of a pair run seconds apart in the same process, machine drift that
+spreads separate benchmark runs cancels out of their ratio.
+
+Prints one JSON object: the median change/parent op-time ratio with its
+quartiles, each side's median op time and minor page faults per op
+(``getrusage``), and whether every op's artifacts (every file ``rate-lab``
+wrote) were byte-identical between the trees.
+"""
+
+import argparse
+import contextlib
+import importlib
+import importlib.util
+import io
+import json
+import os
+import resource
+import statistics
+import sys
+import tempfile
+import time
+from pathlib import Path
+
+# One BLAS thread, as in the benchmark; the pools are sized when numpy loads.
+for _name in ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS"):
+    os.environ[_name] = "1"
+
+
+def load_cli(src: Path, name: str):
+    """``cli`` of the ``breslow_lab`` package under ``src``, imported as ``name``."""
+    init = src / "breslow_lab" / "__init__.py"
+    if not init.is_file():
+        raise SystemExit(f"no breslow_lab package under {src}")
+    spec = importlib.util.spec_from_file_location(
+        name, init, submodule_search_locations=[str(init.parent)]
+    )
+    module = importlib.util.module_from_spec(spec)
+    sys.modules[name] = module
+    spec.loader.exec_module(module)
+    return importlib.import_module(f"{name}.cli")
+
+
+def run_op(cli, argv, out: Path):
+    """``(seconds, minor faults, {file: bytes})`` of one ``cli.main`` call."""
+    faults = resource.getrusage(resource.RUSAGE_SELF).ru_minflt
+    start = time.perf_counter()
+    with contextlib.redirect_stdout(io.StringIO()):
+        code = cli.main([*argv, "--output-dir", str(out)])
+    seconds = time.perf_counter() - start
+    faults = resource.getrusage(resource.RUSAGE_SELF).ru_minflt - faults
+    if code != 0:
+        raise SystemExit(f"{' '.join(argv)} exited {code}")
+    files = {p.name: p.read_bytes() for p in sorted(out.iterdir())}
+    return seconds, faults, files
+
+
+def quartiles(values):
+    q1, median, q3 = statistics.quantiles(values, n=4, method="inclusive")
+    return {"q1": q1, "median": median, "q3": q3}
+
+
+def main(argv=None) -> int:
+    parser = argparse.ArgumentParser(description=__doc__.split("\n\n")[0])
+    parser.add_argument("parent_src", type=Path)
+    parser.add_argument("change_src", type=Path)
+    parser.add_argument("--claim", default="lemma2")
+    parser.add_argument("--n", default="8000,100000")
+    parser.add_argument("--reps", type=int, default=1)
+    parser.add_argument("--ops", type=int, default=30)
+    args = parser.parse_args(argv)
+    if args.ops < 1:
+        parser.error("--ops must be at least 1")
+    clis = {side: load_cli(src.resolve(), f"breslow_lab_{side}")
+            for side, src in (("parent", args.parent_src), ("change", args.change_src))}
+    base = ["rate-lab", "--claim", args.claim, "--truth", "reference",
+            "--n", args.n, "--reps", str(args.reps)]
+    times = {side: [] for side in clis}
+    faults = {side: [] for side in clis}
+    mismatched = []
+    with tempfile.TemporaryDirectory() as tmp:
+        for side, cli in clis.items():
+            run_op(cli, [*base, "--seed", "0"], Path(tmp, f"warm-{side}"))
+        for k in range(args.ops):
+            order = ("parent", "change") if k % 2 == 0 else ("change", "parent")
+            files = {}
+            for side in order:
+                out = Path(tmp, f"op{k}-{side}")
+                seconds, op_faults, files[side] = run_op(clis[side], [*base, "--seed", str(k)], out)
+                times[side].append(seconds)
+                faults[side].append(op_faults)
+            if files["parent"] != files["change"]:
+                mismatched.append(k)
+    ratios = [c / p for c, p in zip(times["change"], times["parent"])]
+    report = {
+        "command": " ".join(base) + " --seed k",
+        "ops": args.ops,
+        "ratio_change_over_parent": quartiles(ratios) if args.ops > 1 else ratios[0],
+        "op_s_median": {side: statistics.median(v) for side, v in times.items()},
+        "minor_faults_per_op_median": {side: statistics.median(v) for side, v in faults.items()},
+        "artifacts_identical": not mismatched,
+        "mismatched_op_seeds": mismatched,
+    }
+    print(json.dumps(report, indent=1))
+    return 0
+
+
+if __name__ == "__main__":
+    sys.exit(main())

@@ -54,7 +54,7 @@ class PluginACurve:
 def breslow_traditional(data: SurvivalDataset, beta) -> BaselineCumHazEstimate:
     """Event-time sum form: increments d_i over the raw risk-set sums."""
     agg = build_aggregates(data, beta)
-    d_lambda, _ = event_increments(data, agg)
+    d_lambda = event_increments(data, agg)
     sv = data.sorted_view
     curve = StepCurve(sv.distinct_event_times, np.cumsum(d_lambda)[sv.event_counts > 0])
     return BaselineCumHazEstimate(curve=curve)
@@ -85,7 +85,8 @@ def a_n_curve(data: SurvivalDataset, beta) -> PluginACurve:
     columns when there are no covariates.
     """
     agg = build_aggregates(data, beta)
-    d_lambda, zbar = event_increments(data, agg)
+    d_lambda = event_increments(data, agg)
+    zbar = agg.s1 / agg.s0[:, None] + agg.means
     sv = data.sorted_view
     values = np.cumsum(zbar * d_lambda[:, None], axis=0)[sv.event_counts > 0]
     curve = StepCurve(sv.distinct_event_times, values, monotone=False)

@@ -157,12 +157,14 @@ def cmd_breslow(args) -> int:
     if rel > 1e-10:
         print(f"estimator forms disagree: relative error {rel:.3e}", file=sys.stderr)
         return EXIT_SELF_CHECK
+    # Before any write: A_n reads the moment columns, which can overflow
+    # where the Breslow curve does not.
+    a_curve = breslow_mod.a_n_curve(data, beta)
     write_csv(
         out / "breslow.csv",
         ["x", "cum_hazard"],
         zip(traditional.curve.jump_times.tolist(), trad_vals.tolist()),
     )
-    a_curve = breslow_mod.a_n_curve(data, beta)
     if not a_curve.is_empty:
         curve = a_curve.curve
         write_csv(

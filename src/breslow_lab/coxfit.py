@@ -18,7 +18,6 @@ from .risk import (
     _running_sums,
     _upper_pairs,
     build_aggregates,
-    centered_increments,
     centered_weights,
 )
 
@@ -116,6 +115,15 @@ def _trial(data: SurvivalDataset, beta) -> float:
         return -np.inf
 
 
+def _moments_fit(data: SurvivalDataset, beta) -> bool:
+    # Moment columns are built only for a point the search takes: its score reads them.
+    try:
+        build_aggregates(data, beta).s2
+    except ExpOverflowError:
+        return False
+    return True
+
+
 def _is_singular(info: np.ndarray) -> bool:
     # Eigenvalues, not singular values: on separated data the score can
     # underflow to zero while the information turns negative, and only the
@@ -162,7 +170,7 @@ def fit_mple(data: SurvivalDataset, init=None, max_iter: int = 50) -> CoxFit:
     # One risk table per trial point: the accepted trial is the last one
     # built, so the next score and information reuse its table.
     ll = _trial(data, beta)
-    if ll == -np.inf:
+    if ll == -np.inf or not _moments_fit(data, beta):
         raise ValueError(f"init {init!r}: the risk table leaves the float64 range")
     z = data.sorted_view.centered
 
@@ -204,9 +212,11 @@ def fit_mple(data: SurvivalDataset, init=None, max_iter: int = 50) -> CoxFit:
         for step in steps:
             candidate = beta + step * direction
             ll_new = _trial(data, candidate)
-            if ll_new >= ll:
+            # The last step is taken whatever its value, unless it overflows.
+            taken = ll_new >= ll or (step == steps[-1] and ll_new > -np.inf)
+            if taken and _moments_fit(data, candidate):
                 break
-        if ll_new == -np.inf:
+        else:
             # Every trial point left float64: the line search cannot move.
             break
         beta, ll = candidate, ll_new
@@ -228,10 +238,10 @@ def score_residuals(data: SurvivalDataset, beta) -> np.ndarray:
     if data.covariate_dim == 0:
         raise ValueError("score residuals require at least one covariate")
     agg = build_aggregates(data, beta)
+    sv = data.sorted_view
     # Centered throughout: exp(beta'Z_i) dL = exp(beta'(Z_i - means)) d / s0
     # and Z_i - zbar is unchanged by centering, so no raw-scale factor enters.
-    d_lambda, zbar = centered_increments(data, agg)
-    sv = data.sorted_view
+    d_lambda, zbar = sv.event_counts / agg.s0, agg.s1 / agg.s0[:, None]
     steps = np.column_stack([d_lambda, zbar * d_lambda[:, None]])
     at_t = np.cumsum(steps, axis=0)[sv.time_group]
     z, w = centered_weights(data, agg)

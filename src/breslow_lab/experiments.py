@@ -21,7 +21,7 @@ import numpy as np
 
 from .coxfit import fit_mple
 from .data import SurvivalDataset
-from .linearize import _linearization_remainder, _t2_terms, xi_truth_mean
+from .linearize import _coupling_remainder, _linearization_remainder, xi_truth_mean
 from .risk import build_aggregates, d1_n, phi_n
 from .truth import TruthModel, generate_dataset
 
@@ -299,7 +299,7 @@ def coupling_remainder_experiment(
 
     def measure(data, fixed, M):
         grid = _eval_grid(fixed, data, M, cap_at_support=True)
-        return [np.max(np.abs(_t2_terms(data, truth, grid)["r_n3"]))]
+        return [np.max(np.abs(_coupling_remainder(data, truth, grid)))]
 
     return _run("coupling-remainder", truth, sample_sizes, replications, seed, ("r_n3",),
                 measure, grid_points=grid_points, phi_floor=phi_floor, a_n=a_n)

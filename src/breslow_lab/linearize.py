@@ -33,7 +33,6 @@ from .data import SurvivalDataset
 from .risk import (
     RiskAggregates,
     build_aggregates,
-    centered_increments,
     centered_weights,
     event_increments,
     to_raw_scale,
@@ -160,22 +159,6 @@ def _event_weight_means(data: SurvivalDataset, truth: TruthModel, right) -> np.n
     return prefix[np.append(sv.group_starts, data.n)[right]] / data.n
 
 
-def _gather_or_eval(f, pts: np.ndarray, f_pts: np.ndarray, grid: np.ndarray, idx):
-    """``f(grid)`` given ``f_pts = f(pts)``: gathered where ``grid == pts[idx]``.
-
-    The remaining grid points reach ``f`` once per distinct value, so with
-    ``pts`` distinct no point is evaluated twice.  ``f`` acts elementwise,
-    so a gathered value is bitwise the value ``f`` would return.  ``f`` may
-    return rows, with the points along the last axis.
-    """
-    out = f_pts.take(idx, axis=-1)
-    miss = np.flatnonzero(pts[idx] != grid)
-    if miss.size:
-        points, inverse = np.unique(grid[miss], return_inverse=True)
-        out[..., miss] = f(points).take(inverse, axis=-1)
-    return out
-
-
 def xi_truth(data: SurvivalDataset, truth: TruthModel, x_grid) -> InfluenceMatrix:
     """Influence matrix with population plug-ins, one row per subject.
 
@@ -199,7 +182,7 @@ def xi_truth_mean(data: SurvivalDataset, truth: TruthModel, x_grid) -> np.ndarra
     Same values as ``xi_truth(...).values.mean(axis=0)``, in O((n + g) log n):
     averaging xi over the subjects and swapping the sum with the integral
     gives ``s_phi(x) - int_0^x Phi_n(beta0, u) rate0/Phi du``, the mean event
-    weight at or before x minus one :func:`_risk_integral` on the risk table
+    weight at or before x minus one :func:`_risk_integrals` on the risk table
     at ``beta0``.  Past the last follow-up time the empirical risk mass is 0,
     so the grid may reach beyond it.  Raises ``ValueError`` when an event lies
     where the population risk mass vanishes.
@@ -207,10 +190,8 @@ def xi_truth_mean(data: SurvivalDataset, truth: TruthModel, x_grid) -> np.ndarra
     grid = _as_grid(x_grid)
     agg = build_aggregates(data, truth.beta0)
     left, right = _bracket(data.sorted_view, grid)
-    v, edges = _risk_pieces(agg, grid, left)
-    return _event_weight_means(data, truth, right) - _risk_integral(
-        truth.hazard_over_phi, v, edges, grid, left
-    )
+    (i_v,) = _risk_integrals(truth, agg, grid, left, [0])
+    return _event_weight_means(data, truth, right) - i_v
 
 
 def xi_plugin(data: SurvivalDataset, fit: CoxFit | None, x_grid) -> InfluenceMatrix:
@@ -242,7 +223,7 @@ def xi_plugin(data: SurvivalDataset, fit: CoxFit | None, x_grid) -> InfluenceMat
     # expression in the centered risk table, so one checked factor at the end
     # takes it back to the raw scale.
     agg = build_aggregates(data, beta)
-    d_lambda, _ = centered_increments(data, agg)
+    d_lambda = sv.event_counts / agg.s0
     # q_prior[k] is q before the k-th distinct time, q_prior[k + 1] at it.
     q_prior = np.concatenate([[0.0], np.cumsum(d_lambda / (agg.s0 / data.n))])
     _, w = centered_weights(data, agg)
@@ -323,51 +304,48 @@ def variance_estimate(
 # Exact decomposition of the centered estimate
 
 
-def _risk_pieces(agg: RiskAggregates, grid: np.ndarray, left: np.ndarray):
-    """``(v, edges)``: ``Phi_n`` of ``agg`` is ``v[j]`` on ``(edges[j], edges[j + 1]]``.
+def _risk_integrals(truth: TruthModel, agg: RiskAggregates, grid: np.ndarray,
+                    left: np.ndarray, columns: list) -> list:
+    """``int_0^x g dF`` on the grid for each of the truth's path integrals ``columns``.
 
-    The pieces run between consecutive distinct follow-up times, with mass 0
-    past the last one, up to the grid maximum; ``left`` is the grid's bracket.
+    Column 0 (``q``) is integrated against ``g = Phi_n`` of ``agg``, column 1
+    (``H_uc``) against ``1/Phi_n``.  ``Phi_n`` is ``v[j]`` on ``(edges[j],
+    edges[j + 1]]``, pieces between consecutive distinct follow-up times up
+    to the grid maximum, with mass 0 past the last one; a grid point ``x >
+    0`` lies in piece ``left``, its bracket.  Exact as a sum of
+    antiderivative differences.  One query reads the edges and one more the
+    distinct grid points that are not an edge, so no point is read twice;
+    each column is summed alone, bitwise as if asked alone.
     """
     cut = int(left.max()) + 1
     edges = np.concatenate([[0.0], agg.distinct_times[: cut - 1], [float(grid.max())]])
     v = np.append(to_raw_scale(agg.s0[:cut] / agg.n, agg.log_scale), 0.0)[:cut]
-    return v, edges
-
-
-def _risk_integral(f, v: np.ndarray, edges: np.ndarray, grid: np.ndarray,
-                   left: np.ndarray) -> np.ndarray:
-    """``int_0^x g df`` on the grid for the step function ``g = v`` on the pieces.
-
-    Exact as a sum of antiderivative differences; a grid point ``x > 0`` lies
-    in piece ``left``.  ``f`` is evaluated once at the edges and once more
-    only at grid points that are not an edge.  ``f`` and ``v`` may also
-    return and hold rows, with the pieces along the last axis: one integral
-    per row.
-    """
-    f_edges = f(edges)
-    f_grid = _gather_or_eval(f, edges, f_edges, grid, np.where(grid > 0, left + 1, 0))
-    steps = np.cumsum(v * np.diff(f_edges), axis=-1)
-    prefix = np.concatenate([np.zeros_like(steps[..., :1]), steps], axis=-1)
-    # prefix[left] + v[left] (f_grid - f_edges[left]), built in place so that
-    # fewer (rows, grid) temporaries are alive at once.
-    out = f_grid - f_edges.take(left, axis=-1)
-    out *= v.take(left, axis=-1)
-    out += prefix.take(left, axis=-1)
-    np.copyto(out, 0.0, where=grid == 0)
+    f_edges = truth.path_integrals(edges, columns)
+    at = np.where(grid > 0, left + 1, 0)
+    f_grid = f_edges[at]
+    miss = np.flatnonzero(edges[at] != grid)
+    if miss.size:
+        points, inverse = np.unique(grid[miss], return_inverse=True)
+        f_grid[miss] = truth.path_integrals(points, columns)[inverse]
+    out = []
+    for k, column in enumerate(columns):
+        g = v if column == 0 else 1.0 / v
+        f = f_edges[:, k]
+        prefix = np.concatenate([[0.0], np.cumsum(g * np.diff(f))])
+        # prefix[left] + g[left] (f_grid - f[left]), built in place so that
+        # fewer grid-sized temporaries are alive at once.
+        integral = f_grid[:, k] - f[left]
+        integral *= g[left]
+        integral += prefix[left]
+        np.copyto(integral, 0.0, where=grid == 0)
+        out.append(integral)
     return out
 
 
-def _t2_terms(data: SurvivalDataset, truth: TruthModel, grid: np.ndarray) -> dict:
-    """Terms of the split of cum_haz_n(beta0, x) - cum_haz_0(x).
-
-    The grid is bracketed once against the distinct follow-up times (see
-    :func:`_bracket`); the risk-integral pieces, the event-weight means and
-    the Breslow step all index off that bracket, and the truth path
-    integrals ``q`` and ``H_uc`` are read together, once per distinct query
-    point.  Also returns ``mean_xi = b_n + c_n = s_phi - I_v``, bitwise the
-    value of :func:`xi_truth_mean`.
-    """
+def _t2_parts(data: SurvivalDataset, truth: TruthModel, grid: np.ndarray, columns: list):
+    """``(haz_n0, s_phi, lam0, integrals, r_n3)``: Breslow estimate at ``beta0``,
+    event-weight means, ``cum_haz_0``, :func:`_risk_integrals` of ``columns`` (the
+    last is 1, ``H_uc``, read by ``r_n3``), all indexed off one :func:`_bracket`."""
     agg = build_aggregates(data, truth.beta0)
     sv = data.sorted_view
     if float(grid.max()) > float(sv.distinct_times[-1]):
@@ -375,21 +353,33 @@ def _t2_terms(data: SurvivalDataset, truth: TruthModel, grid: np.ndarray) -> dic
             "grid point beyond the last follow-up time: empirical risk mass is zero"
         )
     left, right = _bracket(sv, grid)
-    v, edges = _risk_pieces(agg, grid, left)
-    # q against Phi_n and H_uc against 1/Phi_n, read together: columns 0 and
-    # 1 of the truth's path integrals, one row each.
-    i_v, i_inv = _risk_integral(lambda x: truth.path_integrals(x, [0, 1]).T,
-                                np.stack([v, 1.0 / v]), edges, grid, left)
+    integrals = _risk_integrals(truth, agg, grid, left, columns)
     lam0 = truth.cum_hazard0(grid)
     s_phi = _event_weight_means(data, truth, right)
-    d_lambda, _ = event_increments(data, agg)
-    haz_n0 = np.concatenate([[0.0], np.cumsum(d_lambda)])[right]
+    haz_n0 = np.concatenate([[0.0], np.cumsum(event_increments(data, agg))])[right]
+    return haz_n0, s_phi, lam0, integrals, (haz_n0 - s_phi) - (integrals[-1] - lam0)
+
+
+def _coupling_remainder(data: SurvivalDataset, truth: TruthModel, grid: np.ndarray):
+    """``r_n3`` alone: bitwise that of :func:`_t2_terms`, but reads neither
+    ``q`` nor the risk table's moment columns."""
+    return _t2_parts(data, truth, grid, [1])[-1]
+
+
+def _t2_terms(data: SurvivalDataset, truth: TruthModel, grid: np.ndarray) -> dict:
+    """Terms of the split of cum_haz_n(beta0, x) - cum_haz_0(x).
+
+    The truth path integrals ``q`` and ``H_uc`` are read together, once per
+    distinct query point.  Also returns ``mean_xi = b_n + c_n = s_phi -
+    I_v``, bitwise the value of :func:`xi_truth_mean`.
+    """
+    haz_n0, s_phi, lam0, (i_v, i_inv), r_n3 = _t2_parts(data, truth, grid, [0, 1])
     return {
         "haz_n_beta0": haz_n0,
         "t_n2": haz_n0 - lam0,
         "b_n": lam0 - i_v,
         "c_n": s_phi - lam0,
-        "r_n3": (haz_n0 - s_phi) - (i_inv - lam0),
+        "r_n3": r_n3,
         "r_n4": i_inv - 2.0 * lam0 + i_v,
         "mean_xi": s_phi - i_v,
     }

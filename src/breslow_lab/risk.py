@@ -25,7 +25,8 @@ n = 1e5 keep accumulation error far below 1e-12 relative.  A running sum
 down a contiguous column is several times faster than one down a column of
 an ``(n, k)`` stack.  ``w`` is exponentiated in ascending time order and then
 reversed: numpy's exp of a reversed (strided) view rounds some entries
-differently, which would change the tables' bits.
+differently, which would change the tables' bits.  ``s1`` and ``s2`` are
+built on first read, so a caller that reads only ``s0`` never pays for them.
 
 A dataset keeps its last table (see :func:`build_aggregates`), so the fit and
 every post-fit estimator at the same ``beta`` share one table, as ``coxph``
@@ -35,8 +36,8 @@ computes its risk sums once per coefficient vector.
 from __future__ import annotations
 
 import weakref
-from dataclasses import dataclass
-from functools import lru_cache
+from dataclasses import dataclass, field
+from functools import cached_property, lru_cache
 
 import numpy as np
 
@@ -60,17 +61,30 @@ class RiskAggregates:
     ``exp(beta'(Z - means))``; ``log_scale = beta'means`` is the log of the
     factor that takes ``s0`` back to the raw scale.  Ratio queries (s1/s0,
     s2/s0) and everything invariant to a covariate shift never see it.
-    Tables are shared between callers, so ``beta`` and the sums are read-only.
+    ``s1`` and ``s2`` come from one moment pass at the first read of either,
+    over the kept addends ``w``, which the table then drops.  Tables are
+    shared between callers, so ``beta`` and the sums are read-only.
     """
 
     beta: np.ndarray
     distinct_times: np.ndarray
     s0: np.ndarray
-    s1: np.ndarray
-    s2: np.ndarray
     n: int
     means: np.ndarray
     log_scale: float
+    # Moment-pass inputs: ``w`` (None once it ran), sorted ``Zc``, risk-set ends.
+    _w: np.ndarray | None = field(repr=False)
+    _z: np.ndarray = field(repr=False)
+    _rows: np.ndarray = field(repr=False)
+
+    @cached_property
+    def _moments(self) -> tuple[np.ndarray, np.ndarray]:
+        moments = _moment_sums(self._w, self._z, self._rows)
+        object.__setattr__(self, "_w", None)
+        return moments
+
+    s1 = property(lambda self: self._moments[0])
+    s2 = property(lambda self: self._moments[1])
 
 
 def _running_sums(addends: np.ndarray, rows) -> np.ndarray:
@@ -137,9 +151,11 @@ def build_aggregates(data: SurvivalDataset, beta) -> RiskAggregates:
 
     The addends are ``exp(beta'(Z - means))`` over the covariates centered at
     their column means, and ``log_scale = beta'means``.  A centered exponent
-    above the float64 limit, or risk-set sums that overflow or underflow to
+    above the float64 limit, or ``s0`` sums that overflow or underflow to
     zero, raise :class:`ExpOverflowError` (silent saturation would corrupt
-    rate experiments); the fitter treats that as a failed trial point.
+    rate experiments); the fitter treats that as a failed trial point.  The
+    moment sums ``s1`` and ``s2`` are built at their first read, which raises
+    it when they overflow, as does every later read; the table stays kept.
 
     Each dataset keeps the last table built for it, keyed by the bytes of
     ``beta``; datasets are immutable, so a call at the same ``beta`` returns
@@ -162,41 +178,52 @@ def build_aggregates(data: SurvivalDataset, beta) -> RiskAggregates:
 
 def _build_aggregates(data: SurvivalDataset, beta: np.ndarray) -> RiskAggregates:
     sv = data.sorted_view
-    p = data.covariate_dim
-    z = sv.centered
-    eta = z @ beta
+    eta = sv.centered @ beta
     top = float(eta.max())
     if top > EXP_OVERFLOW:
         raise ExpOverflowError(f"exp overflow: beta'(Z - zbar) = {top!r} exceeds float64 range")
     rows = data.n - 1 - sv.group_starts
-    s1 = np.empty((rows.size, p))
-    s2 = np.empty((rows.size, p, p))
     with np.errstate(over="ignore", invalid="ignore"):
         # Suffix sums: running sums over the rows in descending time order;
         # the exp comes before the reversal (see the module docstring).
         w = np.ascontiguousarray(np.exp(eta)[::-1])
-        zr = np.ascontiguousarray(z[::-1].T)
         s0 = _running_sums(w, rows)
+    if not (np.isfinite(s0).all() and (s0 > 0).all()):
+        raise ExpOverflowError(f"risk-set sums leave float64 range (max beta'(Z - zbar) = {top!r})")
+    for arr in (beta, s0):
+        arr.setflags(write=False)
+    return RiskAggregates(
+        beta=beta,
+        distinct_times=sv.distinct_times,
+        s0=s0,
+        n=data.n,
+        means=sv.means,
+        log_scale=float(beta @ sv.means),
+        _w=w,
+        _z=sv.centered,
+        _rows=rows,
+    )
+
+
+def _moment_sums(w: np.ndarray, z: np.ndarray, rows) -> tuple[np.ndarray, np.ndarray]:
+    """``(s1, s2)``, one Sum2 pass per column ``w Zc_j`` and ``w (Zc_i Zc_j)``, ``i <= j``;
+    raises :class:`ExpOverflowError` when a sum leaves float64."""
+    p = z.shape[1]
+    s1 = np.empty((rows.size, p))
+    s2 = np.empty((rows.size, p, p))
+    with np.errstate(over="ignore", invalid="ignore"):
+        zr = np.ascontiguousarray(z[::-1].T)
         for j in range(p):
             s1[:, j] = _running_sums(w * zr[j], rows)
         for i, j in zip(*_upper_pairs(p)):
             zz = zr[i] * zr[j]
             zz *= w
             s2[:, i, j] = s2[:, j, i] = _running_sums(zz, rows)
-    if not (all(np.isfinite(t).all() for t in (s0, s1, s2)) and (s0 > 0).all()):
-        raise ExpOverflowError(f"risk-set sums leave float64 range (max beta'(Z - zbar) = {top!r})")
-    for arr in (beta, s0, s1, s2):
+    if not (np.isfinite(s1).all() and np.isfinite(s2).all()):
+        raise ExpOverflowError("risk-set moment sums leave float64 range")
+    for arr in (s1, s2):
         arr.setflags(write=False)
-    return RiskAggregates(
-        beta=beta,
-        distinct_times=sv.distinct_times,
-        s0=s0,
-        s1=s1,
-        s2=s2,
-        n=data.n,
-        means=sv.means,
-        log_scale=float(beta @ sv.means),
-    )
+    return s1, s2
 
 
 def _lookup(agg: RiskAggregates, table: np.ndarray, x):
@@ -249,30 +276,15 @@ def centered_weights(data: SurvivalDataset, agg: RiskAggregates):
     return z, w
 
 
-def centered_increments(data: SurvivalDataset, agg: RiskAggregates):
-    """Breslow increments and risk-set means at the distinct follow-up times, centered.
+def event_increments(data: SurvivalDataset, agg: RiskAggregates) -> np.ndarray:
+    """Breslow increments ``d_k / S0(t_k)`` at the distinct follow-up times.
 
-    Returns ``(d_lambda, zbar)`` with ``d_lambda[k] = d_k / s0[t_k]`` and
-    ``zbar[k] = s1[t_k] / s0[t_k]``: the baseline hazard jump times
-    ``exp(beta'means)`` and the risk-set mean of the centered covariates.
-    One row per distinct follow-up time, so a running sum of them is read at
-    a time's index; ``d_lambda`` is 0 where no event falls.  Both are
-    invariant to a covariate shift.
+    The baseline hazard jump at the k-th distinct follow-up time on the raw
+    scale, 0 where no event falls.  Every post-fit estimator is a running sum
+    of these: the Breslow curve is ``cumsum(d_lambda)`` and the sensitivity
+    curve ``A_n`` is ``cumsum(zbar * d_lambda)`` with the risk-set covariate
+    mean ``zbar = S1/S0``, each read at the rows with ``event_counts > 0``.
+    Reads ``s0`` only; ``event_counts / s0`` is the same on the centered
+    scale.  Raises :class:`ExpOverflowError` when an increment leaves float64.
     """
-    return data.sorted_view.event_counts / agg.s0, agg.s1 / agg.s0[:, None]
-
-
-def event_increments(data: SurvivalDataset, agg: RiskAggregates):
-    """Breslow increments and risk-set means at the distinct follow-up times.
-
-    Returns ``(d_lambda, zbar)`` on the raw scale: ``d_lambda[k] = d_k /
-    S0(t_k)``, the baseline hazard jump at the k-th distinct follow-up time
-    (0 where no event falls), and ``zbar[k] = S1(t_k) / S0(t_k)``, the
-    risk-set covariate mean there (shape (m, p)).  Every post-fit estimator
-    is a running sum of these: the Breslow curve is ``cumsum(d_lambda)`` and
-    the sensitivity curve ``A_n`` is ``cumsum(zbar * d_lambda)``, each read
-    at the rows with ``event_counts > 0``.  Raises :class:`ExpOverflowError`
-    when an increment leaves float64.
-    """
-    d_lambda, zbar = centered_increments(data, agg)
-    return to_raw_scale(d_lambda, -agg.log_scale), zbar + agg.means
+    return to_raw_scale(data.sorted_view.event_counts / agg.s0, -agg.log_scale)

@@ -335,7 +335,7 @@ def reference_t2_terms(data, truth, grid):
     i_inv = _reference_integral(edges, 1.0 / v, truth.h_uc, grid)
     lam0 = truth.cum_hazard0(grid)
     s_phi = _reference_s_phi(data, truth, grid)
-    d_lambda, _ = event_increments(data, agg)
+    d_lambda = event_increments(data, agg)
     haz_n0 = StepCurve(data.sorted_view.distinct_times, np.cumsum(d_lambda))(grid)
     return {
         "haz_n_beta0": haz_n0,

@@ -136,6 +136,30 @@ class TestBreslowCommand:
         assert err.count("\n") == 1 and "overflow" in err
 
 
+@pytest.mark.parametrize("argv,message", [
+    (["fit"], "init None: the risk table leaves the float64 range\n"),
+    (["influence"], "init None: the risk table leaves the float64 range\n"),
+    (["breslow", "--beta", "0"], None),
+], ids=["fit", "influence", "breslow"])
+def test_moment_overflow_exit_2_one_line(tmp_path, capsys, argv, message):
+    # Covariates of +-1e155: every risk-set sum of exp(beta'Z) is finite,
+    # but the second moments (1e310) are not.  The moment columns are built
+    # after the table, so this checks that their overflow is still reported
+    # before any artifact is written.
+    path = tmp_path / "huge.csv"
+    rows = [f"{(i + 1) / 10!r},1,{(-1) ** i * 1e155!r}" for i in range(50)]
+    path.write_text("time,event,z1\n" + "\n".join(rows) + "\n")
+    out = tmp_path / "o"
+    code = main([*argv, "--input", str(path), "--output-dir", str(out)])
+    assert code == 2
+    err = capsys.readouterr().err
+    if message is None:
+        assert err.count("\n") == 1 and err.startswith("numeric overflow: ")
+    else:
+        assert err == message
+    assert list(out.iterdir()) == []
+
+
 class TestInfluenceCommand:
     def test_variance_artifact_parses(self, tmp_path):
         out = tmp_path / "out"

@@ -351,6 +351,85 @@ class TestTableCache:
         assert len(builds) == in_fit
 
 
+class TestMomentPasses:
+    """The moment columns ``s1``/``s2`` are built only where they are read.
+
+    A later read of ``zbar`` or ``s2`` on a path that does not need it would
+    put a moment pass back into every replication; these counts catch it.
+    """
+
+    @pytest.fixture
+    def passes(self, monkeypatch):
+        from breslow_lab import risk
+
+        calls = []
+        original = risk._moment_sums
+        monkeypatch.setattr(risk, "_moment_sums", lambda *a: calls.append(1) or original(*a))
+        return calls
+
+    def test_lemma2_replication_runs_none(self, passes):
+        from breslow_lab.experiments import coupling_remainder_experiment
+
+        coupling_remainder_experiment(reference_truth(), (200, 400), 2, seed=3)
+        assert passes == []
+
+    def test_theorem_fit_runs_one_per_accepted_table(self, passes, monkeypatch):
+        from breslow_lab import experiments
+
+        fits = []
+        original = experiments.fit_mple
+        monkeypatch.setattr(experiments, "fit_mple",
+                            lambda *a, **k: fits.append(original(*a, **k)) or fits[-1])
+        experiments.linearization_remainder_experiment(reference_truth(), (200, 400), 2, seed=3)
+        assert len(fits) == 4 and all(fit.converged for fit in fits)
+        # A fit's accepted tables are its start and one per Newton step.
+        assert len(passes) == sum(fit.iterations + 1 for fit in fits)
+
+    def test_rejected_line_search_points_run_none(self, passes, monkeypatch):
+        from breslow_lab import fit_mple, risk
+
+        builds = []
+        original = risk._build_aggregates
+        monkeypatch.setattr(risk, "_build_aggregates",
+                            lambda data, beta: builds.append(1) or original(data, beta))
+        # From beta = 6 the line search halves several steps.
+        fit = fit_mple(generate_dataset(reference_truth(), 300, 4), init=[6.0])
+        assert fit.converged
+        assert len(passes) == fit.iterations + 1 < len(builds)
+
+    @pytest.mark.parametrize("every_later", [False, True])
+    def test_moment_overflow_fails_a_trial_point(self, monkeypatch, every_later):
+        """A trial point whose moment columns leave float64 is never taken.
+
+        The first point the search would take fails, so it halves and the
+        fit still reaches the unpatched optimum; with ``every_later`` every
+        point after the start fails, so the search cannot move.
+        """
+        from breslow_lab import fit_mple, risk
+        from breslow_lab.coxfit import STATUS_MAX_ITERATIONS
+        from breslow_lab.risk import ExpOverflowError
+
+        data = generate_dataset(reference_truth(), 300, 4)
+        expected = fit_mple(data)
+        calls = []
+        original = risk._moment_sums
+
+        def moment_sums(*args):
+            calls.append(1)
+            if len(calls) == 2 or (every_later and len(calls) > 1):
+                raise ExpOverflowError("moment sums leave float64")
+            return original(*args)
+
+        monkeypatch.setattr(risk, "_moment_sums", moment_sums)
+        fit = fit_mple(cold_copy(data))
+        if every_later:
+            assert fit.status == STATUS_MAX_ITERATIONS and fit.iterations == 0
+            assert np.all(fit.beta_hat == 0.0) and len(calls) > 2
+        else:
+            assert fit.converged
+            np.testing.assert_allclose(fit.beta_hat, expected.beta_hat, rtol=1e-8)
+
+
 def cold_copy(data):
     """A new dataset object with the same rows: a cold cache."""
     from breslow_lab import SurvivalDataset

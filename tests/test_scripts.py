@@ -4,6 +4,7 @@ Each script runs in a fresh interpreter with RuntimeWarnings as errors (the
 suite's own policy), from a temporary working directory.
 """
 
+import json
 import subprocess
 import sys
 from pathlib import Path
@@ -46,3 +47,17 @@ def test_artifact_digest(tmp_path):
                   "decompose-p0/decomposition.csv", "rate-lab-theorem/rates.json"):
         assert label in labels
     assert not list(tmp_path.iterdir())  # the artifacts live in a temporary directory
+
+
+def test_paired_ops_tree_against_itself(tmp_path):
+    src = str(SCRIPTS.parent / "src")
+    proc = run_script("paired_ops.py", src, src, "--claim", "theorem", "--n", "100,200",
+                      "--reps", "2", "--ops", "3", cwd=tmp_path)
+    assert proc.returncode == 0, proc.stderr
+    report = json.loads(proc.stdout)
+    assert report["ops"] == 3
+    assert report["artifacts_identical"] and report["mismatched_op_seeds"] == []
+    ratio = report["ratio_change_over_parent"]
+    assert 0 < ratio["q1"] <= ratio["median"] <= ratio["q3"]
+    assert set(report["minor_faults_per_op_median"]) == {"parent", "change"}
+    assert not list(tmp_path.iterdir())

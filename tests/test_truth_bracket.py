@@ -1,8 +1,9 @@
 """One bracket per truth-functional query set.
 
-``_t2_terms`` and ``xi_truth_mean`` bracket a grid once against the distinct
-follow-up times, derive every other index from that bracket, and evaluate
-each truth antiderivative once per distinct point.  They must agree bitwise
+``_t2_terms``, ``xi_truth_mean`` and the rate lab's ``_coupling_remainder``
+bracket a grid once against the distinct follow-up times, derive every other
+index from that bracket, and evaluate each truth antiderivative once per
+distinct point.  They must agree bitwise
 with the reference bookkeeping of ``tests/oracles.py`` (one search per
 index, every antiderivative at every edge and grid point), and no
 antiderivative may see the same point twice in one call.
@@ -13,7 +14,7 @@ import pytest
 
 from breslow_lab import SurvivalDataset, generate_dataset, reference_truth, xi_truth_mean
 from breslow_lab.experiments import _eval_grid, _fixed_grid
-from breslow_lab.linearize import _t2_terms
+from breslow_lab.linearize import _coupling_remainder, _t2_terms
 from breslow_lab.quadrature import PanelAntiderivative
 
 from oracles import reference_t2_terms, reference_xi_truth_mean
@@ -96,6 +97,18 @@ def test_t2_terms_bitwise_equal_to_reference(truth, tie, name):
 
 
 @pytest.mark.parametrize("tie,name", _cases())
+def test_coupling_remainder_bitwise_equal_to_reference(truth, tie, name):
+    # The rate lab's r_n3 reads the H_uc column alone; _t2_terms reads q and
+    # H_uc together.  Neither choice may move a bit of r_n3 or mean_xi.
+    data, grid = _case(truth, tie, name)
+    want = reference_t2_terms(data, truth, grid)["r_n3"]
+    assert _coupling_remainder(data, truth, grid).tobytes() == want.tobytes()
+    assert _t2_terms(data, truth, grid)["mean_xi"].tobytes() == (
+        xi_truth_mean(data, truth, grid).tobytes()
+    )
+
+
+@pytest.mark.parametrize("tie,name", _cases())
 def test_xi_truth_mean_bitwise_equal_to_reference(truth, tie, name):
     data, grid = _case(truth, tie, name)
     assert xi_truth_mean(data, truth, grid).tobytes() == (
@@ -133,7 +146,7 @@ def query_log(monkeypatch):
 @pytest.mark.parametrize("name", ["duplicates", "experiment grid", "refined experiment grid"])
 def test_each_distinct_point_evaluated_at_most_once(truth, query_log, tie, name):
     data, grid = _case(truth, tie, name)
-    for fn in (_t2_terms, xi_truth_mean):
+    for fn in (_t2_terms, xi_truth_mean, _coupling_remainder):
         query_log.clear()
         fn(data, truth, grid)
         assert query_log, fn.__name__
