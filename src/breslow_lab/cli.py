@@ -66,7 +66,7 @@ def _write_json(path: Path, payload: dict) -> None:
 
 
 def _load_input(args) -> "SurvivalDataset":
-    if getattr(args, "input", None):
+    if args.input:
         try:
             return load_csv(args.input)
         except OSError as exc:
@@ -225,7 +225,7 @@ def cmd_decompose(args) -> int:
         "M": m,
         "truth": args.truth,
     }
-    if getattr(args, "input", None) is None:
+    if args.input is None:
         payload["seed"] = args.seed
     _write_json(out / "decomposition.json", payload)
     return EXIT_OK
@@ -302,10 +302,9 @@ def build_parser() -> argparse.ArgumentParser:
     )
     sub = parser.add_subparsers(dest="command", required=True)
 
-    def add_common(p, *, with_input=True, with_truth_gen=False):
+    def add_common(p, *, with_truth_gen=False):
         p.add_argument("--output-dir", default=None, help="artifact directory")
-        if with_input:
-            p.add_argument("--input", default=None, help="input CSV (time,event,z1,...)")
+        p.add_argument("--input", default=None, help="input CSV (time,event,z1,...)")
         if with_truth_gen:
             p.add_argument("--truth", default="reference", choices=sorted(TRUTHS))
             p.add_argument("--n", type=int, default=2000, help="simulated sample size")

@@ -244,8 +244,8 @@ def score_residuals(data: SurvivalDataset, beta) -> np.ndarray:
     d_lambda, zbar = sv.event_counts / agg.s0, agg.s1 / agg.s0[:, None]
     steps = np.column_stack([d_lambda, zbar * d_lambda[:, None]])
     at_t = np.cumsum(steps, axis=0)[sv.time_group]
-    z, w = centered_weights(data, agg)
-    exposure = w[:, None] * (z * at_t[:, :1] - at_t[:, 1:])
+    z = data.covariates - sv.means
+    exposure = centered_weights(data, agg)[:, None] * (z * at_t[:, :1] - at_t[:, 1:])
     # Event rows, in time order, fall on the distinct times in runs of
     # ``event_counts``.
     event_term = np.zeros_like(z)

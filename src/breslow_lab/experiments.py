@@ -13,7 +13,6 @@ master seed and independent of execution order.
 
 from __future__ import annotations
 
-import ctypes
 import math
 from dataclasses import dataclass
 
@@ -34,13 +33,6 @@ A_N_CHOICES = {
     "1/sqrt(log n)": lambda n: 1.0 / math.sqrt(math.log(n)),
     "const": lambda n: 1.0,
 }
-
-
-try:  # glibc's malloc_trim; None where the C library has none
-    _MALLOC_TRIM = ctypes.CDLL(None).malloc_trim
-    _MALLOC_TRIM.argtypes, _MALLOC_TRIM.restype = [ctypes.c_size_t], ctypes.c_int
-except (AttributeError, OSError, TypeError):
-    _MALLOC_TRIM = None
 
 
 class ExperimentValidityError(RuntimeError):
@@ -224,10 +216,6 @@ def _run(claim, truth, sample_sizes, replications, seed, names, measure, *,
                 f"{bad}/{replications} replications excluded at n={n}; "
                 f"cap is {EXCLUSION_CAP:.0%}"
             )
-    # A small block that numpy keeps for reuse can pin a large replication's
-    # freed temporaries in glibc's heap (15 MB at n = 1e5); hand them back.
-    if _MALLOC_TRIM is not None:
-        _MALLOC_TRIM(0)
     normalized = None
     if a_n is not None:
         a_fn, primary = A_N_CHOICES[a_n], raw[names[0]]

@@ -226,7 +226,7 @@ def xi_plugin(data: SurvivalDataset, fit: CoxFit | None, x_grid) -> InfluenceMat
     d_lambda = sv.event_counts / agg.s0
     # q_prior[k] is q before the k-th distinct time, q_prior[k + 1] at it.
     q_prior = np.concatenate([[0.0], np.cumsum(d_lambda / (agg.s0 / data.n))])
-    _, w = centered_weights(data, agg)
+    w = centered_weights(data, agg)
     t = data.times
     # After follow-up a row is (delta - w dLambda(t)) / phi(t) - w q(t-): the
     # own-time jump of q, of size about n / s0(t), is folded into the event
@@ -447,11 +447,11 @@ def remainder_decomposition(
     )
 
 
-def default_m_plugin(data: SurvivalDataset, beta, phi_floor: float = 0.05) -> float:
-    """Largest follow-up time with empirical risk mass >= phi_floor."""
+def default_m_plugin(data: SurvivalDataset, beta) -> float:
+    """Largest follow-up time with empirical risk mass >= 0.05."""
     agg = build_aggregates(data, beta)
     mass = to_raw_scale(agg.s0 / agg.n, agg.log_scale)
-    ok = np.flatnonzero(mass >= phi_floor)
+    ok = np.flatnonzero(mass >= 0.05)
     if ok.size == 0:
         raise ValueError("empirical risk mass is below the floor everywhere")
     return float(agg.distinct_times[ok[-1]])

@@ -61,9 +61,10 @@ class RiskAggregates:
     ``exp(beta'(Z - means))``; ``log_scale = beta'means`` is the log of the
     factor that takes ``s0`` back to the raw scale.  Ratio queries (s1/s0,
     s2/s0) and everything invariant to a covariate shift never see it.
-    ``s1`` and ``s2`` come from one moment pass at the first read of either,
-    over the kept addends ``w``, which the table then drops.  Tables are
-    shared between callers, so ``beta`` and the sums are read-only.
+    ``w`` holds the addends ``exp(beta'(Z - means))`` in descending time
+    order; ``s1`` and ``s2`` come from one moment pass over them at the first
+    read of either.  Tables are shared between callers, so ``beta``, ``w``
+    and the sums are read-only.
     """
 
     beta: np.ndarray
@@ -72,16 +73,14 @@ class RiskAggregates:
     n: int
     means: np.ndarray
     log_scale: float
-    # Moment-pass inputs: ``w`` (None once it ran), sorted ``Zc``, risk-set ends.
-    _w: np.ndarray | None = field(repr=False)
+    w: np.ndarray = field(repr=False)
+    # Moment-pass inputs besides ``w``: sorted ``Zc`` and the risk-set ends.
     _z: np.ndarray = field(repr=False)
     _rows: np.ndarray = field(repr=False)
 
     @cached_property
     def _moments(self) -> tuple[np.ndarray, np.ndarray]:
-        moments = _moment_sums(self._w, self._z, self._rows)
-        object.__setattr__(self, "_w", None)
-        return moments
+        return _moment_sums(self.w, self._z, self._rows)
 
     s1 = property(lambda self: self._moments[0])
     s2 = property(lambda self: self._moments[1])
@@ -190,7 +189,7 @@ def _build_aggregates(data: SurvivalDataset, beta: np.ndarray) -> RiskAggregates
         s0 = _running_sums(w, rows)
     if not (np.isfinite(s0).all() and (s0 > 0).all()):
         raise ExpOverflowError(f"risk-set sums leave float64 range (max beta'(Z - zbar) = {top!r})")
-    for arr in (beta, s0):
+    for arr in (beta, w, s0):
         arr.setflags(write=False)
     return RiskAggregates(
         beta=beta,
@@ -199,7 +198,7 @@ def _build_aggregates(data: SurvivalDataset, beta: np.ndarray) -> RiskAggregates
         n=data.n,
         means=sv.means,
         log_scale=float(beta @ sv.means),
-        _w=w,
+        w=w,
         _z=sv.centered,
         _rows=rows,
     )
@@ -260,20 +259,16 @@ def d2_n(agg: RiskAggregates, x):
     return _lookup(agg, raw, x)
 
 
-def centered_weights(data: SurvivalDataset, agg: RiskAggregates):
-    """Centered covariates and relative risks of every subject, in input order.
+def centered_weights(data: SurvivalDataset, agg: RiskAggregates) -> np.ndarray:
+    """Centered relative risks ``exp(beta'(Z_i - means))`` of every subject, in input order.
 
-    Returns ``(z, w)`` with ``z[i] = Z_i - means`` and ``w[i] =
-    exp(beta'(Z_i - means))``, the addends of the table's ``s0``; the raw
-    relative risk is ``w * exp(log_scale)``.  Both are invariant to a
-    covariate shift.
+    The table's addends ``agg.w`` put back in input order, bit for bit; the
+    raw relative risk is ``w * exp(log_scale)``.  Invariant to a covariate
+    shift.
     """
-    sv = data.sorted_view
-    z = np.empty_like(sv.centered)
-    z[sv.order] = sv.centered
     w = np.empty(data.n)
-    w[sv.order] = np.exp(sv.centered @ agg.beta)
-    return z, w
+    w[data.sorted_view.order] = agg.w[::-1]
+    return w
 
 
 def event_increments(data: SurvivalDataset, agg: RiskAggregates) -> np.ndarray:

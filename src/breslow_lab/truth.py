@@ -312,7 +312,10 @@ class TruthModel:
         A bisection on floats keeps ``phi(lo) >= phi_floor > phi(hi)`` until
         ``lo`` and ``hi`` are adjacent and returns ``lo``, the largest such
         float when ``phi`` is nonincreasing; ``censor_upper * (1 - 1e-9)`` if
-        ``phi`` is still at the floor there."""
+        ``phi`` is still at the floor there.  A floor that is not finite
+        raises ``ValueError``."""
+        if not math.isfinite(phi_floor):
+            raise ValueError(f"the risk-mass floor must be finite, got {phi_floor!r}")
         if self.phi(0.0) < phi_floor:
             raise ValueError("risk mass already below the floor at x = 0")
         lo, hi = 0.0, self.censor_upper * (1.0 - 1e-9)
@@ -344,13 +347,16 @@ def reference_truth() -> TruthModel:
     )
 
 
-def no_covariate_truth(censor_upper: float = 3.0) -> TruthModel:
-    """Covariate-free design used for the unconditional special case."""
+def no_covariate_truth() -> TruthModel:
+    """Covariate-free design used for the unconditional special case.
+
+    Unit baseline hazard and censoring uniform on (0, 3), as in
+    :func:`reference_truth`."""
     return TruthModel(
         beta0=np.zeros(0),
         baseline=constant_hazard(1.0),
         covariate_law=NO_COVARIATES,
-        censor_upper=censor_upper,
+        censor_upper=3.0,
     )
 
 

@@ -273,6 +273,22 @@ class TestRateLabCommand:
         assert len(err.strip().splitlines()) == 1 and "replications" in err
         assert not (out / "rates.json").exists()
 
+    @pytest.mark.parametrize("source", ["flag", "config"])
+    def test_nan_floor_exit_2_one_line(self, tmp_path, capsys, source):
+        out = tmp_path / "out"
+        argv = ["rate-lab", "--claim", "lemma2", "--n", "80,160", "--reps", "2",
+                "--seed", "7", "--output-dir", str(out)]
+        if source == "flag":
+            argv += ["--phi-floor", "nan"]
+        else:
+            cfg = tmp_path / "lab.cfg"
+            cfg.write_text("M_policy = nan\n")
+            argv += ["--config", str(cfg)]
+        assert main(argv) == 2
+        err = capsys.readouterr().err
+        assert len(err.strip().splitlines()) == 1 and "finite" in err
+        assert not (out / "rates.json").exists()
+
     def test_theorem_without_covariates(self, tmp_path):
         out = tmp_path / "out"
         code = main([

@@ -1,5 +1,3 @@
-import platform
-
 import numpy as np
 import pytest
 
@@ -100,32 +98,6 @@ class TestExclusions:
         assert res.excluded == (0, 0)
         assert "r_n" in res.quantities
         assert np.all(np.isfinite(res.raw["r_n"]))
-
-
-class TestFreeHeap:
-    def test_released_once_after_the_replication_loop(self, ref_truth, monkeypatch):
-        events = []
-        draw = experiments.generate_dataset
-
-        def logged_draw(*args, **kwargs):
-            events.append("draw")
-            return draw(*args, **kwargs)
-
-        monkeypatch.setattr(experiments, "generate_dataset", logged_draw)
-        monkeypatch.setattr(experiments, "_MALLOC_TRIM", lambda pad: events.append(("trim", pad)))
-        coupling_remainder_experiment(ref_truth, [80, 160], 2, seed=3, grid_points=32)
-        assert events == ["draw"] * 4 + [("trim", 0)]
-
-    def test_no_op_without_malloc_trim(self, ref_truth, monkeypatch):
-        kw = dict(sample_sizes=[80, 160], replications=2, seed=3, grid_points=32)
-        expected = coupling_remainder_experiment(ref_truth, **kw).to_dict()
-        monkeypatch.setattr(experiments, "_MALLOC_TRIM", None)
-        assert coupling_remainder_experiment(ref_truth, **kw).to_dict() == expected
-
-    @pytest.mark.skipif(platform.libc_ver()[0] != "glibc", reason="glibc only")
-    def test_found_on_glibc(self):
-        assert experiments._MALLOC_TRIM is not None
-        assert experiments._MALLOC_TRIM(0) in (0, 1)
 
 
 class TestConfigFile:

@@ -313,6 +313,18 @@ class TestTableCache:
             with pytest.raises(ValueError):
                 arr[...] = 0.0
 
+    def test_table_keeps_its_weights(self):
+        from breslow_lab.risk import centered_weights
+
+        data = random_dataset(np.random.default_rng(54), 60, 2)
+        agg = build_aggregates(data, [0.4, -0.3])
+        agg.s1  # the moment pass
+        assert not agg.w.flags.writeable
+        sv = data.sorted_view
+        w = centered_weights(data, agg)
+        assert np.array_equal(w[sv.order], agg.w[::-1])
+        assert np.allclose(w, np.exp((data.covariates - sv.means) @ agg.beta), rtol=1e-15, atol=0)
+
     def test_failed_build_is_not_cached(self, builds):
         # Centered exponent 800 at beta = 1; beta = 0.1 is fine.
         data = validate_dataset([(1.0, True, [1600.0]), (2.0, True, [0.0])])

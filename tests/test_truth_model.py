@@ -85,6 +85,13 @@ def test_default_m_is_the_last_float_at_the_floor(make_truth, floor):
     assert truth.phi(m) >= floor > truth.phi(np.nextafter(m, np.inf))
 
 
+@pytest.mark.parametrize("floor", [math.nan, -math.inf, math.inf])
+def test_default_m_rejects_a_floor_that_is_not_finite(ref_truth, floor):
+    # Every ``phi >= nan`` test is false, so a bisection would return M = 0.
+    with pytest.raises(ValueError, match="finite"):
+        ref_truth.default_M(floor)
+
+
 class TestQuadratureMachinery:
     def test_antiderivatives_match_scipy(self, ref_truth):
         for x in [0.3, 1.0, 1.7, 2.2]:
