@@ -4,10 +4,12 @@
 Writes two inputs with ``save_csv`` (600 rows with three covariates and tied
 times, and 500 covariate-free rows drawn from the no-covariate design), runs
 ``fit``, ``breslow`` (fitted and with ``--beta``), ``influence --write-xi``,
-``decompose`` and the three ``rate-lab`` claims at ``--n 200,400 --reps 2``
-through ``cli.main``, and prints ``sha256  <command>/<file>`` for every file
-written and for each command's stdout, sorted.  Two checkouts produce
-byte-identical artifacts exactly when their outputs diff clean:
+``decompose``, the three ``rate-lab`` claims at ``--n 200,400 --reps 2``
+and one ``rate-lab --config`` run (a file setting all eight keys, plus a
+``--seed`` flag that overrides the file's) through ``cli.main``, and prints
+``sha256  <command>/<file>`` for every file written and for each command's
+stdout, sorted.  Two checkouts produce byte-identical artifacts exactly when
+their outputs diff clean:
 
     python scripts/artifact_digest.py > a.txt   # in each checkout
     diff a.txt b.txt
@@ -39,7 +41,20 @@ def tied_p3() -> SurvivalDataset:
     return SurvivalDataset(times, event_t <= censor_t, z)
 
 
-def _commands(tied: str, p0: str) -> dict:
+# Every config key, each away from its default; ``--seed 6`` overrides the seed.
+LAB_CONFIG = """\
+truth = reference
+claim = theorem
+sample_sizes = 200,400
+replications = 2
+a_n = 1/sqrt(log n)
+seed = 5
+grid_points = 64
+M_policy = 0.2
+"""
+
+
+def _commands(tied: str, p0: str, lab_cfg: str) -> dict:
     rate_lab = ["rate-lab", "--n", "200,400", "--reps", "2", "--seed", "5"]
     return {
         "fit-tied": ["fit", "--input", tied],
@@ -55,17 +70,19 @@ def _commands(tied: str, p0: str) -> dict:
                                 "--seed", "3", "--grid-points", "32"],
         **{f"rate-lab-{claim}": rate_lab + ["--claim", claim]
            for claim in ("lemma1", "lemma2", "theorem")},
+        "rate-lab-config": ["rate-lab", "--config", lab_cfg, "--seed", "6"],
     }
 
 
 def digest(work: Path) -> list[str]:
     """Write the inputs into ``work`` and run every command with its own
     output directory there; the sorted digest lines."""
-    tied, p0 = work / "tied_p3.csv", work / "p0.csv"
+    tied, p0, lab_cfg = work / "tied_p3.csv", work / "p0.csv", work / "lab.cfg"
     save_csv(tied_p3(), tied)
     save_csv(generate_dataset(no_covariate_truth(), 500, 11), p0)
+    lab_cfg.write_text(LAB_CONFIG, encoding="utf-8")
     lines = []
-    for name, argv in _commands(str(tied), str(p0)).items():
+    for name, argv in _commands(str(tied), str(p0), str(lab_cfg)).items():
         out = work / name
         stdout = io.StringIO()
         with contextlib.redirect_stdout(stdout):

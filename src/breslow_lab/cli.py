@@ -23,10 +23,14 @@ from . import breslow as breslow_mod
 from .coxfit import fit_mple
 from .data import DataError, load_csv, write_csv
 from .experiments import (
+    A_N,
+    CONFIG_KEYS,
+    GRID_POINTS,
     ExperimentValidityError,
     coupling_remainder_experiment,
     linearization_remainder_experiment,
     parse_config,
+    parse_setting,
     risk_deviation_experiment,
 )
 from .linearize import (
@@ -35,7 +39,7 @@ from .linearize import (
     variance_estimate,
     xi_plugin,
 )
-from .truth import generate_dataset, no_covariate_truth, reference_truth
+from .truth import PHI_FLOOR, generate_dataset, no_covariate_truth, reference_truth
 
 EXIT_OK = 0
 EXIT_IO = 1
@@ -71,8 +75,6 @@ def _load_input(args) -> "SurvivalDataset":
             return load_csv(args.input)
         except OSError as exc:
             raise _CliError(EXIT_IO, f"cannot read {args.input}: {exc}") from exc
-        except DataError as exc:
-            raise _CliError(EXIT_IO, str(exc)) from exc
     truth = _resolve_truth(args.truth)
     return generate_dataset(truth, args.n, args.seed)
 
@@ -101,10 +103,6 @@ def _fit(data):
 
 def _parse_floats(text: str) -> np.ndarray:
     return np.array([float(v) for v in text.split(",")])
-
-
-def _parse_sizes(text: str) -> tuple:
-    return tuple(int(v) for v in text.split(","))
 
 
 # ---------------------------------------------------------------------------
@@ -233,47 +231,26 @@ def cmd_decompose(args) -> int:
 
 def cmd_rate_lab(args) -> int:
     # Defaults, then the config file, then every flag given (flag dest ==
-    # config key).
-    options = {
-        "truth": "reference",
-        "claim": None,
-        "sample_sizes": None,
-        "replications": None,
-        "a_n": "1/log n",
-        "seed": None,
-        "grid_points": 512,
-        "M_policy": 0.05,
-    }
+    # config key), each flag parsed like its config value.
+    options = {"truth": "reference", "a_n": A_N, "grid_points": GRID_POINTS,
+               "M_policy": PHI_FLOOR}
     if args.config:
-        try:
-            options.update(parse_config(args.config))
-        except FileNotFoundError as exc:
-            raise _CliError(EXIT_IO, str(exc)) from exc
-        except ValueError as exc:
-            raise _CliError(EXIT_MODEL, str(exc)) from exc
+        options.update(parse_config(args.config))
     flags = vars(args)
-    options.update({k: flags[k] for k in options if flags.get(k) is not None})
-    claim = options["claim"]
+    options.update({key: parse_setting(key, flags[key]) for key in CONFIG_KEYS
+                    if flags[key] is not None})
+    claim = options.get("claim")
     if claim not in CLAIMS:
         raise _CliError(EXIT_MODEL, f"unknown claim {claim!r}; options: {sorted(CLAIMS)}")
     for key in ("sample_sizes", "replications", "seed"):
-        if options[key] is None:
+        if key not in options:
             raise _CliError(EXIT_MODEL, f"missing required option {key}")
     truth = _resolve_truth(options["truth"])
     kwargs = dict(grid_points=options["grid_points"], phi_floor=options["M_policy"])
     if claim != "lemma1":
         kwargs["a_n"] = options["a_n"]
-    try:
-        result = CLAIMS[claim](
-            truth,
-            options["sample_sizes"],
-            options["replications"],
-            options["seed"],
-            **kwargs,
-        )
-    except ExperimentValidityError as exc:
-        print(f"experiment invalid: {exc}", file=sys.stderr)
-        return EXIT_EXPERIMENT
+    result = CLAIMS[claim](truth, options["sample_sizes"], options["replications"],
+                           options["seed"], **kwargs)
     out = _out_dir(args)
     payload = result.to_dict()
     payload["truth"] = options["truth"]
@@ -336,13 +313,13 @@ def build_parser() -> argparse.ArgumentParser:
     p_lab.add_argument("--claim", choices=sorted(CLAIMS), default=None)
     p_lab.add_argument("--config", default=None, help="flat key=value config file")
     p_lab.add_argument("--truth", default=None, choices=sorted(TRUTHS))
-    p_lab.add_argument("--n", dest="sample_sizes", type=_parse_sizes, default=None,
-                       help="comma-separated sample sizes")
-    p_lab.add_argument("--reps", dest="replications", type=int, default=None)
-    p_lab.add_argument("--a-n", dest="a_n", default=None)
-    p_lab.add_argument("--seed", type=int, default=None)
-    p_lab.add_argument("--grid-points", type=int, default=None)
-    p_lab.add_argument("--phi-floor", dest="M_policy", type=float, default=None)
+    # Values stay strings here: cmd_rate_lab parses them like config values.
+    p_lab.add_argument("--n", dest="sample_sizes", help="comma-separated sample sizes")
+    p_lab.add_argument("--reps", dest="replications")
+    p_lab.add_argument("--a-n", dest="a_n")
+    p_lab.add_argument("--seed")
+    p_lab.add_argument("--grid-points")
+    p_lab.add_argument("--phi-floor", dest="M_policy")
     p_lab.add_argument("--output-dir", default=None)
     p_lab.set_defaults(func=cmd_rate_lab)
 
@@ -359,6 +336,9 @@ def main(argv=None) -> int:
     except _CliError as exc:
         print(str(exc), file=sys.stderr)
         return exc.code
+    except ExperimentValidityError as exc:
+        print(f"experiment invalid: {exc}", file=sys.stderr)
+        return EXIT_EXPERIMENT
     except DataError as exc:
         print(str(exc), file=sys.stderr)
         return EXIT_IO

@@ -22,17 +22,28 @@ from .coxfit import fit_mple
 from .data import SurvivalDataset
 from .linearize import _coupling_remainder, _linearization_remainder, xi_truth_mean
 from .risk import build_aggregates, d1_n, phi_n
-from .truth import TruthModel, generate_dataset
+from .truth import PHI_FLOOR, TruthModel, generate_dataset
 
 # Fraction of replications allowed to fail (non-converged fits) before the
 # whole experiment is declared invalid.
 EXCLUSION_CAP = 0.01
 
+# Points of the fixed grid on [0, M], and the rate normalization the
+# remainder claims use unless told otherwise.
+GRID_POINTS = 512
+A_N = "1/log n"
+
 A_N_CHOICES = {
-    "1/log n": lambda n: 1.0 / math.log(n),
+    A_N: lambda n: 1.0 / math.log(n),
     "1/sqrt(log n)": lambda n: 1.0 / math.sqrt(math.log(n)),
     "const": lambda n: 1.0,
 }
+
+
+def _a_n_choice(label: str) -> str:
+    if label not in A_N_CHOICES:
+        raise ValueError(f"unknown a_n choice {label!r}; options: {sorted(A_N_CHOICES)}")
+    return label
 
 
 class ExperimentValidityError(RuntimeError):
@@ -87,13 +98,8 @@ class RateExperimentResult:
 
     @property
     def fitted_slope(self) -> float:
-        """Slope of the experiment's primary tracked quantity."""
-        return self.quantities[self.primary_quantity].slope
-
-    @property
-    def primary_quantity(self) -> str:
-        """The first tracked quantity, the one ``normalized_median`` reads."""
-        return next(iter(self.quantities))
+        """Slope of the first tracked quantity, the one ``normalized_median`` reads."""
+        return next(iter(self.quantities.values())).slope
 
     def normalized_stability_ratio(self) -> float:
         """Max/min across n of the normalized-statistic medians."""
@@ -188,15 +194,14 @@ def _run(claim, truth, sample_sizes, replications, seed, names, measure, *,
     """The replication loop every claim shares.
 
     Replication r at size n draws its dataset from ``replication_seed(seed,
-    n, r)`` and calls ``measure(data, fixed, M)``, which returns one sup per
-    quantity in ``names``, or None for an excluded replication (its raw
-    entries stay NaN).  Exceeding the exclusion cap at any n invalidates the
-    experiment.  With ``a_n`` the result carries the per-n medians of ``a_n *
-    n * sup`` of the first quantity, over the replications kept.
+    n, r)`` and calls ``measure(truth, data, fixed, M)``, which returns one
+    sup per quantity in ``names``, or None for an excluded replication (its
+    raw entries stay NaN).  Exceeding the exclusion cap at any n invalidates
+    the experiment.  With ``a_n`` the result carries the per-n medians of
+    ``a_n * n * sup`` of the first quantity, over the replications kept.
     """
     sizes = _validate_design(sample_sizes, replications)
-    if a_n is not None and a_n not in A_N_CHOICES:
-        raise ValueError(f"unknown a_n choice {a_n!r}; options: {sorted(A_N_CHOICES)}")
+    a_fn = None if a_n is None else A_N_CHOICES[_a_n_choice(a_n)]
     M = truth.default_M(phi_floor)
     fixed = _fixed_grid(M, grid_points)
     raw = {name: np.full((len(sizes), replications), np.nan) for name in names}
@@ -204,7 +209,8 @@ def _run(claim, truth, sample_sizes, replications, seed, names, measure, *,
     for i, n in enumerate(sizes):
         bad = 0
         for r in range(replications):
-            sups = measure(generate_dataset(truth, n, replication_seed(seed, n, r)), fixed, M)
+            data = generate_dataset(truth, n, replication_seed(seed, n, r))
+            sups = measure(truth, data, fixed, M)
             if sups is None:
                 bad += 1
                 continue
@@ -217,8 +223,8 @@ def _run(claim, truth, sample_sizes, replications, seed, names, measure, *,
                 f"cap is {EXCLUSION_CAP:.0%}"
             )
     normalized = None
-    if a_n is not None:
-        a_fn, primary = A_N_CHOICES[a_n], raw[names[0]]
+    if a_fn is not None:
+        primary = raw[names[0]]
         normalized = np.array(
             [np.nanmedian(a_fn(n) * n * primary[i]) for i, n in enumerate(sizes)]
         )
@@ -237,34 +243,38 @@ def _run(claim, truth, sample_sizes, replications, seed, names, measure, *,
     )
 
 
+def measure_risk_deviation(truth: TruthModel, data: SurvivalDataset, fixed, M):
+    """Sups of |phi_n - phi| and, with covariates, of the Euclidean norm of
+    ``d1_n - d1``, both at the true coefficients."""
+    grid = _eval_grid(fixed, data, M, refine_steps=True)
+    agg = build_aggregates(data, truth.beta0)
+    sups = [np.max(np.abs(phi_n(agg, grid) - truth.phi(grid)))]
+    if truth.p:
+        dev_d1 = d1_n(agg, grid) - truth.d1(grid)
+        sups.append(np.max(np.linalg.norm(dev_d1, axis=1)))
+    return sups
+
+
 def risk_deviation_experiment(
     truth: TruthModel,
     sample_sizes,
     replications: int,
     seed: int,
     *,
-    grid_points: int = 512,
-    phi_floor: float = 0.05,
+    grid_points: int = GRID_POINTS,
+    phi_floor: float = PHI_FLOOR,
 ) -> RateExperimentResult:
-    """Root-n deviations of the empirical risk mass and its gradient.
-
-    Tracks sup over [0, M] of |phi_n(beta0, .) - phi(beta0, .)| and of the
-    Euclidean norm of the gradient deviation, both evaluated at the true
-    coefficients (no fitting).
-    """
-
-    def measure(data, fixed, M):
-        grid = _eval_grid(fixed, data, M, refine_steps=True)
-        agg = build_aggregates(data, truth.beta0)
-        sups = [np.max(np.abs(phi_n(agg, grid) - truth.phi(grid)))]
-        if truth.p:
-            dev_d1 = d1_n(agg, grid) - truth.d1(grid)
-            sups.append(np.max(np.linalg.norm(dev_d1, axis=1)))
-        return sups
-
+    """Root-n deviations of the empirical risk mass and its gradient over
+    [0, M] (:func:`measure_risk_deviation`; no fitting)."""
     names = ("phi", "d1") if truth.p else ("phi",)
-    return _run("risk-deviation", truth, sample_sizes, replications, seed, names, measure,
-                grid_points=grid_points, phi_floor=phi_floor)
+    return _run("risk-deviation", truth, sample_sizes, replications, seed, names,
+                measure_risk_deviation, grid_points=grid_points, phi_floor=phi_floor)
+
+
+def measure_coupling_remainder(truth: TruthModel, data: SurvivalDataset, fixed, M):
+    """Sup of |r_n3| at the true coefficients."""
+    grid = _eval_grid(fixed, data, M, cap_at_support=True)
+    return [np.max(np.abs(_coupling_remainder(data, truth, grid)))]
 
 
 def coupling_remainder_experiment(
@@ -273,9 +283,9 @@ def coupling_remainder_experiment(
     replications: int,
     seed: int,
     *,
-    a_n: str = "1/log n",
-    grid_points: int = 512,
-    phi_floor: float = 0.05,
+    a_n: str = A_N,
+    grid_points: int = GRID_POINTS,
+    phi_floor: float = PHI_FLOOR,
 ) -> RateExperimentResult:
     """Rate of the empirical-process coupling remainder r_n3.
 
@@ -284,13 +294,36 @@ def coupling_remainder_experiment(
     rate 1/n.  Evaluated at the true coefficients, so no fitting is involved.
     Reports the slope and the per-n medians of a_n * n * sup|r_n3|.
     """
-
-    def measure(data, fixed, M):
-        grid = _eval_grid(fixed, data, M, cap_at_support=True)
-        return [np.max(np.abs(_coupling_remainder(data, truth, grid)))]
-
     return _run("coupling-remainder", truth, sample_sizes, replications, seed, ("r_n3",),
-                measure, grid_points=grid_points, phi_floor=phi_floor, a_n=a_n)
+                measure_coupling_remainder, grid_points=grid_points, phi_floor=phi_floor,
+                a_n=a_n)
+
+
+def measure_linearization_remainder(truth: TruthModel, data: SurvivalDataset, fixed, M):
+    """Sups of |r_n| and |mean xi|, or None when the fit does not converge.
+
+    Fits the coefficients from ``beta0``, then forms
+
+        r_n(x) = haz_n(beta_hat, x) - haz_0(x) - mean_i xi_i(x)
+                 + (beta_hat - beta0)' A0(x)
+
+    with truth-mode influence values and the population sensitivity curve.
+    The mean influence comes first, so the fit's first trial point reads
+    the ``beta0`` risk table it built (the partial likelihood has one
+    maximizer, so the start does not change the fit).  Without covariates
+    there is nothing to fit: ``beta_hat`` is ``beta0`` and the remainder
+    reduces to r_n3 + r_n4.
+    """
+    grid = _eval_grid(fixed, data, M, cap_at_support=True)
+    mean_xi = xi_truth_mean(data, truth, grid)
+    beta_hat = truth.beta0
+    if truth.p:
+        fit = fit_mple(data, init=truth.beta0)
+        if not fit.converged:
+            return None
+        beta_hat = fit.beta_hat
+    _, _, r_n = _linearization_remainder(data, truth, grid, beta_hat, mean_xi)
+    return [np.max(np.abs(r_n)), np.max(np.abs(mean_xi))]
 
 
 def linearization_remainder_experiment(
@@ -299,60 +332,47 @@ def linearization_remainder_experiment(
     replications: int,
     seed: int,
     *,
-    a_n: str = "1/log n",
-    grid_points: int = 512,
-    phi_floor: float = 0.05,
+    a_n: str = A_N,
+    grid_points: int = GRID_POINTS,
+    phi_floor: float = PHI_FLOOR,
 ) -> RateExperimentResult:
-    """Rate of the linearization remainder r_n with fitted coefficients.
-
-    Per replication: fit the coefficients from ``beta0``, then form
-
-        r_n(x) = haz_n(beta_hat, x) - haz_0(x) - mean_i xi_i(x)
-                 + (beta_hat - beta0)' A0(x)
-
-    with truth-mode influence values and the population sensitivity curve.
-    The mean influence comes first, so the fit's first trial point reads
-    the ``beta0`` risk table it built (the partial likelihood has one
-    maximizer, so the start does not change the fit).  Non-converged fits
-    are excluded and counted; exceeding the exclusion cap invalidates the
-    experiment.  Without covariates there is nothing to fit: ``beta_hat`` is
-    ``beta0`` and the remainder reduces to r_n3 + r_n4.
-    Also tracks sup|mean xi|, the linear term the remainder must stay below.
-    """
-
-    def measure(data, fixed, M):
-        grid = _eval_grid(fixed, data, M, cap_at_support=True)
-        mean_xi = xi_truth_mean(data, truth, grid)
-        beta_hat = truth.beta0
-        if truth.p:
-            fit = fit_mple(data, init=truth.beta0)
-            if not fit.converged:
-                return None
-            beta_hat = fit.beta_hat
-        _, _, r_n = _linearization_remainder(data, truth, grid, beta_hat, mean_xi)
-        return [np.max(np.abs(r_n)), np.max(np.abs(mean_xi))]
-
+    """Rate of the linearization remainder r_n with fitted coefficients, and
+    of sup|mean xi|, the linear term the remainder must stay below
+    (:func:`measure_linearization_remainder`).  Non-converged fits are
+    excluded and counted; exceeding the exclusion cap invalidates the
+    experiment."""
     return _run("linearization-remainder", truth, sample_sizes, replications, seed,
-                ("r_n", "mean_xi"), measure, grid_points=grid_points, phi_floor=phi_floor,
-                a_n=a_n)
+                ("r_n", "mean_xi"), measure_linearization_remainder,
+                grid_points=grid_points, phi_floor=phi_floor, a_n=a_n)
 
 
 # ---------------------------------------------------------------------------
 # Flat key-value experiment configs
 
 
+# Each config key with the parser of its value; ``rate-lab`` parses the flag
+# whose ``dest`` is the key with the same parser.
 CONFIG_KEYS = {
-    "truth", "claim", "sample_sizes", "replications", "a_n", "seed",
-    "grid_points", "M_policy",
+    "truth": str, "claim": str, "replications": int, "seed": int, "grid_points": int,
+    "M_policy": float, "a_n": _a_n_choice,
+    "sample_sizes": lambda text: tuple(int(v) for v in text.split(",")),
 }
+
+
+def parse_setting(key: str, text: str):
+    """``text`` read by the parser of config key ``key``; a value that does
+    not parse raises ``ValueError`` naming the key."""
+    try:
+        return CONFIG_KEYS[key](text)
+    except ValueError as exc:
+        raise ValueError(f"{key}: {exc}") from None
 
 
 def parse_config(path) -> dict:
     """Parse a flat ``key = value`` experiment config file.
 
-    Keys: truth, claim, sample_sizes (comma-separated), replications, a_n,
-    seed, grid_points, M_policy (risk-mass floor defining M).  Lines starting
-    with ``#`` and blank lines are ignored.
+    Keys are those of ``CONFIG_KEYS`` (``M_policy`` is the risk-mass floor
+    defining M).  Lines starting with ``#`` and blank lines are ignored.
     """
     out: dict = {}
     with open(path, "r", encoding="utf-8") as fh:
@@ -364,15 +384,7 @@ def parse_config(path) -> dict:
                 raise ValueError(f"{path}:{lineno}: expected 'key = value'")
             key, _, value = line.partition("=")
             key = key.strip()
-            value = value.strip()
             if key not in CONFIG_KEYS:
                 raise ValueError(f"{path}:{lineno}: unknown key {key!r}")
-            if key == "sample_sizes":
-                out[key] = tuple(int(v) for v in value.split(","))
-            elif key in {"replications", "seed", "grid_points"}:
-                out[key] = int(value)
-            elif key == "M_policy":
-                out[key] = float(value)
-            else:
-                out[key] = value
+            out[key] = parse_setting(key, value.strip())
     return out

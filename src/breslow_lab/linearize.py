@@ -37,7 +37,7 @@ from .risk import (
     event_increments,
     to_raw_scale,
 )
-from .truth import TruthModel
+from .truth import PHI_FLOOR, TruthModel
 
 # Rows per block of the n-by-grid influence passes: a 512 x 64 float64 block
 # is 256 KiB, so a block and its temporaries stay in L2 while the whole
@@ -448,10 +448,10 @@ def remainder_decomposition(
 
 
 def default_m_plugin(data: SurvivalDataset, beta) -> float:
-    """Largest follow-up time with empirical risk mass >= 0.05."""
+    """Largest follow-up time with empirical risk mass >= ``PHI_FLOOR``."""
     agg = build_aggregates(data, beta)
     mass = to_raw_scale(agg.s0 / agg.n, agg.log_scale)
-    ok = np.flatnonzero(mass >= 0.05)
+    ok = np.flatnonzero(mass >= PHI_FLOOR)
     if ok.size == 0:
         raise ValueError("empirical risk mass is below the floor everywhere")
     return float(agg.distinct_times[ok[-1]])

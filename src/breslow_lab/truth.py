@@ -185,6 +185,9 @@ def weibull_hazard(shape: float, scale: float = 1.0) -> BaselineHazard:
 # ---------------------------------------------------------------------------
 # Truth model
 
+# The population risk mass that defines the window end M (``default_M``).
+PHI_FLOOR = 0.05
+
 
 class TruthModel:
     """Proportional hazards design: hazard(x | z) = rate0(x) * exp(beta0'z).
@@ -306,21 +309,21 @@ class TruthModel:
 
     # -- policies -------------------------------------------------------------
 
-    def default_M(self, phi_floor: float = 0.05) -> float:
+    def default_M(self, phi_floor: float = PHI_FLOOR) -> float:
         """The window end M: ``phi(M) >= phi_floor > phi(nextafter(M, inf))``.
 
         A bisection on floats keeps ``phi(lo) >= phi_floor > phi(hi)`` until
         ``lo`` and ``hi`` are adjacent and returns ``lo``, the largest such
-        float when ``phi`` is nonincreasing; ``censor_upper * (1 - 1e-9)`` if
-        ``phi`` is still at the floor there.  A floor that is not finite
-        raises ``ValueError``."""
-        if not math.isfinite(phi_floor):
-            raise ValueError(f"the risk-mass floor must be finite, got {phi_floor!r}")
+        float when ``phi`` is nonincreasing.  A floor that is not finite and
+        positive raises ``ValueError``, and so does one that ``phi`` still
+        meets at ``censor_upper * (1 - 1e-9)``."""
+        if not 0.0 < phi_floor < math.inf:
+            raise ValueError(f"risk-mass floor must be finite and positive, got {phi_floor!r}")
         if self.phi(0.0) < phi_floor:
             raise ValueError("risk mass already below the floor at x = 0")
         lo, hi = 0.0, self.censor_upper * (1.0 - 1e-9)
         if self.phi(hi) >= phi_floor:
-            return hi
+            raise ValueError(f"risk mass still at the floor {phi_floor!r} at x = {hi!r}")
         while (mid := 0.5 * (lo + hi)) not in (lo, hi):
             if self.phi(mid) >= phi_floor:
                 lo = mid

@@ -289,6 +289,68 @@ class TestRateLabCommand:
         assert len(err.strip().splitlines()) == 1 and "finite" in err
         assert not (out / "rates.json").exists()
 
+    @pytest.mark.parametrize("floor", ["0", "-1", "1e-300"])
+    def test_floor_without_a_window_exit_2_one_line(self, tmp_path, capsys, floor):
+        # 1e-300 is positive but still met at the end of the censoring support.
+        out = tmp_path / "out"
+        code = main(["rate-lab", "--claim", "lemma2", "--n", "200,400", "--reps", "2",
+                     "--seed", "1", "--phi-floor", floor, "--output-dir", str(out)])
+        assert code == 2
+        err = capsys.readouterr().err
+        assert len(err.strip().splitlines()) == 1 and "floor" in err
+        assert not (out / "rates.json").exists()
+
+    @pytest.mark.parametrize("claim", ["lemma1", "lemma2", "theorem"])
+    @pytest.mark.parametrize("source", ["flag", "config"])
+    def test_unknown_a_n_exit_2_one_line(self, tmp_path, capsys, claim, source):
+        out = tmp_path / "out"
+        argv = ["rate-lab", "--claim", claim, "--n", "80,160", "--reps", "2",
+                "--seed", "7", "--output-dir", str(out)]
+        if source == "flag":
+            argv += ["--a-n", "bogus"]
+        else:
+            cfg = tmp_path / "lab.cfg"
+            cfg.write_text("a_n = bogus\n")
+            argv += ["--config", str(cfg)]
+        assert main(argv) == 2
+        err = capsys.readouterr().err
+        assert len(err.strip().splitlines()) == 1 and "unknown a_n choice" in err
+        assert not (out / "rates.json").exists()
+
+    def test_lemma1_ignores_a_valid_a_n(self, tmp_path):
+        out = tmp_path / "out"
+        code = main(["rate-lab", "--claim", "lemma1", "--n", "80,160", "--reps", "2",
+                     "--seed", "7", "--grid-points", "32", "--a-n", "1/sqrt(log n)",
+                     "--output-dir", str(out)])
+        assert code == 0
+        assert json.loads((out / "rates.json").read_text())["a_n"] == "const"
+
+    @pytest.mark.parametrize("config, code", [
+        (None, 1),
+        ("bogus = 1\n", 2),
+        ("replications = ten\n", 2),
+    ], ids=["missing-file", "unknown-key", "bad-value"])
+    def test_config_errors_exit_through_main(self, tmp_path, capsys, config, code):
+        cfg = tmp_path / "lab.cfg"
+        if config is not None:
+            cfg.write_text(config)
+        out = tmp_path / "out"
+        argv = ["rate-lab", "--claim", "lemma1", "--n", "80,160", "--reps", "2",
+                "--seed", "7", "--config", str(cfg), "--output-dir", str(out)]
+        assert main(argv) == code
+        err = capsys.readouterr().err
+        assert len(err.strip().splitlines()) == 1
+        assert not (out / "rates.json").exists()
+
+    def test_flag_value_that_does_not_parse_exit_2_one_line(self, tmp_path, capsys):
+        out = tmp_path / "out"
+        code = main(["rate-lab", "--claim", "lemma1", "--n", "80,160", "--reps", "ten",
+                     "--seed", "7", "--output-dir", str(out)])
+        assert code == 2
+        err = capsys.readouterr().err
+        assert len(err.strip().splitlines()) == 1 and err.startswith("replications:")
+        assert not (out / "rates.json").exists()
+
     def test_theorem_without_covariates(self, tmp_path):
         out = tmp_path / "out"
         code = main([

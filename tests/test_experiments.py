@@ -6,6 +6,7 @@ from breslow_lab import (
     ExperimentValidityError,
     coupling_remainder_experiment,
     fit_loglog_slope,
+    generate_dataset,
     linearization_remainder_experiment,
     no_covariate_truth,
     parse_config,
@@ -67,6 +68,28 @@ class TestDeterminism:
         assert not np.array_equal(a.raw["r_n3"], b.raw["r_n3"])
         assert abs(a.fitted_slope - b.fitted_slope) < 0.4
         assert a.fitted_slope < -0.6 and b.fitted_slope < -0.6
+
+
+class TestModuleLevelMeasures:
+    @pytest.mark.parametrize("experiment, measure", [
+        (risk_deviation_experiment, "measure_risk_deviation"),
+        (coupling_remainder_experiment, "measure_coupling_remainder"),
+        (linearization_remainder_experiment, "measure_linearization_remainder"),
+    ], ids=["lemma1", "lemma2", "theorem"])
+    def test_measure_alone_returns_the_stored_replication(self, ref_truth, experiment,
+                                                          measure):
+        # The precondition of running replications in other processes: a
+        # module-level measure, given only the seeded dataset, reproduces the
+        # sups the replication loop stored, bit for bit.
+        seed = 21
+        res = experiment(ref_truth, (80, 160), 2, seed, grid_points=64)
+        fixed = experiments._fixed_grid(res.M, res.grid_points)
+        for i, n in enumerate(res.sample_sizes):
+            for r in range(res.replications):
+                data = generate_dataset(ref_truth, n, replication_seed(seed, n, r))
+                sups = getattr(experiments, measure)(ref_truth, data, fixed, res.M)
+                stored = [res.raw[q][i, r] for q in res.raw]
+                assert np.array(sups).tobytes() == np.array(stored).tobytes()
 
 
 class TestExclusions:

@@ -44,7 +44,8 @@ def test_artifact_digest(tmp_path):
     labels = [line.split("  ", 1)[1] for line in lines]
     assert labels == sorted(labels)
     for label in ("fit-tied/fit.json", "influence-tied/xi_matrix.csv",
-                  "decompose-p0/decomposition.csv", "rate-lab-theorem/rates.json"):
+                  "decompose-p0/decomposition.csv", "rate-lab-theorem/rates.json",
+                  "rate-lab-config/rates.json"):
         assert label in labels
     assert not list(tmp_path.iterdir())  # the artifacts live in a temporary directory
 

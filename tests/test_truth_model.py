@@ -92,6 +92,13 @@ def test_default_m_rejects_a_floor_that_is_not_finite(ref_truth, floor):
         ref_truth.default_M(floor)
 
 
+@pytest.mark.parametrize("floor", [0.0, -1.0, 1e-300])
+def test_default_m_rejects_a_floor_without_a_window(ref_truth, floor):
+    # A floor of 1e-300 is still met at the end of the censoring support.
+    with pytest.raises(ValueError, match="floor"):
+        ref_truth.default_M(floor)
+
+
 class TestQuadratureMachinery:
     def test_antiderivatives_match_scipy(self, ref_truth):
         for x in [0.3, 1.0, 1.7, 2.2]:
