@@ -9,7 +9,7 @@ from __future__ import annotations
 
 import csv
 from functools import cached_property
-from typing import Iterable, NamedTuple
+from typing import Iterable
 
 import numpy as np
 
@@ -18,20 +18,57 @@ class DataError(ValueError):
     """Raised when raw input cannot form a valid dataset."""
 
 
-class _SortedView(NamedTuple):
-    """Rows in time order on one time axis, the distinct follow-up times."""
+class _SortedView:
+    """Rows in time order on one time axis, the distinct follow-up times.
 
-    order: np.ndarray            # stable argsort of follow-up times
-    times: np.ndarray            # times[order]
-    events: np.ndarray           # events[order]
-    centered: np.ndarray         # covariates[order] - means
-    means: np.ndarray            # column means of the covariates
-    group_starts: np.ndarray     # first sorted index of each distinct time
-    distinct_times: np.ndarray
-    time_group: np.ndarray       # distinct-time index of each input row
-    distinct_event_times: np.ndarray
-    event_counts: np.ndarray     # events per distinct time (0 where none falls)
-    event_cov_sums: np.ndarray   # per distinct time, sum of centered event covariates
+    See :attr:`SurvivalDataset.sorted_view`.  ``time_group``,
+    ``distinct_event_times`` and ``event_cov_sums`` are built on first read
+    from the kept ``group_of``, since not every estimator reads them.
+    """
+
+    def __init__(self, times, events, covariates):
+        order = np.argsort(times)
+        sorted_times = times[order]
+        is_start = np.empty(sorted_times.size, dtype=bool)
+        is_start[0] = True
+        is_start[1:] = sorted_times[1:] != sorted_times[:-1]
+        group_of = np.cumsum(is_start) - 1
+        if group_of[-1] < sorted_times.size - 1:
+            key = group_of * sorted_times.size + order
+            key.sort()
+            order = key - group_of * sorted_times.size
+        self.order = order                      # stable argsort of follow-up times
+        self.times = sorted_times               # times[order]
+        self.events = events[order]
+        self.means = covariates.mean(axis=0)    # column means of the covariates
+        self.centered = covariates[order] - self.means
+        self.group_starts = np.flatnonzero(is_start)  # first sorted index of each distinct time
+        self.distinct_times = sorted_times[self.group_starts]
+        self.group_of = group_of                # distinct-time index of each sorted row
+        # Events per distinct time (0 where none falls).
+        self.event_counts = np.bincount(group_of[self.events], minlength=self.distinct_times.size)
+
+    @cached_property
+    def time_group(self) -> np.ndarray:
+        """Distinct-time index of each input row."""
+        time_group = np.empty_like(self.group_of)
+        time_group[self.order] = self.group_of
+        return time_group
+
+    @cached_property
+    def distinct_event_times(self) -> np.ndarray:
+        return self.distinct_times[self.event_counts > 0]
+
+    @cached_property
+    def event_cov_sums(self) -> np.ndarray:
+        """Per distinct time, the sum of the centered event covariates."""
+        groups = self.group_of[self.events]
+        sums = np.zeros((self.distinct_times.size, self.centered.shape[1]))
+        for col in range(sums.shape[1]):
+            sums[:, col] = np.bincount(
+                groups, weights=self.centered[self.events, col], minlength=sums.shape[0]
+            )
+        return sums
 
 
 class SurvivalDataset:
@@ -105,43 +142,7 @@ class SurvivalDataset:
         ``time_group`` holds each input row's distinct-time index, so every
         running sum is read by index.
         """
-        order = np.argsort(self._times)
-        times = self._times[order]
-        is_start = np.empty(times.size, dtype=bool)
-        is_start[0] = True
-        is_start[1:] = times[1:] != times[:-1]
-        group_of = np.cumsum(is_start) - 1
-        if group_of[-1] < times.size - 1:
-            key = group_of * times.size + order
-            key.sort()
-            order = key - group_of * times.size
-        events = self._events[order]
-        means = self._covariates.mean(axis=0)
-        covs = self._covariates[order] - means
-        group_starts = np.flatnonzero(is_start)
-        distinct = times[group_starts]
-        ev_groups_per_row = group_of[events]
-        d_counts = np.bincount(ev_groups_per_row, minlength=distinct.size)
-        sums = np.zeros((distinct.size, self.covariate_dim))
-        for col in range(self.covariate_dim):
-            sums[:, col] = np.bincount(
-                ev_groups_per_row, weights=covs[events, col], minlength=distinct.size
-            )
-        time_group = np.empty_like(group_of)
-        time_group[order] = group_of
-        return _SortedView(
-            order=order,
-            times=times,
-            events=events,
-            centered=covs,
-            means=means,
-            group_starts=group_starts,
-            distinct_times=distinct,
-            time_group=time_group,
-            distinct_event_times=distinct[d_counts > 0],
-            event_counts=d_counts,
-            event_cov_sums=sums,
-        )
+        return _SortedView(self._times, self._events, self._covariates)
 
 
 def validate_dataset(raw: Iterable[tuple]) -> SurvivalDataset:

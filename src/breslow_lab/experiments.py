@@ -20,7 +20,7 @@ import numpy as np
 
 from .coxfit import fit_mple
 from .data import SurvivalDataset
-from .linearize import _coupling_remainder, _linearization_remainder, xi_truth_mean
+from .linearize import _coupling_remainder, _linearization_remainder, _xi_truth_mean
 from .risk import build_aggregates, d1_n, phi_n
 from .truth import PHI_FLOOR, TruthModel, generate_dataset
 
@@ -146,6 +146,8 @@ def _validate_design(sample_sizes, replications: int):
     sizes = tuple(int(n) for n in sample_sizes)
     if len(sizes) < 2 or any(b <= a for a, b in zip(sizes, sizes[1:])):
         raise ValueError("sample_sizes must be at least two strictly increasing integers")
+    if sizes[0] < 2:
+        raise ValueError(f"sample_sizes must be at least 2, got {sizes[0]}")
     if replications < 1:
         raise ValueError(f"replications must be at least 1, got {replications}")
     return sizes
@@ -156,21 +158,45 @@ def _fixed_grid(M: float, grid_points: int) -> np.ndarray:
 
 
 def _eval_grid(fixed: np.ndarray, data: SurvivalDataset, M: float,
-               *, refine_steps: bool = False, cap_at_support: bool = False) -> np.ndarray:
-    """Fixed grid plus the data's jump points (sup of step terms sits there).
-
-    With ``cap_at_support`` the grid is clipped to the largest follow-up time:
-    reciprocal-risk-mass integrands are undefined beyond it, and on the
-    (asymptotically negligible) event that the sample ends before M the sup is
-    taken over the observable window instead.
-    """
-    hi = min(M, float(data.sorted_view.times[-1])) if cap_at_support else M
+               *, refine_steps: bool = False) -> np.ndarray:
+    """Fixed grid plus the data's jump points (sup of step terms sits there),
+    and with ``refine_steps`` the float just right of each jump."""
     t = data.sorted_view.distinct_times
-    t = t[t <= hi]
-    pieces = [fixed[fixed <= hi], t]
+    t = t[t <= M]
+    pieces = [fixed[fixed <= M], t]
     if refine_steps:
-        pieces.append(np.minimum(np.nextafter(t, np.inf), hi))
+        pieces.append(np.minimum(np.nextafter(t, np.inf), M))
     return np.unique(np.concatenate(pieces))
+
+
+def _window_grid(fixed: np.ndarray, data: SurvivalDataset, M: float):
+    """``(grid, (left, right))``: the strictly increasing ``fixed`` grid merged
+    with the distinct follow-up times, both up to ``min(M, last follow-up
+    time)``, and the grid's :func:`~breslow_lab.linearize._bracket`.
+
+    Reciprocal-risk-mass integrands are undefined beyond the last follow-up
+    time; on the (asymptotically negligible) event that the sample ends before
+    M the sup is taken over the observable window instead.  The fixed points
+    that are not distinct times go where one search of the distinct times
+    puts them, and that search also gives the bracket: ``np.unique`` of the
+    two and a search of every grid point, bit for bit, without either.
+    """
+    dt = data.sorted_view.distinct_times
+    hi = min(M, float(dt[-1]))
+    m = int(np.searchsorted(dt, hi, side="right"))
+    fixed = fixed[fixed <= hi]
+    at = np.searchsorted(dt, fixed, side="left")
+    new = dt[at] != fixed
+    at = at[new]
+    is_time = np.ones(m + at.size, dtype=bool)
+    is_time[at + np.arange(at.size)] = False
+    grid = np.empty(is_time.size)
+    grid[is_time] = dt[:m]
+    grid[~is_time] = fixed[new]
+    # ``left`` counts the distinct times before a grid point; a distinct time
+    # k brackets as (k, k + 1), a fixed point inserted before it as (k, k).
+    left = np.cumsum(is_time) - is_time
+    return grid, (left, left + is_time)
 
 
 def _summaries(sample_sizes, raw: dict[str, np.ndarray]) -> dict[str, QuantitySummary]:
@@ -273,8 +299,8 @@ def risk_deviation_experiment(
 
 def measure_coupling_remainder(truth: TruthModel, data: SurvivalDataset, fixed, M):
     """Sup of |r_n3| at the true coefficients."""
-    grid = _eval_grid(fixed, data, M, cap_at_support=True)
-    return [np.max(np.abs(_coupling_remainder(data, truth, grid)))]
+    grid, bracket = _window_grid(fixed, data, M)
+    return [np.max(np.abs(_coupling_remainder(data, truth, grid, bracket)))]
 
 
 def coupling_remainder_experiment(
@@ -314,8 +340,8 @@ def measure_linearization_remainder(truth: TruthModel, data: SurvivalDataset, fi
     there is nothing to fit: ``beta_hat`` is ``beta0`` and the remainder
     reduces to r_n3 + r_n4.
     """
-    grid = _eval_grid(fixed, data, M, cap_at_support=True)
-    mean_xi = xi_truth_mean(data, truth, grid)
+    grid, bracket = _window_grid(fixed, data, M)
+    mean_xi = _xi_truth_mean(data, truth, grid, bracket)
     beta_hat = truth.beta0
     if truth.p:
         fit = fit_mple(data, init=truth.beta0)
@@ -350,10 +376,17 @@ def linearization_remainder_experiment(
 # Flat key-value experiment configs
 
 
+def _seed(text: str) -> int:
+    seed = int(text)
+    if seed < 0:
+        raise ValueError(f"must be non-negative, got {seed}")
+    return seed
+
+
 # Each config key with the parser of its value; ``rate-lab`` parses the flag
 # whose ``dest`` is the key with the same parser.
 CONFIG_KEYS = {
-    "truth": str, "claim": str, "replications": int, "seed": int, "grid_points": int,
+    "truth": str, "claim": str, "replications": int, "seed": _seed, "grid_points": int,
     "M_policy": float, "a_n": _a_n_choice,
     "sample_sizes": lambda text: tuple(int(v) for v in text.split(",")),
 }

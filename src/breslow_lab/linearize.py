@@ -145,18 +145,17 @@ def _bracket(sv, grid: np.ndarray):
 def _event_weight_means(data: SurvivalDataset, truth: TruthModel, right) -> np.ndarray:
     """``s_phi(x) = mean_i delta_i {t_i <= x} / phi(t_i)`` for a grid bracket.
 
-    ``right`` is the grid's bracket (see :func:`_bracket`).  ``phi`` is
-    evaluated at the event rows only; censored rows add 0.  Raises
+    ``right`` is the grid's bracket (see :func:`_bracket`).  ``1/phi`` is
+    summed over the event rows only and read at the count of events at or
+    before each grid point; censored rows would add exact zeros.  Raises
     ``ValueError`` when ``phi`` vanishes at an event.
     """
     sv = data.sorted_view
     phi = truth.phi(sv.times[sv.events])
     if np.any(phi <= 0):
         raise ValueError("event at or beyond the follow-up support of the design")
-    weight = np.zeros(data.n)
-    weight[sv.events] = 1.0 / phi
-    prefix = np.concatenate([[0.0], np.cumsum(weight)])
-    return prefix[np.append(sv.group_starts, data.n)[right]] / data.n
+    prefix = np.concatenate([[0.0], np.cumsum(1.0 / phi)])
+    return prefix[np.concatenate([[0], np.cumsum(sv.event_counts)])[right]] / data.n
 
 
 def xi_truth(data: SurvivalDataset, truth: TruthModel, x_grid) -> InfluenceMatrix:
@@ -188,8 +187,13 @@ def xi_truth_mean(data: SurvivalDataset, truth: TruthModel, x_grid) -> np.ndarra
     where the population risk mass vanishes.
     """
     grid = _as_grid(x_grid)
+    return _xi_truth_mean(data, truth, grid, _bracket(data.sorted_view, grid))
+
+
+def _xi_truth_mean(data: SurvivalDataset, truth: TruthModel, grid: np.ndarray, bracket):
+    """:func:`xi_truth_mean` on a grid with its :func:`_bracket` ``(left, right)``."""
+    left, right = bracket
     agg = build_aggregates(data, truth.beta0)
-    left, right = _bracket(data.sorted_view, grid)
     (i_v,) = _risk_integrals(truth, agg, grid, left, [0])
     return _event_weight_means(data, truth, right) - i_v
 
@@ -342,17 +346,19 @@ def _risk_integrals(truth: TruthModel, agg: RiskAggregates, grid: np.ndarray,
     return out
 
 
-def _t2_parts(data: SurvivalDataset, truth: TruthModel, grid: np.ndarray, columns: list):
+def _t2_parts(data: SurvivalDataset, truth: TruthModel, grid: np.ndarray, columns: list,
+              bracket=None):
     """``(haz_n0, s_phi, lam0, integrals, r_n3)``: Breslow estimate at ``beta0``,
     event-weight means, ``cum_haz_0``, :func:`_risk_integrals` of ``columns`` (the
-    last is 1, ``H_uc``, read by ``r_n3``), all indexed off one :func:`_bracket`."""
+    last is 1, ``H_uc``, read by ``r_n3``), all indexed off one :func:`_bracket`,
+    searched here unless given as ``bracket``."""
     agg = build_aggregates(data, truth.beta0)
     sv = data.sorted_view
     if float(grid.max()) > float(sv.distinct_times[-1]):
         raise ValueError(
             "grid point beyond the last follow-up time: empirical risk mass is zero"
         )
-    left, right = _bracket(sv, grid)
+    left, right = _bracket(sv, grid) if bracket is None else bracket
     integrals = _risk_integrals(truth, agg, grid, left, columns)
     lam0 = truth.cum_hazard0(grid)
     s_phi = _event_weight_means(data, truth, right)
@@ -360,10 +366,11 @@ def _t2_parts(data: SurvivalDataset, truth: TruthModel, grid: np.ndarray, column
     return haz_n0, s_phi, lam0, integrals, (haz_n0 - s_phi) - (integrals[-1] - lam0)
 
 
-def _coupling_remainder(data: SurvivalDataset, truth: TruthModel, grid: np.ndarray):
+def _coupling_remainder(data: SurvivalDataset, truth: TruthModel, grid: np.ndarray,
+                        bracket=None):
     """``r_n3`` alone: bitwise that of :func:`_t2_terms`, but reads neither
-    ``q`` nor the risk table's moment columns."""
-    return _t2_parts(data, truth, grid, [1])[-1]
+    ``q`` nor the risk table's moment columns; ``bracket`` as in :func:`_t2_parts`."""
+    return _t2_parts(data, truth, grid, [1], bracket)[-1]
 
 
 def _t2_terms(data: SurvivalDataset, truth: TruthModel, grid: np.ndarray) -> dict:

@@ -12,7 +12,8 @@ reads the truth functionals: it is the one-observation, one-point form of
 the influence function that ``xi_truth`` vectorizes.  ``stacked_risk_sums``
 reads only the sorted view and redoes the risk-table sums the way the
 package once did, in one stack, so the columnar build can be checked
-against it bitwise.
+against it bitwise.  ``eager_sort_columns`` builds the sorted view's lazy
+columns from the raw arrays the way the view once built them up front.
 """
 
 import math
@@ -383,3 +384,30 @@ def stacked_risk_sums(data, beta):
     s2 = np.empty((rows.size, p, p))
     s2[:, iu, ju] = s2[:, ju, iu] = table[:, 1 + p:]
     return table[:, 0], table[:, 1:1 + p], s2
+
+
+def eager_sort_columns(data):
+    """``time_group``, ``distinct_event_times`` and ``event_cov_sums``, built
+    up front from the raw arrays with a stable argsort, as the sorted view
+    built them before they were read lazily."""
+    order = np.argsort(data.times, kind="stable")
+    times = data.times[order]
+    events = data.events[order]
+    covs = data.covariates[order] - data.covariates.mean(axis=0)
+    is_start = np.concatenate([[True], times[1:] != times[:-1]])
+    group_of = np.cumsum(is_start) - 1
+    distinct = times[is_start]
+    ev_groups_per_row = group_of[events]
+    d_counts = np.bincount(ev_groups_per_row, minlength=distinct.size)
+    sums = np.zeros((distinct.size, data.covariate_dim))
+    for col in range(data.covariate_dim):
+        sums[:, col] = np.bincount(
+            ev_groups_per_row, weights=covs[events, col], minlength=distinct.size
+        )
+    time_group = np.empty_like(group_of)
+    time_group[order] = group_of
+    return {
+        "time_group": time_group,
+        "distinct_event_times": distinct[d_counts > 0],
+        "event_cov_sums": sums,
+    }

@@ -351,6 +351,48 @@ class TestRateLabCommand:
         assert len(err.strip().splitlines()) == 1 and err.startswith("replications:")
         assert not (out / "rates.json").exists()
 
+    @pytest.mark.parametrize("a_n", ["1/log n", "1/sqrt(log n)"])
+    @pytest.mark.parametrize("source", ["flag", "config"])
+    def test_sample_size_below_two_exit_2_before_any_replication(
+        self, tmp_path, capsys, monkeypatch, source, a_n
+    ):
+        # n = 1 would run every replication and then divide by log 1.
+        from breslow_lab import experiments
+
+        def no_replications(*args):
+            raise AssertionError("a replication ran")
+
+        monkeypatch.setattr(experiments, "generate_dataset", no_replications)
+        out = tmp_path / "out"
+        argv = ["rate-lab", "--claim", "lemma2", "--reps", "2", "--seed", "3",
+                "--a-n", a_n, "--output-dir", str(out)]
+        if source == "flag":
+            argv += ["--n", "1,2"]
+        else:
+            cfg = tmp_path / "lab.cfg"
+            cfg.write_text("sample_sizes = 1,2\n")
+            argv += ["--config", str(cfg)]
+        assert main(argv) == 2
+        err = capsys.readouterr().err
+        assert err == "sample_sizes must be at least 2, got 1\n"
+        assert not (out / "rates.json").exists()
+
+    @pytest.mark.parametrize("source", ["flag", "config"])
+    def test_negative_seed_exit_2_naming_the_setting(self, tmp_path, capsys, source):
+        out = tmp_path / "out"
+        argv = ["rate-lab", "--claim", "lemma1", "--n", "80,160", "--reps", "2",
+                "--output-dir", str(out)]
+        if source == "flag":
+            argv += ["--seed", "-1"]
+        else:
+            cfg = tmp_path / "lab.cfg"
+            cfg.write_text("seed = -1\n")
+            argv += ["--config", str(cfg)]
+        assert main(argv) == 2
+        err = capsys.readouterr().err
+        assert len(err.strip().splitlines()) == 1 and err.startswith("seed: ")
+        assert not (out / "rates.json").exists()
+
     def test_theorem_without_covariates(self, tmp_path):
         out = tmp_path / "out"
         code = main([

@@ -13,7 +13,7 @@ import numpy as np
 import pytest
 
 from breslow_lab import SurvivalDataset, generate_dataset, reference_truth, xi_truth_mean
-from breslow_lab.experiments import _eval_grid, _fixed_grid
+from breslow_lab.experiments import _eval_grid, _fixed_grid, _window_grid
 from breslow_lab.linearize import _coupling_remainder, _t2_terms
 from breslow_lab.quadrature import PanelAntiderivative
 
@@ -59,7 +59,7 @@ def _grids(data, M):
         "between distinct times": mid[::3],
         "ends on a distinct time": np.concatenate([fixed[fixed < inside[j]], inside[j - 4 : j + 1]]),
         "ends between distinct times": np.concatenate([fixed[fixed < mid[j]], [mid[j]]]),
-        "experiment grid": _eval_grid(_fixed_grid(M, 64), data, M, cap_at_support=True),
+        "experiment grid": _window_grid(_fixed_grid(M, 64), data, M)[0],
         "refined experiment grid": _eval_grid(_fixed_grid(hi, 64), data, hi, refine_steps=True),
     }
 
