@@ -14,7 +14,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .data import SurvivalDataset
-from .risk import build_aggregates, event_increments, phi_n
+from .risk import RiskAggregates, build_aggregates, event_increments, phi_n
 from .stepfun import StepCurve
 
 
@@ -51,13 +51,18 @@ class PluginACurve:
         return self.curve(np.atleast_1d(x))
 
 
+def _cum_hazard(data: SurvivalDataset, agg: RiskAggregates) -> np.ndarray:
+    """Breslow running sum on the distinct-time axis: 0, then ``cumsum`` of
+    :func:`event_increments` (exact 0s at censored-only times).  Read at a grid's
+    ``right`` bracket, the count of distinct times ``<= x``, it is the estimate at x."""
+    return np.concatenate([[0.0], np.cumsum(event_increments(data, agg))])
+
+
 def breslow_traditional(data: SurvivalDataset, beta) -> BaselineCumHazEstimate:
     """Event-time sum form: increments d_i over the raw risk-set sums."""
-    agg = build_aggregates(data, beta)
-    d_lambda = event_increments(data, agg)
     sv = data.sorted_view
-    curve = StepCurve(sv.distinct_event_times, np.cumsum(d_lambda)[sv.event_counts > 0])
-    return BaselineCumHazEstimate(curve=curve)
+    values = _cum_hazard(data, build_aggregates(data, beta))[1:][sv.event_counts > 0]
+    return BaselineCumHazEstimate(curve=StepCurve(sv.distinct_event_times, values))
 
 
 def breslow_plugin(data: SurvivalDataset, beta) -> BaselineCumHazEstimate:

@@ -239,12 +239,12 @@ def cmd_rate_lab(args) -> int:
     flags = vars(args)
     options.update({key: parse_setting(key, flags[key]) for key in CONFIG_KEYS
                     if flags[key] is not None})
-    claim = options.get("claim")
-    if claim not in CLAIMS:
-        raise _CliError(EXIT_MODEL, f"unknown claim {claim!r}; options: {sorted(CLAIMS)}")
-    for key in ("sample_sizes", "replications", "seed"):
+    for key in ("claim", "sample_sizes", "replications", "seed"):
         if key not in options:
             raise _CliError(EXIT_MODEL, f"missing required option {key}")
+    claim = options["claim"]
+    if claim not in CLAIMS:
+        raise _CliError(EXIT_MODEL, f"unknown claim {claim!r}; options: {sorted(CLAIMS)}")
     truth = _resolve_truth(options["truth"])
     kwargs = dict(grid_points=options["grid_points"], phi_floor=options["M_policy"])
     if claim != "lemma1":

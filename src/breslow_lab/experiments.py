@@ -157,16 +157,13 @@ def _fixed_grid(M: float, grid_points: int) -> np.ndarray:
     return np.linspace(0.0, M, grid_points)
 
 
-def _eval_grid(fixed: np.ndarray, data: SurvivalDataset, M: float,
-               *, refine_steps: bool = False) -> np.ndarray:
-    """Fixed grid plus the data's jump points (sup of step terms sits there),
-    and with ``refine_steps`` the float just right of each jump."""
+def _eval_grid(fixed: np.ndarray, data: SurvivalDataset, M: float) -> np.ndarray:
+    """Fixed grid plus the data's jump points and the float just right of
+    each (the sup of a step term sits on one side of a jump)."""
     t = data.sorted_view.distinct_times
     t = t[t <= M]
-    pieces = [fixed[fixed <= M], t]
-    if refine_steps:
-        pieces.append(np.minimum(np.nextafter(t, np.inf), M))
-    return np.unique(np.concatenate(pieces))
+    right_of = np.minimum(np.nextafter(t, np.inf), M)
+    return np.unique(np.concatenate([fixed[fixed <= M], t, right_of]))
 
 
 def _window_grid(fixed: np.ndarray, data: SurvivalDataset, M: float):
@@ -272,7 +269,7 @@ def _run(claim, truth, sample_sizes, replications, seed, names, measure, *,
 def measure_risk_deviation(truth: TruthModel, data: SurvivalDataset, fixed, M):
     """Sups of |phi_n - phi| and, with covariates, of the Euclidean norm of
     ``d1_n - d1``, both at the true coefficients."""
-    grid = _eval_grid(fixed, data, M, refine_steps=True)
+    grid = _eval_grid(fixed, data, M)
     agg = build_aggregates(data, truth.beta0)
     sups = [np.max(np.abs(phi_n(agg, grid) - truth.phi(grid)))]
     if truth.p:
@@ -348,7 +345,7 @@ def measure_linearization_remainder(truth: TruthModel, data: SurvivalDataset, fi
         if not fit.converged:
             return None
         beta_hat = fit.beta_hat
-    _, _, r_n = _linearization_remainder(data, truth, grid, beta_hat, mean_xi)
+    _, _, r_n = _linearization_remainder(data, truth, grid, bracket[1], beta_hat, mean_xi)
     return [np.max(np.abs(r_n)), np.max(np.abs(mean_xi))]
 
 
@@ -376,18 +373,18 @@ def linearization_remainder_experiment(
 # Flat key-value experiment configs
 
 
-def _seed(text: str) -> int:
-    seed = int(text)
-    if seed < 0:
-        raise ValueError(f"must be non-negative, got {seed}")
-    return seed
+def _non_negative(text: str) -> int:
+    value = int(text)
+    if value < 0:
+        raise ValueError(f"must be non-negative, got {value}")
+    return value
 
 
 # Each config key with the parser of its value; ``rate-lab`` parses the flag
 # whose ``dest`` is the key with the same parser.
 CONFIG_KEYS = {
-    "truth": str, "claim": str, "replications": int, "seed": _seed, "grid_points": int,
-    "M_policy": float, "a_n": _a_n_choice,
+    "truth": str, "claim": str, "replications": int, "seed": _non_negative,
+    "grid_points": _non_negative, "M_policy": float, "a_n": _a_n_choice,
     "sample_sizes": lambda text: tuple(int(v) for v in text.split(",")),
 }
 

@@ -27,16 +27,10 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .breslow import PluginACurve, breslow_traditional
+from .breslow import PluginACurve, _cum_hazard
 from .coxfit import CoxFit, score_residuals
 from .data import SurvivalDataset
-from .risk import (
-    RiskAggregates,
-    build_aggregates,
-    centered_weights,
-    event_increments,
-    to_raw_scale,
-)
+from .risk import RiskAggregates, build_aggregates, centered_weights, to_raw_scale
 from .truth import PHI_FLOOR, TruthModel
 
 # Rows per block of the n-by-grid influence passes: a 512 x 64 float64 block
@@ -347,40 +341,40 @@ def _risk_integrals(truth: TruthModel, agg: RiskAggregates, grid: np.ndarray,
 
 
 def _t2_parts(data: SurvivalDataset, truth: TruthModel, grid: np.ndarray, columns: list,
-              bracket=None):
+              bracket):
     """``(haz_n0, s_phi, lam0, integrals, r_n3)``: Breslow estimate at ``beta0``,
     event-weight means, ``cum_haz_0``, :func:`_risk_integrals` of ``columns`` (the
-    last is 1, ``H_uc``, read by ``r_n3``), all indexed off one :func:`_bracket`,
-    searched here unless given as ``bracket``."""
+    last is 1, ``H_uc``, read by ``r_n3``), all indexed off the grid's
+    :func:`_bracket` ``(left, right)``."""
     agg = build_aggregates(data, truth.beta0)
-    sv = data.sorted_view
-    if float(grid.max()) > float(sv.distinct_times[-1]):
+    if float(grid.max()) > float(data.sorted_view.distinct_times[-1]):
         raise ValueError(
             "grid point beyond the last follow-up time: empirical risk mass is zero"
         )
-    left, right = _bracket(sv, grid) if bracket is None else bracket
+    left, right = bracket
     integrals = _risk_integrals(truth, agg, grid, left, columns)
     lam0 = truth.cum_hazard0(grid)
     s_phi = _event_weight_means(data, truth, right)
-    haz_n0 = np.concatenate([[0.0], np.cumsum(event_increments(data, agg))])[right]
+    haz_n0 = _cum_hazard(data, agg)[right]
     return haz_n0, s_phi, lam0, integrals, (haz_n0 - s_phi) - (integrals[-1] - lam0)
 
 
 def _coupling_remainder(data: SurvivalDataset, truth: TruthModel, grid: np.ndarray,
-                        bracket=None):
+                        bracket):
     """``r_n3`` alone: bitwise that of :func:`_t2_terms`, but reads neither
     ``q`` nor the risk table's moment columns; ``bracket`` as in :func:`_t2_parts`."""
     return _t2_parts(data, truth, grid, [1], bracket)[-1]
 
 
-def _t2_terms(data: SurvivalDataset, truth: TruthModel, grid: np.ndarray) -> dict:
+def _t2_terms(data: SurvivalDataset, truth: TruthModel, grid: np.ndarray, bracket) -> dict:
     """Terms of the split of cum_haz_n(beta0, x) - cum_haz_0(x).
 
     The truth path integrals ``q`` and ``H_uc`` are read together, once per
     distinct query point.  Also returns ``mean_xi = b_n + c_n = s_phi -
-    I_v``, bitwise the value of :func:`xi_truth_mean`.
+    I_v``, bitwise the value of :func:`xi_truth_mean`; ``bracket`` as in
+    :func:`_t2_parts`.
     """
-    haz_n0, s_phi, lam0, (i_v, i_inv), r_n3 = _t2_parts(data, truth, grid, [0, 1])
+    haz_n0, s_phi, lam0, (i_v, i_inv), r_n3 = _t2_parts(data, truth, grid, [0, 1], bracket)
     return {
         "haz_n_beta0": haz_n0,
         "t_n2": haz_n0 - lam0,
@@ -393,15 +387,16 @@ def _t2_terms(data: SurvivalDataset, truth: TruthModel, grid: np.ndarray) -> dic
 
 
 def _linearization_remainder(data: SurvivalDataset, truth: TruthModel, grid: np.ndarray,
-                             beta_hat: np.ndarray, mean_xi: np.ndarray):
+                             right: np.ndarray, beta_hat: np.ndarray, mean_xi: np.ndarray):
     """``(haz_hat, beta_term, r_n)`` on ``grid`` at coefficients ``beta_hat``.
 
-    ``haz_hat`` is the Breslow estimate at ``beta_hat``, ``mean_xi`` the
+    ``haz_hat`` is the Breslow estimate at ``beta_hat``, read at ``right``,
+    the second half of the grid's :func:`_bracket`; ``mean_xi`` is the
     truth-mode mean influence on ``grid`` (:func:`xi_truth_mean`), ``beta_term
     = -(beta_hat - beta0)' A0`` and ``r_n = (haz_hat - haz_0) - mean_xi -
     beta_term``.
     """
-    haz_hat = breslow_traditional(data, beta_hat).curve(grid)
+    haz_hat = _cum_hazard(data, build_aggregates(data, beta_hat))[right]
     beta_term = -truth.a0(grid) @ (beta_hat - truth.beta0) if truth.p else np.zeros(grid.size)
     r_n = (haz_hat - truth.cum_hazard0(grid)) - mean_xi - beta_term
     return haz_hat, beta_term, r_n
@@ -430,9 +425,10 @@ def remainder_decomposition(
             raise ValueError(f"fit did not converge (status {fit.status})")
         beta_hat = fit.beta_hat
     beta_hat = np.atleast_1d(np.asarray(beta_hat, dtype=float))
-    terms = _t2_terms(data, truth, grid)
-    haz_hat, beta_term, r_n = _linearization_remainder(data, truth, grid, beta_hat,
-                                                       terms["mean_xi"])
+    bracket = _bracket(data.sorted_view, grid)
+    terms = _t2_terms(data, truth, grid, bracket)
+    haz_hat, beta_term, r_n = _linearization_remainder(data, truth, grid, bracket[1],
+                                                       beta_hat, terms["mean_xi"])
     arrays = {
         "t_n1": haz_hat - terms["haz_n_beta0"],
         "t_n2": terms["t_n2"],

@@ -72,6 +72,16 @@ class TestFitCommand:
         assert exc.value.code == 2
 
 
+@pytest.mark.parametrize("command", ["fit", "influence"])
+def test_malformed_csv_exit_1_one_line(tmp_path, capsys, command):
+    path = tmp_path / "bad.csv"
+    path.write_text("time,event,z1\n1.0,1,1.0\n2.0,maybe,0.0\n3.0,1,1.0\n")
+    out = tmp_path / "out"
+    assert main([command, "--input", str(path), "--output-dir", str(out)]) == 1
+    assert capsys.readouterr().err == f"{path}: row 2: bad event value 'maybe'\n"
+    assert not out.exists()
+
+
 class TestBreslowCommand:
     def test_hand_values(self, three_point_csv, tmp_path):
         out = tmp_path / "out"
@@ -377,20 +387,27 @@ class TestRateLabCommand:
         assert err == "sample_sizes must be at least 2, got 1\n"
         assert not (out / "rates.json").exists()
 
-    @pytest.mark.parametrize("source", ["flag", "config"])
-    def test_negative_seed_exit_2_naming_the_setting(self, tmp_path, capsys, source):
+    @pytest.mark.parametrize("source,key,value", [
+        pytest.param("flag", "seed", "-1", id="flag"),
+        pytest.param("config", "seed", "-1", id="config"),
+        pytest.param("flag", "grid_points", "-5", id="grid_points-flag"),
+        pytest.param("config", "grid_points", "-5", id="grid_points-config"),
+    ])
+    def test_negative_seed_exit_2_naming_the_setting(self, tmp_path, capsys, source, key,
+                                                     value):
         out = tmp_path / "out"
         argv = ["rate-lab", "--claim", "lemma1", "--n", "80,160", "--reps", "2",
                 "--output-dir", str(out)]
+        if key != "seed":
+            argv += ["--seed", "3"]
         if source == "flag":
-            argv += ["--seed", "-1"]
+            argv += ["--" + key.replace("_", "-"), value]
         else:
             cfg = tmp_path / "lab.cfg"
-            cfg.write_text("seed = -1\n")
+            cfg.write_text(f"{key} = {value}\n")
             argv += ["--config", str(cfg)]
         assert main(argv) == 2
-        err = capsys.readouterr().err
-        assert len(err.strip().splitlines()) == 1 and err.startswith("seed: ")
+        assert capsys.readouterr().err == f"{key}: must be non-negative, got {value}\n"
         assert not (out / "rates.json").exists()
 
     def test_theorem_without_covariates(self, tmp_path):
@@ -404,8 +421,12 @@ class TestRateLabCommand:
         assert payload["claim"] == "linearization-remainder"
         assert payload["excluded"] == [0, 0]
 
-    def test_missing_required_options(self, tmp_path):
-        assert main(["rate-lab", "--claim", "lemma1", "--output-dir", str(tmp_path)]) == 2
+    def test_missing_required_options(self, tmp_path, capsys):
+        out = ["--output-dir", str(tmp_path)]
+        assert main(["rate-lab", "--n", "80,160", "--reps", "2", "--seed", "3", *out]) == 2
+        assert capsys.readouterr().err == "missing required option claim\n"
+        assert main(["rate-lab", "--claim", "lemma1", *out]) == 2
+        assert capsys.readouterr().err == "missing required option sample_sizes\n"
 
     def test_claim_flag_beats_config(self, tmp_path):
         cfg = tmp_path / "lab.cfg"

@@ -6,6 +6,7 @@ from scipy.optimize import minimize
 
 from breslow_lab import (
     STATUS_CONVERGED,
+    STATUS_MAX_ITERATIONS,
     STATUS_SEPARATION,
     STATUS_SINGULAR,
     SurvivalDataset,
@@ -135,6 +136,21 @@ class TestFitMple:
         fits = [fit_mple(data, max_iter=m) for m in (30, 31, 50)]
         assert [f.status for f in fits] == [STATUS_SEPARATION] * 3
         assert [f.iterations for f in fits] == [30] * 3
+
+    def test_stops_at_the_iteration_cap(self):
+        # This fit converges after 3 steps: a cap of 2 stops it one step
+        # short, a cap of 3 lets it reach the default fit's bits.
+        from breslow_lab import generate_dataset, reference_truth
+
+        data = generate_dataset(reference_truth(), 300, 4)
+        full = fit_mple(data)
+        assert (full.status, full.iterations) == (STATUS_CONVERGED, 3)
+        short = fit_mple(data, max_iter=2)
+        assert (short.status, short.iterations) == (STATUS_MAX_ITERATIONS, 2)
+        assert not short.converged
+        enough = fit_mple(data, max_iter=3)
+        assert enough.status == STATUS_CONVERGED
+        assert enough.beta_hat.tobytes() == full.beta_hat.tobytes()
 
     def test_covariate_shift_equivariance(self):
         rng = np.random.default_rng(23)

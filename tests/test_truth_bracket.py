@@ -14,7 +14,7 @@ import pytest
 
 from breslow_lab import SurvivalDataset, generate_dataset, reference_truth, xi_truth_mean
 from breslow_lab.experiments import _eval_grid, _fixed_grid, _window_grid
-from breslow_lab.linearize import _coupling_remainder, _t2_terms
+from breslow_lab.linearize import _bracket, _coupling_remainder, _t2_terms
 from breslow_lab.quadrature import PanelAntiderivative
 
 from oracles import reference_t2_terms, reference_xi_truth_mean
@@ -60,7 +60,7 @@ def _grids(data, M):
         "ends on a distinct time": np.concatenate([fixed[fixed < inside[j]], inside[j - 4 : j + 1]]),
         "ends between distinct times": np.concatenate([fixed[fixed < mid[j]], [mid[j]]]),
         "experiment grid": _window_grid(_fixed_grid(M, 64), data, M)[0],
-        "refined experiment grid": _eval_grid(_fixed_grid(hi, 64), data, hi, refine_steps=True),
+        "refined experiment grid": _eval_grid(_fixed_grid(hi, 64), data, hi),
     }
 
 
@@ -89,7 +89,7 @@ def _case(truth, tie, name):
 @pytest.mark.parametrize("tie,name", _cases())
 def test_t2_terms_bitwise_equal_to_reference(truth, tie, name):
     data, grid = _case(truth, tie, name)
-    got = _t2_terms(data, truth, grid)
+    got = _t2_terms(data, truth, grid, _bracket(data.sorted_view, grid))
     want = reference_t2_terms(data, truth, grid)
     assert got.keys() == want.keys()
     for key in want:
@@ -102,8 +102,9 @@ def test_coupling_remainder_bitwise_equal_to_reference(truth, tie, name):
     # H_uc together.  Neither choice may move a bit of r_n3 or mean_xi.
     data, grid = _case(truth, tie, name)
     want = reference_t2_terms(data, truth, grid)["r_n3"]
-    assert _coupling_remainder(data, truth, grid).tobytes() == want.tobytes()
-    assert _t2_terms(data, truth, grid)["mean_xi"].tobytes() == (
+    bracket = _bracket(data.sorted_view, grid)
+    assert _coupling_remainder(data, truth, grid, bracket).tobytes() == want.tobytes()
+    assert _t2_terms(data, truth, grid, bracket)["mean_xi"].tobytes() == (
         xi_truth_mean(data, truth, grid).tobytes()
     )
 
@@ -146,9 +147,10 @@ def query_log(monkeypatch):
 @pytest.mark.parametrize("name", ["duplicates", "experiment grid", "refined experiment grid"])
 def test_each_distinct_point_evaluated_at_most_once(truth, query_log, tie, name):
     data, grid = _case(truth, tie, name)
-    for fn in (_t2_terms, xi_truth_mean, _coupling_remainder):
+    bracket = (_bracket(data.sorted_view, grid),)
+    for fn, more in ((_t2_terms, bracket), (xi_truth_mean, ()), (_coupling_remainder, bracket)):
         query_log.clear()
-        fn(data, truth, grid)
+        fn(data, truth, grid, *more)
         assert query_log, fn.__name__
         for queries in query_log.values():
             points = np.concatenate(queries)

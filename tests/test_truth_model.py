@@ -12,6 +12,7 @@ from breslow_lab import (
     bernoulli,
     build_aggregates,
     constant_hazard,
+    d2_n,
     generate_dataset,
     no_covariate_truth,
     phi_n,
@@ -45,6 +46,8 @@ class TestReferenceClosedForms:
         assert np.allclose(ref_truth.phi(xs), expected, atol=1e-15)
         expected_d1 = 0.5 * np.clip(1 - xs / 3, 0, None) * 2 * np.exp(-2 * xs)
         assert np.allclose(ref_truth.d1(xs)[:, 0], expected_d1, atol=1e-15)
+        # Z^2 = Z for the 0/1 covariate, so the Hessian is the gradient.
+        assert np.allclose(ref_truth.d2(xs)[:, 0, 0], expected_d1, atol=1e-15)
 
     def test_monte_carlo_phi_matches_closed_form(self, ref_truth):
         data = generate_dataset(ref_truth, 100_000, 909)
@@ -70,6 +73,19 @@ class TestReferenceClosedForms:
             ind = data.events & (data.times <= x)
             se = ind.std(ddof=1) / math.sqrt(data.n)
             assert abs(ind.mean() - ref_truth.h_uc(x)) <= 4 * se
+
+    def test_monte_carlo_d2_matches_product_design(self):
+        truth = _product_truth()
+        data = generate_dataset(truth, 100_000, 911)
+        agg = build_aggregates(data, truth.beta0)
+        z = data.covariates
+        w = np.exp(z @ truth.beta0)
+        xs = np.array([0.3, 0.8, 1.2, 1.6, 2.0])
+        emp, pop = d2_n(agg, xs), truth.d2(xs)
+        for k, x in enumerate(xs):
+            terms = (w * (data.times >= x))[:, None, None] * z[:, :, None] * z[:, None, :]
+            se = terms.std(axis=0, ddof=1) / math.sqrt(data.n)
+            assert np.all(np.abs(emp[k] - pop[k]) <= 4 * se)
 
     def test_m_policy(self, ref_truth):
         m = ref_truth.default_M(0.05)
