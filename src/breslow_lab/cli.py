@@ -1,11 +1,12 @@
 """Command-line surface: fit, baseline hazard curves, influence/variance,
 decomposition, and the Monte Carlo rate lab.
 
-Exit codes: 0 success, 1 I/O or input error, 2 invalid invocation,
-model/fit failure or numeric overflow, 3 internal self-check failure, 4
-experiment validity failure.  All artifacts are plain JSON/CSV written into
---output-dir (default: $BRESLOW_LAB_OUT or the working directory); reruns
-with identical inputs and seeds produce byte-identical files.
+Exit codes, returned by ``main`` with one stderr line per failure: 0
+success, 1 I/O or input error, 2 invalid invocation, model/fit failure or
+numeric overflow, 3 internal self-check failure, 4 experiment validity
+failure.  Artifacts are plain JSON/CSV written into --output-dir (default:
+$BRESLOW_LAB_OUT or the working directory), created once the last check has
+passed; reruns with identical inputs and seeds produce byte-identical files.
 """
 
 from __future__ import annotations
@@ -27,6 +28,7 @@ from .experiments import (
     CONFIG_KEYS,
     GRID_POINTS,
     ExperimentValidityError,
+    _non_negative,
     coupling_remainder_experiment,
     linearization_remainder_experiment,
     parse_config,
@@ -65,18 +67,21 @@ class _CliError(Exception):
         self.code = code
 
 
+class _Parser(argparse.ArgumentParser):
+    """Reports a usage error as a ``_CliError``, so it leaves through ``main``."""
+
+    def error(self, message):
+        raise _CliError(EXIT_MODEL, f"{self.prog}: error: {message}")
+
+
 def _write_json(path: Path, payload: dict) -> None:
     path.write_text(json.dumps(payload, sort_keys=True, indent=2) + "\n", encoding="utf-8")
 
 
 def _load_input(args) -> "SurvivalDataset":
     if args.input:
-        try:
-            return load_csv(args.input)
-        except OSError as exc:
-            raise _CliError(EXIT_IO, f"cannot read {args.input}: {exc}") from exc
-    truth = _resolve_truth(args.truth)
-    return generate_dataset(truth, args.n, args.seed)
+        return load_csv(args.input)
+    return generate_dataset(_resolve_truth(args.truth), args.n, args.seed)
 
 
 def _resolve_truth(name: str):
@@ -111,9 +116,6 @@ def _parse_floats(text: str) -> np.ndarray:
 
 def cmd_fit(args) -> int:
     data = _load_input(args)
-    out = _out_dir(args)
-    if data.covariate_dim == 0:
-        raise _CliError(EXIT_MODEL, "fit requires at least one covariate column")
     fit = fit_mple(data)
     payload = {
         "beta_hat": [float(v) for v in fit.beta_hat],
@@ -125,7 +127,7 @@ def cmd_fit(args) -> int:
         "n": data.n,
         "p": data.covariate_dim,
     }
-    _write_json(out / "fit.json", payload)
+    _write_json(_out_dir(args) / "fit.json", payload)
     if not fit.converged:
         print(f"fit failed: {fit.status}", file=sys.stderr)
         return EXIT_MODEL
@@ -134,7 +136,6 @@ def cmd_fit(args) -> int:
 
 def cmd_breslow(args) -> int:
     data = _load_input(args)
-    out = _out_dir(args)
     if args.beta is not None:
         beta = _parse_floats(args.beta) if args.beta else np.zeros(0)
         if beta.size != data.covariate_dim:
@@ -158,6 +159,7 @@ def cmd_breslow(args) -> int:
     # Before any write: A_n reads the moment columns, which can overflow
     # where the Breslow curve does not.
     a_curve = breslow_mod.a_n_curve(data, beta)
+    out = _out_dir(args)
     write_csv(
         out / "breslow.csv",
         ["x", "cum_hazard"],
@@ -175,7 +177,6 @@ def cmd_breslow(args) -> int:
 
 def cmd_influence(args) -> int:
     data = _load_input(args)
-    out = _out_dir(args)
     fit = _fit(data)
     beta = np.zeros(0) if fit is None else fit.beta_hat
     m = args.M if args.M is not None else default_m_plugin(data, beta)
@@ -183,6 +184,7 @@ def cmd_influence(args) -> int:
     infl = xi_plugin(data, fit, grid)
     a_curve = breslow_mod.a_n_curve(data, beta)
     curves = variance_estimate(data, infl, fit, a_curve)
+    out = _out_dir(args)
     write_csv(
         out / "variance.csv",
         ["x", "variance", "variance_xi_only"],
@@ -198,7 +200,6 @@ def cmd_influence(args) -> int:
 def cmd_decompose(args) -> int:
     truth = _resolve_truth(args.truth)
     data = _load_input(args)
-    out = _out_dir(args)
     if truth.p != data.covariate_dim:
         raise _CliError(EXIT_MODEL, "truth model and dataset covariate dimensions differ")
     fit = _fit(data)
@@ -210,6 +211,7 @@ def cmd_decompose(args) -> int:
         data, fit, truth, grid, beta_hat=None if truth.p else truth.beta0
     )
     columns = ["t_n1", "t_n2", "b_n", "c_n", "r_n3", "r_n4", "r_n", "mean_xi"]
+    out = _out_dir(args)
     rows = zip(
         grid.tolist(), *[getattr(report, c).tolist() for c in columns]
     )
@@ -273,7 +275,7 @@ def cmd_rate_lab(args) -> int:
 @functools.cache
 def build_parser() -> argparse.ArgumentParser:
     """The CLI parser, built once per process and shared by every ``main`` call."""
-    parser = argparse.ArgumentParser(
+    parser = _Parser(
         prog="breslow-lab",
         description="Proportional hazards estimation and rate experiments",
     )
@@ -281,31 +283,32 @@ def build_parser() -> argparse.ArgumentParser:
 
     def add_common(p, *, with_truth_gen=False):
         p.add_argument("--output-dir", default=None, help="artifact directory")
-        p.add_argument("--input", default=None, help="input CSV (time,event,z1,...)")
+        p.add_argument("--input", default=None, required=not with_truth_gen,
+                       help="input CSV (time,event,z1,...)")
         if with_truth_gen:
             p.add_argument("--truth", default="reference", choices=sorted(TRUTHS))
             p.add_argument("--n", type=int, default=2000, help="simulated sample size")
-            p.add_argument("--seed", type=int, default=0)
+            p.add_argument("--seed", type=_non_negative, default=0)
 
     p_fit = sub.add_parser("fit", help="maximum partial likelihood fit")
     add_common(p_fit)
-    p_fit.set_defaults(func=cmd_fit, input_required=True)
+    p_fit.set_defaults(func=cmd_fit)
 
     p_br = sub.add_parser("breslow", help="baseline cumulative hazard curves")
     add_common(p_br)
     p_br.add_argument("--beta", default=None, help="skip fitting; comma-separated, '' for p=0")
-    p_br.set_defaults(func=cmd_breslow, input_required=True)
+    p_br.set_defaults(func=cmd_breslow)
 
     p_inf = sub.add_parser("influence", help="plug-in influence and variance curves")
     add_common(p_inf, with_truth_gen=True)
-    p_inf.add_argument("--grid-points", type=int, default=128)
+    p_inf.add_argument("--grid-points", type=_non_negative, default=128)
     p_inf.add_argument("--M", type=float, default=None)
     p_inf.add_argument("--write-xi", action="store_true")
     p_inf.set_defaults(func=cmd_influence)
 
     p_dec = sub.add_parser("decompose", help="linearization decomposition report")
     add_common(p_dec, with_truth_gen=True)
-    p_dec.add_argument("--grid-points", type=int, default=128)
+    p_dec.add_argument("--grid-points", type=_non_negative, default=128)
     p_dec.add_argument("--M", type=float, default=None)
     p_dec.set_defaults(func=cmd_decompose)
 
@@ -327,11 +330,8 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def main(argv=None) -> int:
-    args = build_parser().parse_args(argv)
-    if getattr(args, "input_required", False) and not args.input:
-        print("--input is required for this subcommand", file=sys.stderr)
-        return EXIT_MODEL
     try:
+        args = build_parser().parse_args(argv)
         return args.func(args)
     except _CliError as exc:
         print(str(exc), file=sys.stderr)
@@ -339,10 +339,7 @@ def main(argv=None) -> int:
     except ExperimentValidityError as exc:
         print(f"experiment invalid: {exc}", file=sys.stderr)
         return EXIT_EXPERIMENT
-    except DataError as exc:
-        print(str(exc), file=sys.stderr)
-        return EXIT_IO
-    except OSError as exc:
+    except (DataError, OSError) as exc:
         print(str(exc), file=sys.stderr)
         return EXIT_IO
     except OverflowError as exc:

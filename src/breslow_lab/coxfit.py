@@ -157,9 +157,9 @@ def fit_mple(data: SurvivalDataset, init=None, max_iter: int = 50) -> CoxFit:
     ``max_iter`` steps faces the same tests as every earlier one, so raising
     ``max_iter`` past the step a fit stops at does not change its status.
     The criteria and the fit are invariant to a constant shift of a
-    covariate and to its units: rescaling a covariate by c divides its
-    coefficient by c.  An ``init`` whose risk table leaves the float64 range
-    raises ``ValueError``.
+    covariate.  The stable-iterate and separation tests are unit-free, but
+    the 1e-10 score tolerance is absolute (ROADMAP item 6).  An ``init``
+    whose risk table leaves the float64 range raises ``ValueError``.
     """
     p = data.covariate_dim
     if p == 0:

@@ -43,7 +43,7 @@ _CHEB_TO_GAUSS = chebyshev.chebvander(_NODES[: 3 * GAUSS_ORDER], CHEB_POINTS - 1
 _BLOCK_POINTS = 16384
 
 
-class QuadratureError(RuntimeError):
+class QuadratureError(ValueError):
     """Adaptive refinement failed to reach the requested tolerance."""
 
 

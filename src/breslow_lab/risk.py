@@ -161,7 +161,8 @@ def build_aggregates(data: SurvivalDataset, beta) -> RiskAggregates:
     that table.  The fitter's last trial point is ``beta_hat``, so every
     post-fit estimator shares the fit's table.  Shared tables are read-only,
     and ``beta`` is copied, so later changes to the caller's array affect
-    neither the table nor the key.  A build that raises is not kept.
+    neither the table nor the key.  A build that raises is not kept; a
+    ``beta`` that is not finite raises ``ValueError``.
     """
     beta = np.array(beta, dtype=float).reshape(-1)
     if beta.size != data.covariate_dim:
@@ -176,6 +177,8 @@ def build_aggregates(data: SurvivalDataset, beta) -> RiskAggregates:
 
 
 def _build_aggregates(data: SurvivalDataset, beta: np.ndarray) -> RiskAggregates:
+    if not np.isfinite(beta).all():
+        raise ValueError(f"beta must be finite, got {beta.tolist()}")
     sv = data.sorted_view
     eta = sv.centered @ beta
     top = float(eta.max())

@@ -14,6 +14,12 @@ from breslow_lab.cli import main
 
 
 THREE_POINT_CSV = "time,event,z1\n1.0,1,1.0\n2.0,1,0.0\n3.0,1,1.0\n"
+# The reference design's risk mass vanishes from t = 3 on; the last event
+# falls just before.
+LATE_CSV = (
+    "time,event,z1\n0.3,1,0\n0.5,0,1\n0.8,1,1\n1.1,1,0\n"
+    "1.6,0,1\n2.2,1,0\n2.99999999,1,1\n"
+)
 
 
 @pytest.fixture
@@ -66,10 +72,39 @@ class TestFitCommand:
     def test_missing_input_flag(self):
         assert main(["fit"]) == 2
 
-    def test_unknown_flag_rejected(self, three_point_csv):
-        with pytest.raises(SystemExit) as exc:
-            main(["fit", "--input", str(three_point_csv), "--bogus"])
-        assert exc.value.code == 2
+    def test_unknown_flag_rejected(self, three_point_csv, capsys):
+        assert main(["fit", "--input", str(three_point_csv), "--bogus"]) == 2
+        assert capsys.readouterr().err == "breslow-lab: error: unrecognized arguments: --bogus\n"
+
+
+@pytest.mark.parametrize("argv,fragment", [
+    pytest.param(["fit", "--input", "{p0}"], "nothing to fit", id="fit-p0"),
+    pytest.param(["breslow", "--input", "{p1}", "--beta", "1,2"], "--beta has 2 entries",
+                 id="breslow-beta-dimension"),
+    pytest.param(["decompose", "--input", "{p1}", "--truth", "no-covariates"],
+                 "dimensions differ", id="decompose-dimension"),
+    pytest.param(["influence", "--n", "200", "--grid-points", "0"], "grid must be nonempty",
+                 id="influence-zero-grid"),
+    pytest.param(["decompose", "--input", "{late}", "--truth", "reference", "--M", "2.9999999"],
+                 "quadrature did not converge", id="decompose-quadrature"),
+    pytest.param(["influence", "--grid-points", "-5"], "argument --grid-points:",
+                 id="influence-negative-grid"),
+    pytest.param(["influence", "--seed", "-1"], "argument --seed:", id="influence-negative-seed"),
+    pytest.param(["fit", "--input", "{p1}", "--bogus"], "unrecognized arguments: --bogus",
+                 id="fit-unknown-flag"),
+    pytest.param(["fit"], "required: --input", id="fit-without-input"),
+    pytest.param(["rate-lab", "--claim", "bogus"], "argument --claim:", id="rate-lab-claim"),
+])
+def test_failure_exit_2_one_line_and_no_output_dir(tmp_path, capsys, argv, fragment):
+    inputs = {"p0": "time,event\n1,1\n2,0\n3,1\n", "p1": THREE_POINT_CSV, "late": LATE_CSV}
+    for name, text in inputs.items():
+        (tmp_path / f"{name}.csv").write_text(text)
+    argv = [arg.format(**{name: tmp_path / f"{name}.csv" for name in inputs}) for arg in argv]
+    out = tmp_path / "out"
+    assert main([*argv, "--output-dir", str(out)]) == 2
+    err = capsys.readouterr().err
+    assert err.count("\n") == 1 and err.endswith("\n") and fragment in err
+    assert not out.exists()
 
 
 @pytest.mark.parametrize("command", ["fit", "influence"])
@@ -167,7 +202,7 @@ def test_moment_overflow_exit_2_one_line(tmp_path, capsys, argv, message):
         assert err.count("\n") == 1 and err.startswith("numeric overflow: ")
     else:
         assert err == message
-    assert list(out.iterdir()) == []
+    assert not out.exists()
 
 
 class TestInfluenceCommand:
@@ -193,6 +228,25 @@ class TestInfluenceCommand:
         header, rows = read_csv_rows(out / "xi_matrix.csv")
         assert len(rows) == 50
         assert len(header) == 9
+
+    def test_no_covariates_has_no_coefficient_term(self, tmp_path):
+        out = tmp_path / "out"
+        code = main([
+            "influence", "--truth", "no-covariates", "--n", "200", "--seed", "1",
+            "--grid-points", "16", "--output-dir", str(out),
+        ])
+        assert code == 0
+        _, rows = read_csv_rows(out / "variance.csv")
+        assert len(rows) == 16
+        assert all(r[1] == r[2] for r in rows)
+
+    def test_separated_data_exit_2_one_line(self, tmp_path, capsys):
+        path = tmp_path / "separated.csv"
+        path.write_text("time,event,z1\n1,1,709\n2,1,709\n3,1,709\n4,1,0\n")
+        out = tmp_path / "out"
+        assert main(["influence", "--input", str(path), "--output-dir", str(out)]) == 2
+        assert capsys.readouterr().err == "fit failed: separation_detected\n"
+        assert not out.exists()
 
 
 class TestDecomposeCommand:
@@ -351,6 +405,21 @@ class TestRateLabCommand:
         err = capsys.readouterr().err
         assert len(err.strip().splitlines()) == 1
         assert not (out / "rates.json").exists()
+
+    @pytest.mark.parametrize("config,message", [
+        ("claim = lemma1\ntruth = bogus\n",
+         "unknown truth model 'bogus'; options: ['no-covariates', 'reference']\n"),
+        ("claim = bogus\n", "unknown claim 'bogus'; options: ['lemma1', 'lemma2', 'theorem']\n"),
+    ], ids=["truth", "claim"])
+    def test_unknown_name_in_config_exit_2_one_line(self, tmp_path, capsys, config, message):
+        cfg = tmp_path / "lab.cfg"
+        cfg.write_text(config)
+        out = tmp_path / "out"
+        argv = ["rate-lab", "--n", "80,160", "--reps", "2", "--seed", "7",
+                "--config", str(cfg), "--output-dir", str(out)]
+        assert main(argv) == 2
+        assert capsys.readouterr().err == message
+        assert not out.exists()
 
     def test_flag_value_that_does_not_parse_exit_2_one_line(self, tmp_path, capsys):
         out = tmp_path / "out"
@@ -518,6 +587,18 @@ class TestModuleInvocation:
         assert proc.returncode == 2
         assert proc.stderr.count("\n") == 1 and "overflow" in proc.stderr
         assert not (out / "breslow.csv").exists()
+
+    def test_usage_error_exit_2_one_line(self, tmp_path):
+        out = tmp_path / "out"
+        proc = run_module("rate-lab", "--claim", "bogus", "--output-dir", str(out))
+        assert proc.returncode == 2
+        assert proc.stderr.count("\n") == 1 and "argument --claim:" in proc.stderr
+        assert not out.exists()
+
+    def test_help_exit_0(self):
+        proc = run_module("fit", "--help")
+        assert proc.returncode == 0 and proc.stderr == ""
+        assert "--input" in proc.stdout
 
 
 def scipy_modules_imported(*argv):

@@ -135,6 +135,27 @@ class TestCsv:
         with pytest.raises(DataError, match="row 1"):
             load_csv(path)
 
+    @pytest.mark.parametrize("text,message", [
+        ("time,event,z1\n1.0,1,0.5\nsoon,1,0.5\n", "row 2: bad time value 'soon'"),
+        ("time,event,z1\n1.0,1,high\n", "row 1: bad covariate value"),
+        ("time,event,z1\n", "no data rows"),
+        ("time,event,z1\n-1.0,1,0.5\n", "follow-up times must be positive"),
+    ], ids=["time", "covariate", "header-only", "dataset"])
+    def test_errors_name_the_file(self, tmp_path, text, message):
+        path = tmp_path / "d.csv"
+        path.write_text(text)
+        with pytest.raises(DataError) as exc:
+            load_csv(path)
+        assert str(exc.value).startswith(f"{path}: {message}")
+
+    def test_blank_lines_skipped_but_counted(self, tmp_path):
+        path = tmp_path / "d.csv"
+        path.write_text("time,event,z1\n1.0,1,0.5\n\n,,\n2.0,0,-0.5\n3.0,x,0\n")
+        with pytest.raises(DataError, match="row 5: bad event value 'x'"):
+            load_csv(path)
+        path.write_text("time,event,z1\n1.0,1,0.5\n\n,,\n2.0,0,-0.5\n")
+        assert np.array_equal(load_csv(path).times, [1.0, 2.0])
+
     def test_true_false_tokens(self, tmp_path):
         path = tmp_path / "d.csv"
         path.write_text("time,event\n1.0,true\n2.0,false\n")

@@ -49,6 +49,11 @@ class TestBuildAggregates:
         with pytest.raises(ValueError, match="length"):
             build_aggregates(three_point, [0.0, 1.0])
 
+    @pytest.mark.parametrize("beta", [np.nan, np.inf, -np.inf])
+    def test_beta_not_finite_is_not_overflow(self, three_point, beta):
+        with pytest.raises(ValueError, match=r"beta must be finite, got \[(nan|-?inf)\]"):
+            build_aggregates(three_point, [beta])
+
     def test_overflow_is_hard_error(self):
         # Centered at the mean 800, the first row's exponent is 800.
         data = validate_dataset([(1.0, True, [1600.0]), (2.0, True, [0.0])])
