@@ -28,7 +28,6 @@ from .experiments import (
     CONFIG_KEYS,
     GRID_POINTS,
     ExperimentValidityError,
-    _non_negative,
     coupling_remainder_experiment,
     linearization_remainder_experiment,
     parse_config,
@@ -48,6 +47,9 @@ EXIT_IO = 1
 EXIT_MODEL = 2
 EXIT_SELF_CHECK = 3
 EXIT_EXPERIMENT = 4
+
+# Most entries of ``influence``'s n x grid-points matrix: 512 MiB of float64.
+MAX_XI_ENTRIES = 2**26
 
 TRUTHS = {
     "reference": reference_truth,
@@ -72,6 +74,16 @@ class _Parser(argparse.ArgumentParser):
 
     def error(self, message):
         raise _CliError(EXIT_MODEL, f"{self.prog}: error: {message}")
+
+
+def _setting(key: str):
+    """argparse ``type`` that parses a flag like config key ``key``."""
+    def parse(text):
+        try:
+            return parse_setting(key, text)
+        except ValueError as exc:
+            raise argparse.ArgumentTypeError(str(exc)) from None
+    return parse
 
 
 def _write_json(path: Path, payload: dict) -> None:
@@ -177,6 +189,9 @@ def cmd_breslow(args) -> int:
 
 def cmd_influence(args) -> int:
     data = _load_input(args)
+    if data.n * args.grid_points > MAX_XI_ENTRIES:
+        raise _CliError(EXIT_MODEL, f"influence matrix of {data.n} x {args.grid_points} "
+                                    f"entries is above the cap of {MAX_XI_ENTRIES}")
     fit = _fit(data)
     beta = np.zeros(0) if fit is None else fit.beta_hat
     m = args.M if args.M is not None else default_m_plugin(data, beta)
@@ -207,14 +222,10 @@ def cmd_decompose(args) -> int:
         truth.default_M(), float(data.sorted_view.times[-1])
     )
     grid = np.linspace(0.0, m, args.grid_points)
-    report = remainder_decomposition(
-        data, fit, truth, grid, beta_hat=None if truth.p else truth.beta0
-    )
+    report = remainder_decomposition(data, fit, truth, grid)
     columns = ["t_n1", "t_n2", "b_n", "c_n", "r_n3", "r_n4", "r_n", "mean_xi"]
     out = _out_dir(args)
-    rows = zip(
-        grid.tolist(), *[getattr(report, c).tolist() for c in columns]
-    )
+    rows = zip(grid.tolist(), *[getattr(report, c).tolist() for c in columns])
     write_csv(out / "decomposition.csv", ["x"] + columns, rows)
     payload = {
         "sup_norms": {k: float(v) for k, v in sorted(report.sup_norms.items())},
@@ -288,7 +299,7 @@ def build_parser() -> argparse.ArgumentParser:
         if with_truth_gen:
             p.add_argument("--truth", default="reference", choices=sorted(TRUTHS))
             p.add_argument("--n", type=int, default=2000, help="simulated sample size")
-            p.add_argument("--seed", type=_non_negative, default=0)
+            p.add_argument("--seed", type=_setting("seed"), default=0)
 
     p_fit = sub.add_parser("fit", help="maximum partial likelihood fit")
     add_common(p_fit)
@@ -301,14 +312,14 @@ def build_parser() -> argparse.ArgumentParser:
 
     p_inf = sub.add_parser("influence", help="plug-in influence and variance curves")
     add_common(p_inf, with_truth_gen=True)
-    p_inf.add_argument("--grid-points", type=_non_negative, default=128)
+    p_inf.add_argument("--grid-points", type=_setting("grid_points"), default=128)
     p_inf.add_argument("--M", type=float, default=None)
     p_inf.add_argument("--write-xi", action="store_true")
     p_inf.set_defaults(func=cmd_influence)
 
     p_dec = sub.add_parser("decompose", help="linearization decomposition report")
     add_common(p_dec, with_truth_gen=True)
-    p_dec.add_argument("--grid-points", type=_non_negative, default=128)
+    p_dec.add_argument("--grid-points", type=_setting("grid_points"), default=128)
     p_dec.add_argument("--M", type=float, default=None)
     p_dec.set_defaults(func=cmd_decompose)
 

@@ -158,8 +158,9 @@ def fit_mple(data: SurvivalDataset, init=None, max_iter: int = 50) -> CoxFit:
     ``max_iter`` past the step a fit stops at does not change its status.
     The criteria and the fit are invariant to a constant shift of a
     covariate.  The stable-iterate and separation tests are unit-free, but
-    the 1e-10 score tolerance is absolute (ROADMAP item 6).  An ``init``
-    whose risk table leaves the float64 range raises ``ValueError``.
+    the 1e-10 score tolerance is absolute (ROADMAP: "A scale-free stopping
+    rule for the fit").  An ``init`` whose risk table leaves the float64
+    range raises ``ValueError``.
     """
     p = data.covariate_dim
     if p == 0:

@@ -93,7 +93,7 @@ class SurvivalDataset:
             raise DataError("dataset must contain at least one observation")
         if not np.all(np.isfinite(times)) or np.any(times <= 0):
             bad = times[~(np.isfinite(times) & (times > 0))][0]
-            raise DataError(f"follow-up times must be positive and finite, got {bad!r}")
+            raise DataError(f"follow-up times must be positive and finite, got {float(bad)}")
         if not np.all(np.isfinite(covariates)):
             raise DataError("covariates must be finite")
         if not events.any():

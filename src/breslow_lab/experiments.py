@@ -20,7 +20,8 @@ import numpy as np
 
 from .coxfit import fit_mple
 from .data import SurvivalDataset
-from .linearize import _coupling_remainder, _linearization_remainder, _xi_truth_mean
+from .linearize import (_coupling_remainder, _linearization_remainder, _window_grid,
+                        _xi_truth_mean)
 from .risk import build_aggregates, d1_n, phi_n
 from .truth import PHI_FLOOR, TruthModel, generate_dataset
 
@@ -153,10 +154,6 @@ def _validate_design(sample_sizes, replications: int):
     return sizes
 
 
-def _fixed_grid(M: float, grid_points: int) -> np.ndarray:
-    return np.linspace(0.0, M, grid_points)
-
-
 def _eval_grid(fixed: np.ndarray, data: SurvivalDataset, M: float) -> np.ndarray:
     """Fixed grid plus the data's jump points and the float just right of
     each (the sup of a step term sits on one side of a jump)."""
@@ -164,36 +161,6 @@ def _eval_grid(fixed: np.ndarray, data: SurvivalDataset, M: float) -> np.ndarray
     t = t[t <= M]
     right_of = np.minimum(np.nextafter(t, np.inf), M)
     return np.unique(np.concatenate([fixed[fixed <= M], t, right_of]))
-
-
-def _window_grid(fixed: np.ndarray, data: SurvivalDataset, M: float):
-    """``(grid, (left, right))``: the strictly increasing ``fixed`` grid merged
-    with the distinct follow-up times, both up to ``min(M, last follow-up
-    time)``, and the grid's :func:`~breslow_lab.linearize._bracket`.
-
-    Reciprocal-risk-mass integrands are undefined beyond the last follow-up
-    time; on the (asymptotically negligible) event that the sample ends before
-    M the sup is taken over the observable window instead.  The fixed points
-    that are not distinct times go where one search of the distinct times
-    puts them, and that search also gives the bracket: ``np.unique`` of the
-    two and a search of every grid point, bit for bit, without either.
-    """
-    dt = data.sorted_view.distinct_times
-    hi = min(M, float(dt[-1]))
-    m = int(np.searchsorted(dt, hi, side="right"))
-    fixed = fixed[fixed <= hi]
-    at = np.searchsorted(dt, fixed, side="left")
-    new = dt[at] != fixed
-    at = at[new]
-    is_time = np.ones(m + at.size, dtype=bool)
-    is_time[at + np.arange(at.size)] = False
-    grid = np.empty(is_time.size)
-    grid[is_time] = dt[:m]
-    grid[~is_time] = fixed[new]
-    # ``left`` counts the distinct times before a grid point; a distinct time
-    # k brackets as (k, k + 1), a fixed point inserted before it as (k, k).
-    left = np.cumsum(is_time) - is_time
-    return grid, (left, left + is_time)
 
 
 def _summaries(sample_sizes, raw: dict[str, np.ndarray]) -> dict[str, QuantitySummary]:
@@ -226,7 +193,7 @@ def _run(claim, truth, sample_sizes, replications, seed, names, measure, *,
     sizes = _validate_design(sample_sizes, replications)
     a_fn = None if a_n is None else A_N_CHOICES[_a_n_choice(a_n)]
     M = truth.default_M(phi_floor)
-    fixed = _fixed_grid(M, grid_points)
+    fixed = np.linspace(0.0, M, grid_points)
     raw = {name: np.full((len(sizes), replications), np.nan) for name in names}
     excluded = []
     for i, n in enumerate(sizes):
@@ -373,6 +340,10 @@ def linearization_remainder_experiment(
 # Flat key-value experiment configs
 
 
+# Most ``grid_points`` a flag or config value may ask for (8 MiB per array).
+MAX_GRID_POINTS = 2**20
+
+
 def _non_negative(text: str) -> int:
     value = int(text)
     if value < 0:
@@ -380,11 +351,18 @@ def _non_negative(text: str) -> int:
     return value
 
 
-# Each config key with the parser of its value; ``rate-lab`` parses the flag
-# whose ``dest`` is the key with the same parser.
+def _grid_points(text: str) -> int:
+    value = _non_negative(text)
+    if value > MAX_GRID_POINTS:
+        raise ValueError(f"must be at most {MAX_GRID_POINTS}, got {value}")
+    return value
+
+
+# Each config key with the parser of its value, which also parses each CLI flag
+# whose ``dest`` is the key (rate-lab's flags, ``--seed`` and ``--grid-points``).
 CONFIG_KEYS = {
     "truth": str, "claim": str, "replications": int, "seed": _non_negative,
-    "grid_points": _non_negative, "M_policy": float, "a_n": _a_n_choice,
+    "grid_points": _grid_points, "M_policy": float, "a_n": _a_n_choice,
     "sample_sizes": lambda text: tuple(int(v) for v in text.split(",")),
 }
 

@@ -102,6 +102,26 @@ def _as_grid(x_grid) -> np.ndarray:
     return grid
 
 
+def _supported_grid(data: SurvivalDataset, x_grid) -> np.ndarray:
+    """:func:`_as_grid` for a grid that ends by the last follow-up time."""
+    grid = _as_grid(x_grid)
+    if float(grid.max()) > float(data.sorted_view.distinct_times[-1]):
+        raise ValueError("grid point beyond the last follow-up time: empirical risk mass is zero")
+    return grid
+
+
+def _fitted_beta(data: SurvivalDataset, fit: CoxFit | None) -> np.ndarray:
+    """The coefficients a post-fit estimator uses: none without covariates,
+    else those of ``fit``, which must have converged."""
+    if data.covariate_dim == 0:
+        return np.zeros(0)
+    if fit is None:
+        raise ValueError("a converged fit is required when covariates are present")
+    if not fit.converged:
+        raise ValueError(f"fit did not converge (status {fit.status})")
+    return fit.beta_hat
+
+
 # ---------------------------------------------------------------------------
 # Influence values
 
@@ -134,6 +154,36 @@ def _bracket(sv, grid: np.ndarray):
     left = np.searchsorted(dt, grid, side="left")
     right = left + (dt[np.minimum(left, dt.size - 1)] == grid)
     return left, right
+
+
+def _window_grid(fixed: np.ndarray, data: SurvivalDataset, M: float):
+    """``(grid, (left, right))``: the strictly increasing ``fixed`` grid merged
+    with the distinct follow-up times, both up to ``min(M, last follow-up
+    time)``, and the grid's :func:`_bracket`.
+
+    Reciprocal-risk-mass integrands are undefined beyond the last follow-up
+    time; on the (asymptotically negligible) event that the sample ends before
+    M the sup is taken over the observable window instead.  The fixed points
+    that are not distinct times go where one search of the distinct times
+    puts them, and that search also gives the bracket: ``np.unique`` of the
+    two and a search of every grid point, bit for bit, without either.
+    """
+    dt = data.sorted_view.distinct_times
+    hi = min(M, float(dt[-1]))
+    m = int(np.searchsorted(dt, hi, side="right"))
+    fixed = fixed[fixed <= hi]
+    at = np.searchsorted(dt, fixed, side="left")
+    new = dt[at] != fixed
+    at = at[new]
+    is_time = np.ones(m + at.size, dtype=bool)
+    is_time[at + np.arange(at.size)] = False
+    grid = np.empty(is_time.size)
+    grid[is_time] = dt[:m]
+    grid[~is_time] = fixed[new]
+    # ``left`` counts the distinct times before a grid point; a distinct time
+    # k brackets as (k, k + 1), a fixed point inserted before it as (k, k).
+    left = np.cumsum(is_time) - is_time
+    return grid, (left, left + is_time)
 
 
 def _event_weight_means(data: SurvivalDataset, truth: TruthModel, right) -> np.ndarray:
@@ -203,20 +253,9 @@ def xi_plugin(data: SurvivalDataset, fit: CoxFit | None, x_grid) -> InfluenceMat
     matrix in blocks of rows small enough to stay in cache; raises
     :class:`ExpOverflowError` when any entry leaves float64.
     """
-    grid = _as_grid(x_grid)
-    if data.covariate_dim == 0:
-        beta = np.zeros(0)
-    else:
-        if fit is None:
-            raise ValueError("a converged fit is required when covariates are present")
-        if not fit.converged:
-            raise ValueError(f"fit did not converge (status {fit.status})")
-        beta = fit.beta_hat
+    grid = _supported_grid(data, x_grid)
+    beta = _fitted_beta(data, fit)
     sv = data.sorted_view
-    if float(grid.max()) > float(sv.times[-1]):
-        raise ValueError(
-            "grid point beyond the last follow-up time: empirical risk mass is zero"
-        )
     # Every piece on the centered scale: xi is e^{-beta'means} times the same
     # expression in the centered risk table, so one checked factor at the end
     # takes it back to the raw scale.
@@ -268,17 +307,13 @@ def variance_estimate(
     if data.n < 2:
         raise ValueError("variance undefined for n < 2")
     x = infl.values
-    p = data.covariate_dim
-    if p == 0:
+    beta = _fitted_beta(data, fit)
+    if beta.size == 0:
         ell, a_vals = np.zeros((data.n, 0)), np.zeros((infl.grid.size, 0))
     else:
-        if fit is None or a_curve is None:
-            raise ValueError("fit and sensitivity curve are required with covariates")
-        if not fit.converged:
-            raise ValueError(f"fit did not converge (status {fit.status})")
-        if a_curve.is_empty:
-            raise ValueError("sensitivity curve is empty")
-        resid = score_residuals(data, fit.beta_hat)
+        if a_curve is None or a_curve.is_empty:
+            raise ValueError("a nonempty sensitivity curve is required with covariates")
+        resid = score_residuals(data, beta)
         try:
             ell = data.n * np.linalg.solve(fit.information, resid.T).T
         except np.linalg.LinAlgError:
@@ -345,12 +380,9 @@ def _t2_parts(data: SurvivalDataset, truth: TruthModel, grid: np.ndarray, column
     """``(haz_n0, s_phi, lam0, integrals, r_n3)``: Breslow estimate at ``beta0``,
     event-weight means, ``cum_haz_0``, :func:`_risk_integrals` of ``columns`` (the
     last is 1, ``H_uc``, read by ``r_n3``), all indexed off the grid's
-    :func:`_bracket` ``(left, right)``."""
+    :func:`_bracket` ``(left, right)``; the grid ends by the last follow-up
+    time (:func:`_supported_grid`, :func:`_window_grid`)."""
     agg = build_aggregates(data, truth.beta0)
-    if float(grid.max()) > float(data.sorted_view.distinct_times[-1]):
-        raise ValueError(
-            "grid point beyond the last follow-up time: empirical risk mass is zero"
-        )
     left, right = bracket
     integrals = _risk_integrals(truth, agg, grid, left, columns)
     lam0 = truth.cum_hazard0(grid)
@@ -413,41 +445,22 @@ def remainder_decomposition(
     """Exact decomposition of the centered hazard estimate on ``x_grid``.
 
     ``beta_hat`` overrides the fitted coefficients (forcing ``beta_hat =
-    beta0`` zeroes ``t_n1`` and reduces the remainder to ``r_n3 + r_n4``).
-    Requires a converged fit otherwise, and a grid inside the data support
-    with positive population risk mass.
+    beta0`` zeroes ``t_n1`` and reduces the remainder to ``r_n3 + r_n4``);
+    otherwise the coefficients are :func:`xi_plugin`'s.  The grid must end
+    by the last follow-up time, with positive population risk mass.
     """
-    grid = _as_grid(x_grid)
+    grid = _supported_grid(data, x_grid)
     if beta_hat is None:
-        if fit is None:
-            raise ValueError("either a fit or explicit coefficients are required")
-        if not fit.converged:
-            raise ValueError(f"fit did not converge (status {fit.status})")
-        beta_hat = fit.beta_hat
+        beta_hat = _fitted_beta(data, fit)
     beta_hat = np.atleast_1d(np.asarray(beta_hat, dtype=float))
     bracket = _bracket(data.sorted_view, grid)
-    terms = _t2_terms(data, truth, grid, bracket)
-    haz_hat, beta_term, r_n = _linearization_remainder(data, truth, grid, bracket[1],
-                                                       beta_hat, terms["mean_xi"])
-    arrays = {
-        "t_n1": haz_hat - terms["haz_n_beta0"],
-        "t_n2": terms["t_n2"],
-        "b_n": terms["b_n"],
-        "c_n": terms["c_n"],
-        "r_n3": terms["r_n3"],
-        "r_n4": terms["r_n4"],
-        "r_n": r_n,
-        "mean_xi": terms["mean_xi"],
-        "beta_term": beta_term,
-    }
+    arrays = _t2_terms(data, truth, grid, bracket)
+    haz_hat, arrays["beta_term"], arrays["r_n"] = _linearization_remainder(
+        data, truth, grid, bracket[1], beta_hat, arrays["mean_xi"])
+    arrays["t_n1"] = haz_hat - arrays.pop("haz_n_beta0")
     sup_norms = {name: float(np.max(np.abs(val))) for name, val in arrays.items()}
-    return DecompositionReport(
-        grid=grid,
-        sup_norms=sup_norms,
-        beta_hat=beta_hat,
-        beta0=truth.beta0,
-        **arrays,
-    )
+    return DecompositionReport(grid=grid, sup_norms=sup_norms, beta_hat=beta_hat,
+                               beta0=truth.beta0, **arrays)
 
 
 def default_m_plugin(data: SurvivalDataset, beta) -> float:

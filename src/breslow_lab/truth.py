@@ -257,10 +257,6 @@ class TruthModel:
         out = self.censor_survival(x_arr)[:, None, None] * mix
         return out if np.asarray(x).ndim else out.reshape(self.p, self.p)
 
-    def h_uc_density(self, x):
-        """Density of the uncensored sub-distribution: phi(beta0, x) rate0(x)."""
-        return self.phi(np.atleast_1d(x)) * self.baseline.rate(np.atleast_1d(x))
-
     # -- path integrals -----------------------------------------------------
 
     def _path_integrands(self, u):

@@ -87,9 +87,18 @@ class TestFitCommand:
                  id="influence-zero-grid"),
     pytest.param(["decompose", "--input", "{late}", "--truth", "reference", "--M", "2.9999999"],
                  "quadrature did not converge", id="decompose-quadrature"),
-    pytest.param(["influence", "--grid-points", "-5"], "argument --grid-points:",
-                 id="influence-negative-grid"),
-    pytest.param(["influence", "--seed", "-1"], "argument --seed:", id="influence-negative-seed"),
+    pytest.param(["influence", "--grid-points", "-5"],
+                 "breslow-lab influence: error: argument --grid-points: "
+                 "grid_points: must be non-negative, got -5", id="influence-negative-grid"),
+    pytest.param(["influence", "--seed", "-1"],
+                 "breslow-lab influence: error: argument --seed: "
+                 "seed: must be non-negative, got -1", id="influence-negative-seed"),
+    pytest.param(["decompose", "--n", "100", "--grid-points", "1048577"],
+                 "breslow-lab decompose: error: argument --grid-points: "
+                 "grid_points: must be at most 1048576, got 1048577", id="decompose-grid-bound"),
+    pytest.param(["influence", "--n", "100", "--grid-points", "1048576"],
+                 "influence matrix of 100 x 1048576 entries is above the cap of 67108864",
+                 id="influence-matrix-cap"),
     pytest.param(["fit", "--input", "{p1}", "--bogus"], "unrecognized arguments: --bogus",
                  id="fit-unknown-flag"),
     pytest.param(["fit"], "required: --input", id="fit-without-input"),
@@ -456,14 +465,19 @@ class TestRateLabCommand:
         assert err == "sample_sizes must be at least 2, got 1\n"
         assert not (out / "rates.json").exists()
 
-    @pytest.mark.parametrize("source,key,value", [
-        pytest.param("flag", "seed", "-1", id="flag"),
-        pytest.param("config", "seed", "-1", id="config"),
-        pytest.param("flag", "grid_points", "-5", id="grid_points-flag"),
-        pytest.param("config", "grid_points", "-5", id="grid_points-config"),
+    @pytest.mark.parametrize("source,key,value,rule", [
+        pytest.param("flag", "seed", "-1", "must be non-negative", id="flag"),
+        pytest.param("config", "seed", "-1", "must be non-negative", id="config"),
+        pytest.param("flag", "grid_points", "-5", "must be non-negative", id="grid_points-flag"),
+        pytest.param("config", "grid_points", "-5", "must be non-negative",
+                     id="grid_points-config"),
+        pytest.param("flag", "grid_points", "1048577", "must be at most 1048576",
+                     id="grid_points-bound-flag"),
+        pytest.param("config", "grid_points", "1048577", "must be at most 1048576",
+                     id="grid_points-bound-config"),
     ])
     def test_negative_seed_exit_2_naming_the_setting(self, tmp_path, capsys, source, key,
-                                                     value):
+                                                     value, rule):
         out = tmp_path / "out"
         argv = ["rate-lab", "--claim", "lemma1", "--n", "80,160", "--reps", "2",
                 "--output-dir", str(out)]
@@ -476,7 +490,7 @@ class TestRateLabCommand:
             cfg.write_text(f"{key} = {value}\n")
             argv += ["--config", str(cfg)]
         assert main(argv) == 2
-        assert capsys.readouterr().err == f"{key}: must be non-negative, got {value}\n"
+        assert capsys.readouterr().err == f"{key}: {rule}, got {value}\n"
         assert not (out / "rates.json").exists()
 
     def test_theorem_without_covariates(self, tmp_path):

@@ -40,6 +40,23 @@ class TestValidateDataset:
         with pytest.raises(DataError):
             validate_dataset([(bad_time, True, [1.0])])
 
+    @pytest.mark.parametrize("build,message", [
+        pytest.param(lambda: SurvivalDataset(np.ones((2, 1)), [True, True], np.zeros((2, 1))),
+                     "times and events must be 1-d arrays of equal length", id="2-d-times"),
+        pytest.param(lambda: SurvivalDataset([1.0, 2.0], [True], np.zeros((2, 1))),
+                     "times and events must be 1-d arrays of equal length", id="short-events"),
+        pytest.param(lambda: SurvivalDataset([1.0, 2.0], [True, True], np.zeros((3, 1))),
+                     "covariate rows must match the number of observations", id="covariate-rows"),
+        pytest.param(lambda: SurvivalDataset([], [], np.zeros((0, 1))),
+                     "dataset must contain at least one observation", id="empty"),
+        pytest.param(lambda: validate_dataset([(1.0, True, [0.0]), (2.0, True)]),
+                     "row 2: expected (time, event, covariates)", id="short-row"),
+    ])
+    def test_malformed_columns(self, build, message):
+        with pytest.raises(DataError) as exc:
+            build()
+        assert str(exc.value) == message
+
     def test_nonfinite_covariates(self):
         with pytest.raises(DataError):
             validate_dataset([(1.0, True, [math.nan])])
@@ -139,14 +156,14 @@ class TestCsv:
         ("time,event,z1\n1.0,1,0.5\nsoon,1,0.5\n", "row 2: bad time value 'soon'"),
         ("time,event,z1\n1.0,1,high\n", "row 1: bad covariate value"),
         ("time,event,z1\n", "no data rows"),
-        ("time,event,z1\n-1.0,1,0.5\n", "follow-up times must be positive"),
+        ("time,event,z1\n-1.0,1,0.5\n", "follow-up times must be positive and finite, got -1.0"),
     ], ids=["time", "covariate", "header-only", "dataset"])
     def test_errors_name_the_file(self, tmp_path, text, message):
         path = tmp_path / "d.csv"
         path.write_text(text)
         with pytest.raises(DataError) as exc:
             load_csv(path)
-        assert str(exc.value).startswith(f"{path}: {message}")
+        assert str(exc.value) == f"{path}: {message}"
 
     def test_blank_lines_skipped_but_counted(self, tmp_path):
         path = tmp_path / "d.csv"

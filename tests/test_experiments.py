@@ -83,7 +83,7 @@ class TestModuleLevelMeasures:
         # sups the replication loop stored, bit for bit.
         seed = 21
         res = experiment(ref_truth, (80, 160), 2, seed, grid_points=64)
-        fixed = experiments._fixed_grid(res.M, res.grid_points)
+        fixed = np.linspace(0.0, res.M, res.grid_points)
         for i, n in enumerate(res.sample_sizes):
             for r in range(res.replications):
                 data = generate_dataset(ref_truth, n, replication_seed(seed, n, r))

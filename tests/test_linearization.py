@@ -1,3 +1,4 @@
+import dataclasses
 import math
 
 import numpy as np
@@ -9,6 +10,7 @@ from breslow_lab import (
     a_n_curve,
     breslow_traditional,
     build_aggregates,
+    default_m_plugin,
     fit_loglog_slope,
     fit_mple,
     generate_dataset,
@@ -81,6 +83,12 @@ class TestXiPlugin:
     def test_grid_beyond_support_rejected(self, p0_data):
         with pytest.raises(ValueError, match="beyond"):
             xi_plugin(p0_data, None, [3.5])
+
+    def test_requires_a_fit_with_covariates(self, ref_truth):
+        data = generate_dataset(ref_truth, 100, 53)
+        with pytest.raises(ValueError) as exc:
+            xi_plugin(data, None, [0.5])
+        assert str(exc.value) == "a converged fit is required when covariates are present"
 
     def test_plugin_converges_to_truth(self, ref_truth):
         # mean |xi_hat - xi| over subjects and grid should shrink ~ n^{-1/2}
@@ -223,6 +231,24 @@ class TestVarianceEstimate:
         with pytest.raises(ValueError, match="required"):
             variance_estimate(data, infl)
 
+    @pytest.mark.parametrize("case,message", [
+        pytest.param("no curve", "a nonempty sensitivity curve is required with covariates",
+                     id="no-curve"),
+        pytest.param("singular information", "singular information", id="singular"),
+    ])
+    def test_covariate_inputs_rejected(self, ref_truth, case, message):
+        data = generate_dataset(ref_truth, 100, 53)
+        fit = fit_mple(data)
+        infl = xi_plugin(data, fit, [0.5])
+        if case == "no curve":
+            a_curve = None
+        else:
+            a_curve = a_n_curve(data, fit.beta_hat)
+            fit = dataclasses.replace(fit, information=np.zeros((1, 1)))
+        with pytest.raises(ValueError) as exc:
+            variance_estimate(data, infl, fit, a_curve)
+        assert str(exc.value) == message
+
     def test_total_exceeds_xi_only_under_reference(self, ref_truth):
         data = generate_dataset(ref_truth, 2000, 54)
         fit = fit_mple(data)
@@ -284,6 +310,21 @@ class TestDecomposition:
         )
         assert np.array_equal(report.t_n1, np.zeros_like(grid))
         assert np.allclose(report.r_n, report.r_n3 + report.r_n4, atol=1e-11)
+
+    def test_p0_needs_no_fit(self):
+        # Without covariates the gate gives beta_hat = beta0 = [], so fit=None
+        # is the forced-beta0 report bit for bit.
+        truth = no_covariate_truth()
+        data = generate_dataset(truth, 300, 60)
+        grid = np.linspace(0.0, truth.default_M(), 33)
+        got = remainder_decomposition(data, None, truth, grid)
+        want = remainder_decomposition(data, None, truth, grid, beta_hat=truth.beta0)
+        for field in dataclasses.fields(want):
+            a, b = getattr(got, field.name), getattr(want, field.name)
+            if isinstance(b, np.ndarray):
+                assert a.tobytes() == b.tobytes() and a.shape == b.shape, field.name
+            else:
+                assert a == b, field.name
 
     def test_censored_row_at_the_horizon(self, ref_truth):
         # phi(3) = 0 at the reference horizon; only event rows divide by phi.
@@ -368,3 +409,11 @@ class TestDecomposition:
                 validate_dataset([(1.0, True, [1.0]), (2.0, True, [0.0])])
             )
             remainder_decomposition(data, bad, ref_truth, [0.5])
+
+
+def test_default_m_plugin_below_the_floor_everywhere():
+    # A constant covariate at beta = -10 leaves risk mass e^-10 at every time.
+    data = validate_dataset([(1.0, True, [1.0]), (2.0, True, [1.0])])
+    with pytest.raises(ValueError) as exc:
+        default_m_plugin(data, [-10.0])
+    assert str(exc.value) == "empirical risk mass is below the floor everywhere"

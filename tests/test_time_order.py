@@ -14,8 +14,8 @@ import numpy as np
 import pytest
 
 from breslow_lab import SurvivalDataset, generate_dataset, reference_truth
-from breslow_lab.experiments import _fixed_grid, _window_grid, measure_coupling_remainder
-from breslow_lab.linearize import _bracket
+from breslow_lab.experiments import measure_coupling_remainder
+from breslow_lab.linearize import _bracket, _window_grid
 from breslow_lab.quadrature import _BLOCK_POINTS
 
 from oracles import eager_sort_columns
@@ -46,13 +46,13 @@ def _window_cases(truth):
     assert np.isin(on_times, dt).sum() > 10
     two = SurvivalDataset([0.7, 0.3], [True, False], [[1.0], [0.0]])
     return {
-        "untied": (untied, _fixed_grid(M, 512), M),
-        "tied": (tied, _fixed_grid(M, 512), M),
+        "untied": (untied, np.linspace(0.0, M, 512), M),
+        "tied": (tied, np.linspace(0.0, M, 512), M),
         "fixed points on distinct times": (tied, on_times, M),
-        "M past the last follow-up time": (untied, _fixed_grid(5.0, 97), 5.0),
-        "M before the first follow-up time": (tied, _fixed_grid(0.01, 9), 0.01),
-        "n = 2": (two, _fixed_grid(M, 64), M),
-        "n = 2, M past both times": (two, _fixed_grid(2.0, 64), 2.0),
+        "M past the last follow-up time": (untied, np.linspace(0.0, 5.0, 97), 5.0),
+        "M before the first follow-up time": (tied, np.linspace(0.0, 0.01, 9), 0.01),
+        "n = 2": (two, np.linspace(0.0, M, 64), M),
+        "n = 2, M past both times": (two, np.linspace(0.0, 2.0, 64), 2.0),
         "no fixed points": (untied, np.empty(0), M),
     }
 
@@ -137,7 +137,7 @@ def test_scalar_query_is_the_batch_value(antiderivative, query_points):
 def test_remainder_claim_builds_no_lazy_column(truth):
     data = generate_dataset(truth, 3000, 83)
     M = truth.default_M()
-    measure_coupling_remainder(truth, data, _fixed_grid(M, 64), M)
+    measure_coupling_remainder(truth, data, np.linspace(0.0, M, 64), M)
     built = vars(data.sorted_view)
     assert [name for name in LAZY_COLUMNS if name in built] == []
 

@@ -13,8 +13,8 @@ import numpy as np
 import pytest
 
 from breslow_lab import SurvivalDataset, generate_dataset, reference_truth, xi_truth_mean
-from breslow_lab.experiments import _eval_grid, _fixed_grid, _window_grid
-from breslow_lab.linearize import _bracket, _coupling_remainder, _t2_terms
+from breslow_lab.experiments import _eval_grid
+from breslow_lab.linearize import _bracket, _coupling_remainder, _t2_terms, _window_grid
 from breslow_lab.quadrature import PanelAntiderivative
 
 from oracles import reference_t2_terms, reference_xi_truth_mean
@@ -59,8 +59,8 @@ def _grids(data, M):
         "between distinct times": mid[::3],
         "ends on a distinct time": np.concatenate([fixed[fixed < inside[j]], inside[j - 4 : j + 1]]),
         "ends between distinct times": np.concatenate([fixed[fixed < mid[j]], [mid[j]]]),
-        "experiment grid": _window_grid(_fixed_grid(M, 64), data, M)[0],
-        "refined experiment grid": _eval_grid(_fixed_grid(hi, 64), data, hi),
+        "experiment grid": _window_grid(np.linspace(0.0, M, 64), data, M)[0],
+        "refined experiment grid": _eval_grid(np.linspace(0.0, hi, 64), data, hi),
     }
 
 

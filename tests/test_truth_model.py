@@ -19,7 +19,7 @@ from breslow_lab import (
     reference_truth,
     weibull_hazard,
 )
-from breslow_lab.truth import Product
+from breslow_lab.truth import Discrete, Product
 from oracles import gauss_antiderivative
 
 
@@ -108,11 +108,35 @@ def test_default_m_rejects_a_floor_that_is_not_finite(ref_truth, floor):
         ref_truth.default_M(floor)
 
 
-@pytest.mark.parametrize("floor", [0.0, -1.0, 1e-300])
+@pytest.mark.parametrize("floor", [0.0, -1.0, 1e-300, 2.0])
 def test_default_m_rejects_a_floor_without_a_window(ref_truth, floor):
-    # A floor of 1e-300 is still met at the end of the censoring support.
+    # A floor of 1e-300 is still met at the end of the censoring support;
+    # one of 2.0 is above phi(0) = 1.5.
     with pytest.raises(ValueError, match="floor"):
         ref_truth.default_M(floor)
+
+
+@pytest.mark.parametrize("build,message", [
+    pytest.param(lambda: Discrete((0.0, 1.0), (1.0,)),
+                 "values and probs must be nonempty and equal length", id="discrete-lengths"),
+    pytest.param(lambda: Discrete((0.0, 1.0), (0.5, 0.6)),
+                 "probs must be nonnegative and sum to 1", id="discrete-probs"),
+    pytest.param(lambda: bernoulli(1.0), "q must be in (0, 1)", id="bernoulli"),
+    pytest.param(lambda: TruncatedNormal(0.0, 1.0, 2.0, -2.0), "need lo < hi and sigma > 0",
+                 id="truncated-normal"),
+    pytest.param(lambda: constant_hazard(0.0), "rate must be positive", id="constant-hazard"),
+    pytest.param(lambda: weibull_hazard(0.0), "shape and scale must be positive", id="weibull"),
+    pytest.param(lambda: TruthModel([0.5], constant_hazard(), bernoulli(0.5), 0.0),
+                 "censor_upper must be positive", id="censor-upper"),
+    pytest.param(lambda: TruthModel([0.5, 0.5], constant_hazard(), bernoulli(0.5), 3.0),
+                 "beta0 length must match covariate dimension", id="beta0-length"),
+    pytest.param(lambda: generate_dataset(reference_truth(), 0, 1), "n must be >= 1",
+                 id="generate-n0"),
+])
+def test_invalid_design_rejected(build, message):
+    with pytest.raises(ValueError) as exc:
+        build()
+    assert str(exc.value) == message
 
 
 class TestQuadratureMachinery:
@@ -203,7 +227,7 @@ class TestChebyshevAntiderivative:
         rate = truth.baseline.rate
         q_ref = gauss_antiderivative(lambda u: rate(u) / truth.phi(u), edges, xs)
         assert np.abs(truth.hazard_over_phi(xs) - q_ref).max() <= 1e-11
-        h_ref = gauss_antiderivative(truth.h_uc_density, edges, xs)
+        h_ref = gauss_antiderivative(lambda u: truth.phi(u) * rate(u), edges, xs)
         assert np.abs(truth.h_uc(xs) - h_ref).max() <= 1e-11
         a0 = truth.a0(xs)
         for j in range(truth.p):
