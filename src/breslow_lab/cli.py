@@ -50,6 +50,9 @@ EXIT_EXPERIMENT = 4
 
 # Most entries of ``influence``'s n x grid-points matrix: 512 MiB of float64.
 MAX_XI_ENTRIES = 2**26
+# Most rows ``influence`` and ``decompose`` simulate (``--n``): 32 MiB per
+# float64 column.
+MAX_SIMULATED_N = 2**22
 
 TRUTHS = {
     "reference": reference_truth,
@@ -63,17 +66,11 @@ CLAIMS = {
 }
 
 
-class _CliError(Exception):
-    def __init__(self, code: int, message: str):
-        super().__init__(message)
-        self.code = code
-
-
 class _Parser(argparse.ArgumentParser):
-    """Reports a usage error as a ``_CliError``, so it leaves through ``main``."""
+    """Reports a usage error as a ``ValueError``, so it leaves through ``main``."""
 
     def error(self, message):
-        raise _CliError(EXIT_MODEL, f"{self.prog}: error: {message}")
+        raise ValueError(f"{self.prog}: error: {message}")
 
 
 def _setting(key: str):
@@ -84,6 +81,18 @@ def _setting(key: str):
         except ValueError as exc:
             raise argparse.ArgumentTypeError(str(exc)) from None
     return parse
+
+
+def _simulated_n(text: str) -> int:
+    """argparse ``type`` of ``--n``: an integer from 1 to ``MAX_SIMULATED_N``."""
+    try:
+        value = int(text)
+    except ValueError:
+        value = 0
+    if not 1 <= value <= MAX_SIMULATED_N:
+        raise argparse.ArgumentTypeError(
+            f"must be an integer from 1 to {MAX_SIMULATED_N}, got {text!r}")
+    return value
 
 
 def _write_json(path: Path, payload: dict) -> None:
@@ -98,7 +107,7 @@ def _load_input(args) -> "SurvivalDataset":
 
 def _resolve_truth(name: str):
     if name not in TRUTHS:
-        raise _CliError(EXIT_MODEL, f"unknown truth model {name!r}; options: {sorted(TRUTHS)}")
+        raise ValueError(f"unknown truth model {name!r}; options: {sorted(TRUTHS)}")
     return TRUTHS[name]()
 
 
@@ -114,7 +123,7 @@ def _fit(data):
         return None
     fit = fit_mple(data)
     if not fit.converged:
-        raise _CliError(EXIT_MODEL, f"fit failed: {fit.status}")
+        raise ValueError(f"fit failed: {fit.status}")
     return fit
 
 
@@ -151,12 +160,9 @@ def cmd_breslow(args) -> int:
     if args.beta is not None:
         beta = _parse_floats(args.beta) if args.beta else np.zeros(0)
         if beta.size != data.covariate_dim:
-            raise _CliError(
-                EXIT_MODEL,
-                f"--beta has {beta.size} entries, dataset has p={data.covariate_dim}",
-            )
+            raise ValueError(f"--beta has {beta.size} entries, dataset has p={data.covariate_dim}")
         if not np.all(np.isfinite(beta)):
-            raise _CliError(EXIT_MODEL, "--beta entries must be finite")
+            raise ValueError("--beta entries must be finite")
     else:
         fit = _fit(data)
         beta = np.zeros(0) if fit is None else fit.beta_hat
@@ -187,11 +193,17 @@ def cmd_breslow(args) -> int:
     return EXIT_OK
 
 
+def _check_xi_entries(n: int, grid_points: int) -> None:
+    if n * grid_points > MAX_XI_ENTRIES:
+        raise ValueError(f"influence matrix of {n} x {grid_points} "
+                         f"entries is above the cap of {MAX_XI_ENTRIES}")
+
+
 def cmd_influence(args) -> int:
+    if args.input is None:  # before the rows are drawn
+        _check_xi_entries(args.n, args.grid_points)
     data = _load_input(args)
-    if data.n * args.grid_points > MAX_XI_ENTRIES:
-        raise _CliError(EXIT_MODEL, f"influence matrix of {data.n} x {args.grid_points} "
-                                    f"entries is above the cap of {MAX_XI_ENTRIES}")
+    _check_xi_entries(data.n, args.grid_points)
     fit = _fit(data)
     beta = np.zeros(0) if fit is None else fit.beta_hat
     m = args.M if args.M is not None else default_m_plugin(data, beta)
@@ -216,7 +228,7 @@ def cmd_decompose(args) -> int:
     truth = _resolve_truth(args.truth)
     data = _load_input(args)
     if truth.p != data.covariate_dim:
-        raise _CliError(EXIT_MODEL, "truth model and dataset covariate dimensions differ")
+        raise ValueError("truth model and dataset covariate dimensions differ")
     fit = _fit(data)
     m = args.M if args.M is not None else min(
         truth.default_M(), float(data.sorted_view.times[-1])
@@ -254,10 +266,10 @@ def cmd_rate_lab(args) -> int:
                     if flags[key] is not None})
     for key in ("claim", "sample_sizes", "replications", "seed"):
         if key not in options:
-            raise _CliError(EXIT_MODEL, f"missing required option {key}")
+            raise ValueError(f"missing required option {key}")
     claim = options["claim"]
     if claim not in CLAIMS:
-        raise _CliError(EXIT_MODEL, f"unknown claim {claim!r}; options: {sorted(CLAIMS)}")
+        raise ValueError(f"unknown claim {claim!r}; options: {sorted(CLAIMS)}")
     truth = _resolve_truth(options["truth"])
     kwargs = dict(grid_points=options["grid_points"], phi_floor=options["M_policy"])
     if claim != "lemma1":
@@ -298,7 +310,7 @@ def build_parser() -> argparse.ArgumentParser:
                        help="input CSV (time,event,z1,...)")
         if with_truth_gen:
             p.add_argument("--truth", default="reference", choices=sorted(TRUTHS))
-            p.add_argument("--n", type=int, default=2000, help="simulated sample size")
+            p.add_argument("--n", type=_simulated_n, default=2000, help="simulated sample size")
             p.add_argument("--seed", type=_setting("seed"), default=0)
 
     p_fit = sub.add_parser("fit", help="maximum partial likelihood fit")
@@ -344,9 +356,6 @@ def main(argv=None) -> int:
     try:
         args = build_parser().parse_args(argv)
         return args.func(args)
-    except _CliError as exc:
-        print(str(exc), file=sys.stderr)
-        return exc.code
     except ExperimentValidityError as exc:
         print(f"experiment invalid: {exc}", file=sys.stderr)
         return EXIT_EXPERIMENT

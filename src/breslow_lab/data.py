@@ -83,14 +83,14 @@ class SurvivalDataset:
         times = np.asarray(times, dtype=float)
         events = np.asarray(events, dtype=bool)
         covariates = np.asarray(covariates, dtype=float)
-        if covariates.ndim == 1:
-            covariates = covariates.reshape(len(times), -1)
         if times.ndim != 1 or events.shape != times.shape:
             raise DataError("times and events must be 1-d arrays of equal length")
-        if covariates.shape[0] != times.shape[0]:
-            raise DataError("covariate rows must match the number of observations")
         if times.size == 0:
             raise DataError("dataset must contain at least one observation")
+        if covariates.ndim == 1 and covariates.size % times.size == 0:
+            covariates = covariates.reshape(times.size, -1)
+        if covariates.shape[0] != times.shape[0]:
+            raise DataError("covariate rows must match the number of observations")
         if not np.all(np.isfinite(times)) or np.any(times <= 0):
             bad = times[~(np.isfinite(times) & (times > 0))][0]
             raise DataError(f"follow-up times must be positive and finite, got {float(bad)}")
@@ -120,9 +120,6 @@ class SurvivalDataset:
     @property
     def n(self) -> int:
         return int(self._times.size)
-
-    def __len__(self) -> int:
-        return self.n
 
     @property
     def covariate_dim(self) -> int:
@@ -155,15 +152,15 @@ def validate_dataset(raw: Iterable[tuple]) -> SurvivalDataset:
     rows = list(raw)
     if not rows:
         raise DataError("empty input")
+    short = next((i for i, row in enumerate(rows) if len(row) != 3), None)
+    if short is not None:
+        raise DataError(f"row {short + 1}: expected (time, event, covariates)")
     first_cov = np.atleast_1d(np.asarray(rows[0][2], dtype=float))
     p = first_cov.size
     times = np.empty(len(rows))
     events = np.empty(len(rows), dtype=bool)
     covs = np.empty((len(rows), p))
-    for i, row in enumerate(rows):
-        if len(row) != 3:
-            raise DataError(f"row {i + 1}: expected (time, event, covariates)")
-        t, e, z = row
+    for i, (t, e, z) in enumerate(rows):
         z = np.atleast_1d(np.asarray(z, dtype=float))
         if z.size != p:
             raise DataError(f"row {i + 1}: covariate length {z.size} != {p}")

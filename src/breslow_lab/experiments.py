@@ -17,16 +17,20 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
+# Loaded with the package, not on the first replication: numpy.random's module
+# objects would otherwise land among that replication's arrays and keep the
+# heap they free resident for the rest of the process.
+from numpy.random import SeedSequence
 
 from .coxfit import fit_mple
-from .data import SurvivalDataset
+from .data import DataError, SurvivalDataset
 from .linearize import (_coupling_remainder, _linearization_remainder, _window_grid,
                         _xi_truth_mean)
 from .risk import build_aggregates, d1_n, phi_n
 from .truth import PHI_FLOOR, TruthModel, generate_dataset
 
-# Fraction of replications allowed to fail (non-converged fits) before the
-# whole experiment is declared invalid.
+# Fraction of replications allowed to fail (draws with no events, non-converged
+# fits) before the whole experiment is declared invalid.
 EXCLUSION_CAP = 0.01
 
 # Points of the fixed grid on [0, M], and the rate normalization the
@@ -51,9 +55,9 @@ class ExperimentValidityError(RuntimeError):
     """Too many replications were excluded; results would be biased."""
 
 
-def replication_seed(seed: int, n: int, rep: int) -> np.random.SeedSequence:
+def replication_seed(seed: int, n: int, rep: int) -> SeedSequence:
     """Documented split function: child stream for (sample size, replication)."""
-    return np.random.SeedSequence([int(seed), int(n), int(rep)])
+    return SeedSequence([int(seed), int(n), int(rep)])
 
 
 def fit_loglog_slope(sample_sizes, values) -> tuple[float, float]:
@@ -186,21 +190,29 @@ def _run(claim, truth, sample_sizes, replications, seed, names, measure, *,
     Replication r at size n draws its dataset from ``replication_seed(seed,
     n, r)`` and calls ``measure(truth, data, fixed, M)``, which returns one
     sup per quantity in ``names``, or None for an excluded replication (its
-    raw entries stay NaN).  Exceeding the exclusion cap at any n invalidates
-    the experiment.  With ``a_n`` the result carries the per-n medians of
-    ``a_n * n * sup`` of the first quantity, over the replications kept.
+    raw entries stay NaN); a draw with no events is excluded too.  Exceeding
+    the exclusion cap at any n invalidates the experiment.  The truth's path
+    integrals are built once over ``[0, M]`` before the first replication,
+    so no replication's values depend on which ran before it.  With ``a_n``
+    the result carries the per-n medians of ``a_n * n * sup`` of the first
+    quantity, over the replications kept.
     """
     sizes = _validate_design(sample_sizes, replications)
     a_fn = None if a_n is None else A_N_CHOICES[_a_n_choice(a_n)]
     M = truth.default_M(phi_floor)
+    truth.hazard_over_phi(M)
     fixed = np.linspace(0.0, M, grid_points)
     raw = {name: np.full((len(sizes), replications), np.nan) for name in names}
     excluded = []
     for i, n in enumerate(sizes):
         bad = 0
         for r in range(replications):
-            data = generate_dataset(truth, n, replication_seed(seed, n, r))
-            sups = measure(truth, data, fixed, M)
+            try:
+                data = generate_dataset(truth, n, replication_seed(seed, n, r))
+            except DataError:  # no events
+                sups = None
+            else:
+                sups = measure(truth, data, fixed, M)
             if sups is None:
                 bad += 1
                 continue

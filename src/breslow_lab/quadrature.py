@@ -1,6 +1,6 @@
 """Adaptive panel quadrature with cheap evaluation of the antiderivative.
 
-The truth-model functionals need ``F(x) = int_lo^x f`` at thousands of
+The truth-model functionals need ``F(x) = int_0^x f`` at thousands of
 scattered points per replication, so plain adaptive quadrature per call is
 out.  Instead the interval is split once into panels, refined until the
 Gauss-Legendre value is stable under doubling the order and a Chebyshev
@@ -37,6 +37,8 @@ _NODES_HI, _WEIGHTS_HI = np.polynomial.legendre.leggauss(2 * GAUSS_ORDER)
 _NODES = np.concatenate([_NODES_LO, _NODES_HI, _CHEB_NODES])  # where a panel is sampled
 # Values at the Chebyshev points -> the interpolant at the 3n Gauss nodes.
 _CHEB_TO_GAUSS = chebyshev.chebvander(_NODES[: 3 * GAUSS_ORDER], CHEB_POINTS - 1) @ _VALUES_TO_COEFFS
+# Most panels a build may accept before it gives up.
+MAX_PANELS = 20000
 # Query points per block of the Clenshaw recurrence: a 16384-point float64
 # temporary is 128 KiB, so a block's few temporaries stay in L2 while those
 # of a whole query set (about 1e5 points at n = 1e5) do not.
@@ -48,11 +50,11 @@ class QuadratureError(ValueError):
 
 
 class PanelAntiderivative:
-    """Cumulative integrals of a vectorized integrand on [lo, hi].
+    """Cumulative integrals of a vectorized column integrand on [0, hi].
 
-    The integrand returns one value per point, or a row of k values per point:
-    k columns that share one set of panels (Chebfun's quasimatrix), with
-    ``atol`` one tolerance for all columns or one per column.
+    The integrand returns a row of k values per point: k columns that share
+    one set of panels (Chebfun's quasimatrix), with ``atol`` one tolerance
+    per column.
 
     Build: from ``INITIAL_PANELS`` equal panels, a panel is accepted when,
     in every column, its order-n and order-2n Gauss values (n =
@@ -62,34 +64,33 @@ class PanelAntiderivative:
     satisfies ``max |p - f| * width <= atol/10``.  That check budget does
     not shrink with the panel, so rounding noise in the integrand cannot
     force endless bisection.  Other panels are bisected, up to
-    ``max_panels``.
+    ``MAX_PANELS``.
 
-    Query: ``F(x)`` is the compensated prefix sum of the order-2n Gauss
-    values of the panels left of ``x`` plus the interpolant integrated
-    exactly from the panel's left end to ``x``; the integrand is not
-    called.  A query in time order finds its points' panels by one search
-    per panel edge, any other query by one search per point, and the
-    recurrence runs over cache-sized blocks of ``_BLOCK_POINTS``; each
-    value depends on its point alone, not on the order or the company of
-    its call.  ``F(lo)`` is exactly 0.0.  ``columns`` (an index, a slice or a
+    Query: ``F(x)`` at a 1-D ``x`` is the compensated prefix sum of the
+    order-2n Gauss values of the panels left of ``x`` plus the interpolant
+    integrated exactly from the panel's left end to ``x``; the integrand is
+    not called.  A query in time order finds its points' panels by one
+    search per panel edge, any other query by one search per point, and the
+    recurrence runs over cache-sized blocks of ``_BLOCK_POINTS``; each value
+    depends on its point alone, not on the order or the company of its
+    call.  ``F(0)`` is exactly 0.0.  ``columns`` (an index, a slice or a
     list) picks the columns to evaluate; an index gives one value per point.
 
-    Diagnostics, read-only and set at build: ``panels`` (panel count),
-    ``max_gauss_gap`` (worst accepted ``|Gauss_2n - Gauss_n|``) and
-    ``max_interp_error`` (worst accepted ``max |p - f| * width``), in units
-    of the integral, one per column for a column integrand.
+    Diagnostics, set at build: ``panels`` (panel count), ``max_gauss_gap``
+    (worst accepted ``|Gauss_2n - Gauss_n|``) and ``max_interp_error``
+    (worst accepted ``max |p - f| * width``), one per column in units of
+    the integral.
     """
 
-    def __init__(self, f, lo: float, hi: float, *, atol=1e-11, max_panels: int = 20000):
-        if not (math.isfinite(lo) and math.isfinite(hi) and hi > lo):
-            raise ValueError("need finite lo < hi")
-        self.lo = float(lo)
+    def __init__(self, f, hi: float, *, atol):
+        if not (math.isfinite(hi) and hi > 0.0):
+            raise ValueError("need finite hi > 0")
         self.hi = float(hi)
         cut_lo, cut_hi = GAUSS_ORDER, 3 * GAUSS_ORDER
 
         # Only panels created by the last bisection are evaluated; accepted
         # ones keep their values.  Arrays are (column, panel, ...).
-        edges = np.linspace(lo, hi, INITIAL_PANELS + 1)
+        edges = np.linspace(0.0, hi, INITIAL_PANELS + 1)
         a, b = edges[:-1], edges[1:]
         accepted = []  # (left ends, Gauss values, antiderivative coefficients)
         n_accepted = 0
@@ -98,8 +99,7 @@ class PanelAntiderivative:
             pts = (a + half)[:, None] + half[:, None] * _NODES[None, :]
             vals = np.asarray(f(pts.ravel()), dtype=float)
             if sweep == 0:
-                self._scalar = vals.ndim == 1
-                tol = np.broadcast_to(np.asarray(atol, dtype=float), vals.shape[1:] or (1,))
+                tol = np.broadcast_to(np.asarray(atol, dtype=float), vals.shape[1:])
                 gauss_gap = interp_error = np.zeros(tol.size)
             vals = np.moveaxis(vals.reshape(*pts.shape, -1), 2, 0)
             val_lo = half * (vals[..., :cut_lo] @ _WEIGHTS_LO)
@@ -107,7 +107,7 @@ class PanelAntiderivative:
             cheb = vals[..., cut_hi:]
             gap = np.abs(val_hi - val_lo)
             err = np.abs(cheb @ _CHEB_TO_GAUSS.T - vals[..., :cut_hi]).max(axis=2) * (2.0 * half)
-            budget = np.maximum(tol[:, None] * (2.0 * half) / (self.hi - self.lo), 1e-16)
+            budget = np.maximum(tol[:, None] * (2.0 * half) / self.hi, 1e-16)
             # Written as "not within" so that a NaN fails the test.
             bad = ~((gap <= budget) & (err <= 0.1 * tol[:, None])).all(axis=0)
             good = ~bad
@@ -119,10 +119,10 @@ class PanelAntiderivative:
                 interp_error = np.maximum(interp_error, err[:, good].max(axis=1))
             if not bad.any():
                 break
-            if n_accepted + 2 * int(bad.sum()) > max_panels:
+            if n_accepted + 2 * int(bad.sum()) > MAX_PANELS:
                 raise QuadratureError(
                     f"quadrature did not converge below atol={atol} "
-                    f"within {max_panels} panels"
+                    f"within {MAX_PANELS} panels"
                 )
             mids = 0.5 * (a[bad] + b[bad])
             a, b = np.concatenate([a[bad], mids]), np.concatenate([mids, b[bad]])
@@ -142,35 +142,19 @@ class PanelAntiderivative:
         tail = np.cumsum(np.abs(anti).max(axis=1)[:, ::-1], axis=1)[:, ::-1]
         degrees = np.maximum(np.count_nonzero(tail > 1e-3 * tol[:, None], axis=1), 1)
         self._coeffs = [np.ascontiguousarray(c[order_lr, :d].T) for c, d in zip(anti, degrees)]
-        # A scalar integrand keeps scalar diagnostics.
-        self.atol, self._max_gauss_gap, self._max_interp_error = (
-            float(v[0]) if self._scalar else v for v in (tol, gauss_gap, interp_error)
-        )
+        self.atol, self.max_gauss_gap, self.max_interp_error = tol, gauss_gap, interp_error
 
     @property
     def panels(self) -> int:
         return self.edges.size - 1
 
-    @property
-    def max_gauss_gap(self):
-        return self._max_gauss_gap
-
-    @property
-    def max_interp_error(self):
-        return self._max_interp_error
-
-    def __call__(self, x, columns=None):
-        x_arr = np.atleast_1d(np.asarray(x, dtype=float))
-        if x_arr.size and (x_arr.min() < self.lo - 1e-12 or x_arr.max() > self.hi + 1e-12):
-            raise ValueError(
-                f"query outside [{self.lo}, {self.hi}]: "
-                f"[{x_arr.min()}, {x_arr.max()}]"
-            )
-        if columns is None:
-            columns = 0 if self._scalar else slice(None)
+    def __call__(self, x, columns):
+        x = np.asarray(x, dtype=float)
+        if x.size and (x.min() < -1e-12 or x.max() > self.hi + 1e-12):
+            raise ValueError(f"query outside [0.0, {self.hi}]: [{x.min()}, {x.max()}]")
         picked = np.arange(len(self._coeffs))[columns]
         each = np.atleast_1d(picked)
-        xq = np.clip(x_arr, self.lo, self.hi)
+        xq = np.clip(x, 0.0, self.hi)
         if np.all(xq[1:] >= xq[:-1]):
             # In time order, each panel's points follow from one search per
             # interior edge.
@@ -185,20 +169,17 @@ class PanelAntiderivative:
             self._clenshaw(xq[b], idx[b], each, out[:, b])
         # Several columns are stored one per row (an empty selection too), so
         # each stays contiguous in the (points, columns) transpose.
-        out = out[0] if picked.ndim == 0 else out.T
-        if np.asarray(x).ndim:
-            return out
-        return float(out[0]) if out.ndim == 1 else out[0]
+        return out[0] if picked.ndim == 0 else out.T
 
     def _clenshaw(self, xq, idx, picked, out):
         """Values of the ``picked`` columns at points ``xq`` in panels ``idx``,
         written into the rows of ``out``."""
         a = self.edges[idx]
         t = np.clip(2.0 * (xq - a) / (self.edges[idx + 1] - a) - 1.0, -1.0, 1.0)
-        # The series vanishes at lo only up to truncation and rounding; F(lo)
+        # The series vanishes at 0 only up to truncation and rounding; F(0)
         # is pinned to 0 so that a point's value does not depend on what
         # shares the call.
-        at_lo = xq == self.lo
+        at_zero = xq == 0.0
         # Clenshaw, one 1-D pass per column: b_k = c_k + 2 t b_{k+1} - b_{k+2};
         # the sum is c_0 + t b_1 - b_2.
         two_t = 2.0 * t
@@ -209,4 +190,4 @@ class PanelAntiderivative:
             for row in coeffs[:0:-1]:
                 b1, b2 = row[idx] + two_t * b1 - b2, b1
             np.add(self._prefix[j][idx], coeffs[0][idx] + t * b1 - b2, out=row_out)
-            row_out[at_lo] = 0.0
+            row_out[at_zero] = 0.0

@@ -260,36 +260,35 @@ class TruthModel:
     # -- path integrals -----------------------------------------------------
 
     def _path_integrands(self, u):
-        """Integrands ``[rate0/phi, phi rate0, d1 rate0/phi]`` at ``u``, all
-        from one atom-survival matrix."""
-        cens = self.censor_survival(u)
-        surv = self._atom_survival(u)
-        phi = cens * (surv @ self._atom_coef)
-        d1 = cens[:, None] * (surv @ (self._atom_coef[:, None] * self._atom_points))
+        """Integrands ``[rate0/phi, phi rate0, d1 rate0/phi]`` at ``u``."""
+        phi, d1 = self.phi(u), self.d1(u)
         rate = self.baseline.rate(u)
         return np.column_stack([rate / phi, phi * rate, d1 * rate[:, None] / phi[:, None]])
 
     def path_integrals(self, x, columns):
         """Columns ``[q, H_uc, A0_1 .. A0_p]`` of the path integrals at ``x``.
 
-        ``columns`` indexes them (an index gives one value per point).  All
-        are read from one antiderivative over ``[0, hi]``, rebuilt over ``[0,
-        max(x)]`` when ``max(x)`` passes ``hi``; a build needs ``max(x) <
-        censor_upper`` and positive risk mass there and raises ``ValueError``
-        otherwise.  Every column is exactly 0.0 at 0.
+        ``columns`` indexes them (an index gives one value per point, a
+        scalar ``x`` one row).  All are read from one antiderivative over
+        ``[0, hi]``, rebuilt over ``[0, max(x)]`` when ``max(x)`` passes
+        ``hi``; a build needs ``max(x) < censor_upper`` and positive risk
+        mass there and raises ``ValueError`` otherwise.  Every column is
+        exactly 0.0 at 0.
         """
         x_arr = np.asarray(x, dtype=float)
-        hi = float(x_arr.max()) if x_arr.size else 0.0
+        points = np.atleast_1d(x_arr)
+        hi = float(points.max()) if points.size else 0.0
         if hi == 0.0:
-            out = np.zeros((x_arr.size, 2 + self.p))[:, columns]
-            return out if x_arr.ndim else out[0]
-        if self._integrals is None or self._integrals.hi < hi:
-            if hi >= self.censor_upper or self.phi(hi) <= 1e-12:
-                raise ValueError(f"requested point {hi} is at or beyond the follow-up "
-                                 "support (risk mass vanishes)")
-            atol = np.r_[1e-11, 1e-11, np.full(self.p, 1e-10)]
-            self._integrals = PanelAntiderivative(self._path_integrands, 0.0, hi, atol=atol)
-        return self._integrals(x_arr, columns)
+            out = np.zeros((points.size, 2 + self.p))[:, columns]
+        else:
+            if self._integrals is None or self._integrals.hi < hi:
+                if hi >= self.censor_upper or self.phi(hi) <= 1e-12:
+                    raise ValueError(f"requested point {hi} is at or beyond the follow-up "
+                                     "support (risk mass vanishes)")
+                atol = np.r_[1e-11, 1e-11, np.full(self.p, 1e-10)]
+                self._integrals = PanelAntiderivative(self._path_integrands, hi, atol=atol)
+            out = self._integrals(points, columns)
+        return out if x_arr.ndim else out[0]
 
     def hazard_over_phi(self, x):
         """q(x) = int_0^x rate0(u) / phi(beta0, u) du, the integral in xi."""

@@ -10,6 +10,7 @@ import numpy as np
 import pytest
 
 import breslow_lab.breslow
+from breslow_lab import cli
 from breslow_lab.cli import main
 
 
@@ -99,6 +100,12 @@ class TestFitCommand:
     pytest.param(["influence", "--n", "100", "--grid-points", "1048576"],
                  "influence matrix of 100 x 1048576 entries is above the cap of 67108864",
                  id="influence-matrix-cap"),
+    pytest.param(["influence", "--n", "10000000000000"],
+                 "breslow-lab influence: error: argument --n: "
+                 "must be an integer from 1 to 4194304, got '10000000000000'", id="influence-n-bound"),
+    pytest.param(["decompose", "--n", "0"],
+                 "breslow-lab decompose: error: argument --n: "
+                 "must be an integer from 1 to 4194304, got '0'", id="decompose-n-zero"),
     pytest.param(["fit", "--input", "{p1}", "--bogus"], "unrecognized arguments: --bogus",
                  id="fit-unknown-flag"),
     pytest.param(["fit"], "required: --input", id="fit-without-input"),
@@ -113,6 +120,19 @@ def test_failure_exit_2_one_line_and_no_output_dir(tmp_path, capsys, argv, fragm
     assert main([*argv, "--output-dir", str(out)]) == 2
     err = capsys.readouterr().err
     assert err.count("\n") == 1 and err.endswith("\n") and fragment in err
+    assert not out.exists()
+
+
+def test_influence_cap_checked_before_the_draw(tmp_path, capsys, monkeypatch):
+    def no_draw(*args):
+        raise AssertionError("rows drawn before the influence-matrix check")
+
+    monkeypatch.setattr(cli, "generate_dataset", no_draw)
+    out = tmp_path / "out"
+    argv = ["influence", "--n", str(cli.MAX_SIMULATED_N), "--grid-points", "17"]
+    assert main([*argv, "--output-dir", str(out)]) == 2
+    assert capsys.readouterr().err == (
+        "influence matrix of 4194304 x 17 entries is above the cap of 67108864\n")
     assert not out.exists()
 
 
@@ -333,6 +353,17 @@ class TestRateLabCommand:
         assert code == 0
         payload = json.loads((out / "rates.json").read_text())
         assert payload["seed"] == 8
+
+    def test_draws_without_events_exit_4_one_line(self, tmp_path, capsys):
+        # Two of the twenty n = 2 draws have no events: excluded replications
+        # above the cap.
+        out = tmp_path / "out"
+        code = main(["rate-lab", "--claim", "lemma1", "--n", "2,3", "--reps", "20",
+                     "--seed", "0", "--output-dir", str(out)])
+        assert code == 4
+        assert capsys.readouterr().err == (
+            "experiment invalid: 2/20 replications excluded at n=2; cap is 1%\n")
+        assert not out.exists()
 
     @pytest.mark.parametrize("claim", ["lemma1", "lemma2", "theorem"])
     def test_zero_replications_exit_2_one_line(self, tmp_path, capsys, claim):

@@ -51,6 +51,13 @@ class TestValidateDataset:
                      "dataset must contain at least one observation", id="empty"),
         pytest.param(lambda: validate_dataset([(1.0, True, [0.0]), (2.0, True)]),
                      "row 2: expected (time, event, covariates)", id="short-row"),
+        pytest.param(lambda: validate_dataset([(1.0, True)]),
+                     "row 1: expected (time, event, covariates)", id="short-first-row"),
+        pytest.param(lambda: SurvivalDataset([], [], []),
+                     "dataset must contain at least one observation", id="empty-1-d"),
+        pytest.param(lambda: SurvivalDataset([1.0, 2.0], [True, True], [1.0, 2.0, 3.0]),
+                     "covariate rows must match the number of observations",
+                     id="1-d-covariate-length"),
     ])
     def test_malformed_columns(self, build, message):
         with pytest.raises(DataError) as exc:

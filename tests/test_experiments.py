@@ -10,10 +10,12 @@ from breslow_lab import (
     linearization_remainder_experiment,
     no_covariate_truth,
     parse_config,
+    reference_truth,
     replication_seed,
     risk_deviation_experiment,
 )
 import breslow_lab.experiments as experiments
+from breslow_lab.quadrature import PanelAntiderivative
 
 
 class TestPlumbing:
@@ -53,6 +55,32 @@ class TestDeterminism:
         for q in a.raw:
             assert np.array_equal(a.raw[q], b.raw[q])
         assert a.to_dict() == b.to_dict()
+
+    @pytest.mark.parametrize("experiment", [
+        coupling_remainder_experiment,
+        linearization_remainder_experiment,
+    ], ids=["lemma2", "theorem"])
+    def test_a_size_does_not_depend_on_the_sizes_before_it(self, experiment):
+        # Samples of n = 6 end before M; their replications must not leave a
+        # shorter antiderivative that n = 50 then rebuilds over [0, M].
+        kw = dict(replications=3, seed=54, grid_points=64)
+        after_small = experiment(reference_truth(), (6, 50), **kw)
+        after_large = experiment(reference_truth(), (40, 50), **kw)
+        for q in after_small.raw:
+            assert after_small.raw[q][1].tobytes() == after_large.raw[q][1].tobytes(), q
+
+    def test_one_antiderivative_per_run(self, monkeypatch):
+        builds = []
+        init = PanelAntiderivative.__init__
+
+        def counting(self, *args, **kwargs):
+            builds.append(args[1])
+            init(self, *args, **kwargs)
+
+        monkeypatch.setattr(PanelAntiderivative, "__init__", counting)
+        res = coupling_remainder_experiment(reference_truth(), (6, 50), 3, seed=54,
+                                            grid_points=64)
+        assert builds == [res.M]
 
     def test_single_replication_defined(self, ref_truth):
         res = risk_deviation_experiment(
@@ -109,6 +137,12 @@ class TestExclusions:
             linearization_remainder_experiment(
                 ref_truth, [60, 120], 3, seed=4, grid_points=32
             )
+
+    def test_draw_without_events_is_excluded(self, monkeypatch):
+        monkeypatch.setattr(experiments, "EXCLUSION_CAP", 1.0)
+        res = risk_deviation_experiment(reference_truth(), (2, 3), 20, seed=0, grid_points=32)
+        assert res.excluded == (2, 1)
+        assert tuple(np.isnan(res.raw["phi"]).sum(axis=1)) == res.excluded
 
     def test_theorem_without_covariates_uses_beta0(self, monkeypatch):
         def no_fit(data, *args, **kwargs):

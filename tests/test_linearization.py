@@ -145,7 +145,7 @@ class TestXiTruth:
         init = PanelAntiderivative.__init__
 
         def counting(self, *args, **kwargs):
-            builds.append(args[2])
+            builds.append(args[1])
             init(self, *args, **kwargs)
 
         monkeypatch.setattr(PanelAntiderivative, "__init__", counting)

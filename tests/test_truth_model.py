@@ -16,11 +16,17 @@ from breslow_lab import (
     generate_dataset,
     no_covariate_truth,
     phi_n,
+    quadrature,
     reference_truth,
     weibull_hazard,
 )
 from breslow_lab.truth import Discrete, Product
 from oracles import gauss_antiderivative
+
+
+def _one_column(f, hi, atol=1e-11):
+    """The antiderivative of scalar integrand ``f`` as a one-column build."""
+    return PanelAntiderivative(lambda u: f(u)[:, None], hi, atol=[atol])
 
 
 def _product_truth():
@@ -154,16 +160,16 @@ class TestQuadratureMachinery:
         assert ref_truth.h_uc(2.5) == pytest.approx(ref, abs=1e-10)
 
     def test_panel_antiderivative_oscillatory(self):
-        anti = PanelAntiderivative(np.cos, 0.0, 10.0, atol=1e-12)
+        anti = _one_column(np.cos, 10.0, atol=1e-12)
         xs = np.linspace(0, 10, 57)
-        assert np.allclose(anti(xs), np.sin(xs), atol=1e-11)
+        assert np.allclose(anti(xs, 0), np.sin(xs), atol=1e-11)
 
     def test_column_integrand_matches_each_column(self):
         anti = PanelAntiderivative(
-            lambda u: np.column_stack([np.cos(u), np.exp(u)]), 0.0, 3.0, atol=[1e-12, 1e-10]
+            lambda u: np.column_stack([np.cos(u), np.exp(u)]), 3.0, atol=[1e-12, 1e-10]
         )
         xs = np.append(np.random.default_rng(11).uniform(0.0, 3.0, 500), [0.0, 3.0])
-        both = anti(xs)
+        both = anti(xs, slice(None))
         assert both.shape == (xs.size, 2)
         assert np.abs(both[:, 0] - np.sin(xs)).max() <= 1e-11
         assert np.abs(both[:, 1] - np.expm1(xs)).max() <= 1e-9
@@ -173,22 +179,16 @@ class TestQuadratureMachinery:
         assert list(anti.atol) == [1e-12, 1e-10]
         assert np.all(anti.max_gauss_gap < anti.atol)
         assert np.all(anti.max_interp_error < anti.atol)
-        # A scalar integrand keeps one value per point and scalar diagnostics.
-        scalar = PanelAntiderivative(np.cos, 0.0, 3.0, atol=1e-12)
-        assert scalar(xs).shape == xs.shape
-        assert isinstance(scalar(0.5), float) and isinstance(scalar.atol, float)
 
-    def test_panel_nonconvergence_raises(self):
+    def test_panel_nonconvergence_raises(self, monkeypatch):
+        monkeypatch.setattr(quadrature, "MAX_PANELS", 64)
         with pytest.raises(QuadratureError):
-            PanelAntiderivative(
-                lambda u: 1.0 / np.abs(u - 0.5) ** 0.999,
-                0.0, 1.0, atol=1e-13, max_panels=64,
-            )
+            _one_column(lambda u: 1.0 / np.abs(u - 0.5) ** 0.999, 1.0, atol=1e-13)
 
     def test_query_outside_range_rejected(self, ref_truth):
-        anti = PanelAntiderivative(np.exp, 0.0, 1.0)
+        anti = _one_column(np.exp, 1.0)
         with pytest.raises(ValueError):
-            anti(2.0)
+            anti(np.array([2.0]), 0)
 
     def test_beyond_support_rejected(self, ref_truth):
         with pytest.raises(ValueError, match="support"):
@@ -203,7 +203,7 @@ class TestQuadratureMachinery:
         init = PanelAntiderivative.__init__
 
         def counting(self, *args, **kwargs):
-            builds.append(args[2])
+            builds.append(args[1])
             init(self, *args, **kwargs)
 
         monkeypatch.setattr(PanelAntiderivative, "__init__", counting)
@@ -238,28 +238,28 @@ class TestChebyshevAntiderivative:
 
     def test_kink_matches_closed_form(self):
         c = 0.37
-        anti = PanelAntiderivative(lambda u: np.abs(u - c), 0.0, 1.0)
+        anti = _one_column(lambda u: np.abs(u - c), 1.0)
         xs = np.append(np.random.default_rng(37).uniform(0.0, 1.0, 1000), [0.0, c, 1.0])
         exact = np.where(xs <= c, c * xs - xs**2 / 2, c**2 / 2 + (xs - c) ** 2 / 2)
-        assert np.abs(anti(xs) - exact).max() <= 1e-11
+        assert np.abs(anti(xs, 0) - exact).max() <= 1e-11
 
     def test_steep_tanh_matches_closed_form(self):
-        anti = PanelAntiderivative(lambda u: np.tanh(200.0 * (u - 0.5)), 0.0, 1.0)
+        anti = _one_column(lambda u: np.tanh(200.0 * (u - 0.5)), 1.0)
         xs = np.random.default_rng(200).uniform(0.0, 1.0, 1000)
         y = 200.0 * (xs - 0.5)
         exact = (np.logaddexp(y, -y) - np.logaddexp(100.0, -100.0)) / 200.0
-        assert np.abs(anti(xs) - exact).max() <= 1e-11
+        assert np.abs(anti(xs, 0) - exact).max() <= 1e-11
 
     def test_odd_bump_centred_in_a_panel(self):
         # Both Gauss rules are symmetric about the panel's midpoint, so they
         # agree on the zero integral of this bump; only the interpolant
         # check sees that partial-panel queries need more panels.
         m, s = 17 / 32, 0.003
-        anti = PanelAntiderivative(lambda u: (u - m) * np.exp(-(((u - m) / s) ** 2)), 0.0, 1.0)
+        anti = _one_column(lambda u: (u - m) * np.exp(-(((u - m) / s) ** 2)), 1.0)
         xs = np.append(np.random.default_rng(3).uniform(0.0, 1.0, 1000),
                        np.linspace(m - 0.01, m + 0.01, 101))
         exact = -0.5 * s**2 * (np.exp(-(((xs - m) / s) ** 2)) - np.exp(-((m / s) ** 2)))
-        assert np.abs(anti(xs) - exact).max() <= 1e-11
+        assert np.abs(anti(xs, 0) - exact).max() <= 1e-11
 
     def test_weibull_rate_non_analytic_at_zero(self):
         # rate0(u) = 1.5 sqrt(u): near 0 the interpolation error falls only
@@ -281,12 +281,12 @@ class TestChebyshevAntiderivative:
             assert value == pytest.approx(ref, abs=1e-10)
 
     def test_diagnostics(self, ref_truth):
-        anti = PanelAntiderivative(
-            lambda u: ref_truth.baseline.rate(u) / ref_truth.phi(u), 0.0, ref_truth.default_M()
+        anti = _one_column(
+            lambda u: ref_truth.baseline.rate(u) / ref_truth.phi(u), ref_truth.default_M()
         )
         assert anti.panels == anti.edges.size - 1 >= 16
-        assert 0.0 <= anti.max_gauss_gap < anti.atol
-        assert 0.0 <= anti.max_interp_error < anti.atol
+        assert 0.0 <= anti.max_gauss_gap[0] < anti.atol[0]
+        assert 0.0 <= anti.max_interp_error[0] < anti.atol[0]
         with pytest.raises(AttributeError):
             anti.panels = 1
 
