@@ -27,6 +27,7 @@ from .experiments import (
     A_N,
     CONFIG_KEYS,
     GRID_POINTS,
+    MAX_SIMULATED_N,
     ExperimentValidityError,
     coupling_remainder_experiment,
     linearization_remainder_experiment,
@@ -48,11 +49,9 @@ EXIT_MODEL = 2
 EXIT_SELF_CHECK = 3
 EXIT_EXPERIMENT = 4
 
-# Most entries of ``influence``'s n x grid-points matrix: 512 MiB of float64.
+# Most entries of the n x grid-points matrix ``influence --write-xi`` writes:
+# 512 MiB of float64.
 MAX_XI_ENTRIES = 2**26
-# Most rows ``influence`` and ``decompose`` simulate (``--n``): 32 MiB per
-# float64 column.
-MAX_SIMULATED_N = 2**22
 
 TRUTHS = {
     "reference": reference_truth,
@@ -200,10 +199,12 @@ def _check_xi_entries(n: int, grid_points: int) -> None:
 
 
 def cmd_influence(args) -> int:
-    if args.input is None:  # before the rows are drawn
+    # Only --write-xi builds the n x grid-points matrix.
+    if args.write_xi and args.input is None:  # before the rows are drawn
         _check_xi_entries(args.n, args.grid_points)
     data = _load_input(args)
-    _check_xi_entries(data.n, args.grid_points)
+    if args.write_xi:
+        _check_xi_entries(data.n, args.grid_points)
     fit = _fit(data)
     beta = np.zeros(0) if fit is None else fit.beta_hat
     m = args.M if args.M is not None else default_m_plugin(data, beta)

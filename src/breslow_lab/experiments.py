@@ -147,12 +147,19 @@ class RateExperimentResult:
         return out
 
 
+# Most rows a simulated sample may have (32 MiB per float64 column): each of
+# rate-lab's sample sizes, and ``--n`` of ``influence`` and ``decompose``.
+MAX_SIMULATED_N = 2**22
+
+
 def _validate_design(sample_sizes, replications: int):
     sizes = tuple(int(n) for n in sample_sizes)
     if len(sizes) < 2 or any(b <= a for a, b in zip(sizes, sizes[1:])):
         raise ValueError("sample_sizes must be at least two strictly increasing integers")
     if sizes[0] < 2:
         raise ValueError(f"sample_sizes must be at least 2, got {sizes[0]}")
+    if sizes[-1] > MAX_SIMULATED_N:
+        raise ValueError(f"sample_sizes must be at most {MAX_SIMULATED_N}, got {sizes[-1]}")
     if replications < 1:
         raise ValueError(f"replications must be at least 1, got {replications}")
     return sizes

@@ -24,27 +24,57 @@ rates.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import cached_property
 
 import numpy as np
 
 from .breslow import PluginACurve, _cum_hazard
 from .coxfit import CoxFit, score_residuals
 from .data import SurvivalDataset
-from .risk import RiskAggregates, build_aggregates, centered_weights, to_raw_scale
+from .risk import RiskAggregates, _running_sums, build_aggregates, to_raw_scale
 from .truth import PHI_FLOOR, TruthModel
 
-# Rows per block of the n-by-grid influence passes: a 512 x 64 float64 block
-# is 256 KiB, so a block and its temporaries stay in L2 while the whole
+# Rows per block of the n-by-grid influence matrix build: a 512 x 64 float64
+# block is 256 KiB, so a block and its temporaries stay in L2 while the whole
 # matrix (4 MiB at n = 8000) does not.
 _BLOCK_ROWS = 512
 
 
 @dataclass(frozen=True)
 class InfluenceMatrix:
-    """Per-subject influence values on a grid; entry (i, k) is xi_i(x_k)."""
+    """Per-subject influence values on a grid; entry (i, k) is xi_i(x_k).
+
+    Row i has two forms only: ``after_i`` from its follow-up time on and
+    ``-w_i q(x)`` before it.  The matrix is held in those factors, rows in
+    time order: ``w`` and ``after`` per row, ``q`` and ``rows`` (the count of
+    rows with time ``<= x``) per grid point, ``order`` (the subject of each
+    row) and ``log_scale`` (entries are the factors' values times
+    ``exp(-log_scale)``).  The n-by-g :attr:`values` are built only when
+    read; the plug-in variance reads the factors alone.
+    """
 
     grid: np.ndarray
-    values: np.ndarray
+    w: np.ndarray
+    after: np.ndarray
+    q: np.ndarray
+    rows: np.ndarray
+    order: np.ndarray
+    log_scale: float
+
+    @cached_property
+    def values(self) -> np.ndarray:
+        """The n-by-g matrix in subject order, filled in blocks of rows small
+        enough to stay in cache; raises :class:`ExpOverflowError` when an
+        entry leaves float64."""
+        n = self.order.size
+        rank = np.empty_like(self.order)
+        rank[self.order] = np.arange(n)
+        out = np.empty((n, self.grid.size))
+        for lo in range(0, n, _BLOCK_ROWS):
+            r = rank[lo : lo + _BLOCK_ROWS]
+            block = _xi_matrix(r, self.w[r], self.rows, self.q, self.after[r])
+            out[lo : lo + _BLOCK_ROWS] = to_raw_scale(block, -self.log_scale)
+        return out
 
 
 @dataclass(frozen=True)
@@ -126,19 +156,20 @@ def _fitted_beta(data: SurvivalDataset, fit: CoxFit | None) -> np.ndarray:
 # Influence values
 
 
-def _xi_matrix(times, w, grid, q_x, after) -> np.ndarray:
-    """``xi(t, delta, z; x)`` for every row and grid point.
+def _xi_matrix(rank, w, rows, q_x, after) -> np.ndarray:
+    """``xi(t, delta, z; x)`` for a block of rows and every grid point.
 
-    Entry (i, k) for row i and grid point x_k, given per-row arrays (follow-up
-    time, relative risk ``w = e^{beta'z}`` and ``after``, the row's constant
-    from its follow-up time on) and ``q_x``, the path integral at every grid
-    point; population or empirical plug-ins alike.  Row i is ``-w_i q(x)``
-    before its follow-up time and ``after_i = delta_i / phi(t_i) - w_i
+    Entry (i, k) for row i and grid point x_k, given per-row arrays (the
+    row's place in time order, relative risk ``w = e^{beta'z}`` and
+    ``after``, the row's constant from its follow-up time on) and, per grid
+    point, ``rows``, the count of rows with time ``<= x``, and ``q_x``, the
+    path integral; population or empirical plug-ins alike.  Row i is ``-w_i
+    q(x)`` before its follow-up time and ``after_i = delta_i / phi(t_i) - w_i
     q(t_i)`` from there on.
     """
     out = np.multiply.outer(w, q_x)
     np.subtract(0.0, out, out=out)  # -w q(x), with +0.0 where q(x) = 0
-    np.copyto(out, after[:, None], where=times[:, None] <= grid)
+    np.copyto(out, after[:, None], where=rank[:, None] < rows)
     return out
 
 
@@ -206,7 +237,10 @@ def xi_truth(data: SurvivalDataset, truth: TruthModel, x_grid) -> InfluenceMatri
     """Influence matrix with population plug-ins, one row per subject.
 
     ``q`` is read in one query, at the follow-up times and the grid, so the
-    truth model builds its antiderivative at most once.
+    truth model builds its antiderivative at most once.  Returned in its
+    factors, like :func:`xi_plugin`'s, on the raw scale (``log_scale`` 0);
+    reading ``values`` raises :class:`ExpOverflowError` when an entry is not
+    a finite float64 (an event where ``phi`` vanishes).
     """
     grid = _as_grid(x_grid)
     t = data.times
@@ -215,8 +249,10 @@ def xi_truth(data: SurvivalDataset, truth: TruthModel, x_grid) -> InfluenceMatri
     w = np.exp(data.covariates @ truth.beta0)
     event_term = np.divide(1.0, truth.phi(t), out=np.zeros(data.n), where=data.events)
     after = event_term - w * q_t
-    values = _xi_matrix(t, w, grid, q_x, after)
-    return InfluenceMatrix(grid=grid, values=values)
+    sv = data.sorted_view
+    return InfluenceMatrix(grid=grid, w=w[sv.order], after=after[sv.order], q=q_x,
+                           rows=_row_counts(sv, _bracket(sv, grid)[1]), order=sv.order,
+                           log_scale=0.0)
 
 
 def xi_truth_mean(data: SurvivalDataset, truth: TruthModel, x_grid) -> np.ndarray:
@@ -249,9 +285,10 @@ def xi_plugin(data: SurvivalDataset, fit: CoxFit | None, x_grid) -> InfluenceMat
     over the empirical risk mass; the event term uses the empirical risk mass
     at the subject's own time; both are read by distinct-time index.  ``fit``
     may be None only for covariate-free data; otherwise it must have
-    converged.  Reads the fit's risk table at ``beta_hat`` and fills the
-    matrix in blocks of rows small enough to stay in cache; raises
-    :class:`ExpOverflowError` when any entry leaves float64.
+    converged.  Reads the fit's risk table at ``beta_hat`` and returns the
+    matrix in its O(n + g) factors, building no n-by-g array; raises
+    :class:`ExpOverflowError` exactly when an entry of ``values`` would leave
+    float64, from a check of the same O(n + g) cost.
     """
     grid = _supported_grid(data, x_grid)
     beta = _fitted_beta(data, fit)
@@ -263,27 +300,62 @@ def xi_plugin(data: SurvivalDataset, fit: CoxFit | None, x_grid) -> InfluenceMat
     d_lambda = sv.event_counts / agg.s0
     # q_prior[k] is q before the k-th distinct time, q_prior[k + 1] at it.
     q_prior = np.concatenate([[0.0], np.cumsum(d_lambda / (agg.s0 / data.n))])
-    w = centered_weights(data, agg)
-    t = data.times
+    w = np.ascontiguousarray(agg.w[::-1])
     # After follow-up a row is (delta - w dLambda(t)) / phi(t) - w q(t-): the
     # own-time jump of q, of size about n / s0(t), is folded into the event
     # term instead of cancelling against it, and ``w d / s0`` is exactly 1
     # when the row is alone in its risk set.
-    k = sv.time_group
+    k = sv.group_of
     s0 = agg.s0[k]
-    after = (data.events - w * sv.event_counts[k] / s0) / (s0 / data.n) - w * q_prior[k]
+    after = (sv.events - w * sv.event_counts[k] / s0) / (s0 / data.n) - w * q_prior[k]
     _, right = _bracket(sv, grid)
-    q_x = q_prior[right]
-    values = np.empty((data.n, grid.size))
-    for lo in range(0, data.n, _BLOCK_ROWS):
-        b = slice(lo, lo + _BLOCK_ROWS)
-        block = _xi_matrix(t[b], w[b], grid, q_x, after[b])
-        values[b] = to_raw_scale(block, -agg.log_scale)
-    return InfluenceMatrix(grid=grid, values=values)
+    infl = InfluenceMatrix(grid=grid, w=w, after=after, q=q_prior[right],
+                           rows=_row_counts(sv, right), order=sv.order,
+                           log_scale=agg.log_scale)
+    _check_range(infl)
+    return infl
+
+
+def _row_counts(sv, right: np.ndarray) -> np.ndarray:
+    """The count of rows with time ``<= x`` at each grid point, from the
+    second half of the grid's :func:`_bracket`."""
+    return np.append(sv.group_starts, sv.times.size)[right]
+
+
+def _check_range(infl: InfluenceMatrix) -> None:
+    """Raise :class:`ExpOverflowError` exactly when an entry of ``infl.values``
+    leaves float64, in O(n + g).
+
+    Scaling is monotone in an entry's size, so each form's extremes decide:
+    ``after`` on the rows that reach a grid point, and, per grid point,
+    ``w q`` at the largest and smallest ``w`` of the rows still at risk past
+    it (a suffix max and min in time order).  Where the smallest product
+    rounds to 0 but ``q`` does not, the smallest nonzero entry is elsewhere,
+    and the entries themselves decide.
+    """
+    to_raw_scale(infl.after[: infl.rows.max()], -infl.log_scale)
+    open_ = infl.rows < infl.w.size
+    at, q = infl.rows[open_], infl.q[open_]
+    w_desc = infl.w[::-1]
+    hi = np.maximum.accumulate(w_desc)[::-1][at] * q
+    lo = np.minimum.accumulate(w_desc)[::-1][at] * q
+    if np.any((lo == 0) & (q > 0)):
+        infl.values  # the per-entry check decides
+    else:
+        to_raw_scale(np.concatenate([lo, hi]), -infl.log_scale)
 
 
 # ---------------------------------------------------------------------------
 # Plug-in variance
+
+
+def _prefix_sums(columns: list, rows: np.ndarray) -> np.ndarray:
+    """``(k, g)``: each of the k columns summed over its first c entries, for
+    each count c in ``rows``; one compensated running sum per column."""
+    padded = np.zeros((len(columns), columns[0].size + 1))
+    for out, column in zip(padded, columns):
+        out[1:] = column
+    return np.array([_running_sums(column, rows) for column in padded])
 
 
 def variance_estimate(
@@ -296,40 +368,54 @@ def variance_estimate(
 
     Composes the influence values with the coefficient estimator's linear
     expansion: subject i carries ``psi_i(x) = xi_i(x) - ell_i' A_n(x)`` where
-    ``ell_i`` is the information-scaled score residual.  With no covariates
-    the sensitivity term vanishes and ``total == xi_only``.
+    ``ell_i = n I^{-1} r_i`` is the information-scaled score residual.  With
+    no covariates the sensitivity term vanishes and ``total == xi_only``.
 
-    Both curves are sample variances (``ddof=1``) over n, summed in one pass
-    over blocks of centered rows: ``xi_i - mean(xi)``, then minus
-    ``(ell_i - mean(ell))' A_n``; ``psi`` is never formed.  The score
-    residuals come from the fit's risk table at ``beta_hat``.
+    Both curves are sample variances (``ddof=1``) over n, read from the
+    matrix's factors in O((n + g) p) without building ``infl.values``: a
+    column's sum, its sum of squares and its cross-sums with the centered
+    score residuals ``r_j`` are prefix sums of ``after``, ``after^2`` and
+    ``after r_j`` and suffix sums of ``w``, ``w^2`` and ``w r_j`` over the
+    rows in time order, read at each grid point's row count.  ``I^{-1}``
+    then meets a g-by-p array, ``A_n`` on the grid.  The score residuals come
+    from the fit's risk table at ``beta_hat``.  The sums differ from
+    squaring the matrix's entries only in rounding, in the last bits.
     """
     if data.n < 2:
         raise ValueError("variance undefined for n < 2")
-    x = infl.values
+    n = data.n
     beta = _fitted_beta(data, fit)
     if beta.size == 0:
-        ell, a_vals = np.zeros((data.n, 0)), np.zeros((infl.grid.size, 0))
+        r, u = np.zeros((n, 0)), np.zeros((infl.grid.size, 0))
     else:
         if a_curve is None or a_curve.is_empty:
             raise ValueError("a nonempty sensitivity curve is required with covariates")
-        resid = score_residuals(data, beta)
+        r = score_residuals(data, beta)[infl.order]
+        r -= r.mean(axis=0)
         try:
-            ell = data.n * np.linalg.solve(fit.information, resid.T).T
+            # u_k = n I^{-1} A_n(x_k), so that ell_i' A_n(x_k) = r_i' u_k.
+            u = n * np.linalg.solve(fit.information, a_curve.values_at(infl.grid).T).T
         except np.linalg.LinAlgError:
             raise ValueError("singular information") from None
-        a_vals = a_curve.values_at(infl.grid)
-    x_mean = x.mean(axis=0)
-    ell_c = ell - ell.mean(axis=0)
-    ss_xi = np.zeros(infl.grid.size)
-    ss_total = np.zeros(infl.grid.size)
-    for lo in range(0, data.n, _BLOCK_ROWS):
-        b = slice(lo, lo + _BLOCK_ROWS)
-        d = x[b] - x_mean
-        ss_xi += np.einsum("ij,ij->j", d, d)
-        d -= ell_c[b] @ a_vals.T
-        ss_total += np.einsum("ij,ij->j", d, d)
-    scale = (data.n - 1) * data.n
+    # Rows before row count c read ``after``, the rest ``-w q``: sums of the
+    # first over the rows before c, of the second over the rows from c on.
+    q, rows = infl.q, infl.rows
+    a = infl.after[: rows.max()]
+    w = infl.w[::-1]
+    before = _prefix_sums([a, a * a, *(a * col[: a.size] for col in r.T)], rows)
+    past = _prefix_sums([w, w * w, *(w * col[::-1] for col in r.T)], n - rows)
+    # Sums over the centered-scale entries, each scaled to the raw scale.
+    h = np.exp(-0.5 * infl.log_scale)
+    s1 = (before[0] - q * past[0]) * h * h
+    s2 = (before[1] + q * q * past[1]) * h * h * h * h
+    cross = (before[2:] - q * past[2:]).T * h * h
+    # The one-pass form loses little to cancellation: a column's mean is
+    # small against its spread (a plug-in column sums to 0 exactly).  With r
+    # centered, sum_i (xi_i - mean - r_i'u)^2 needs only the raw cross-sums.
+    ss_xi = s2 - s1 * s1 / n
+    ss_total = (ss_xi - 2.0 * np.einsum("kj,kj->k", u, cross)
+                + np.einsum("kj,jl,kl->k", u, r.T @ r, u))
+    scale = (n - 1) * n
     return VarianceCurves(grid=infl.grid, total=ss_total / scale, xi_only=ss_xi / scale)
 
 

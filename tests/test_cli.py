@@ -97,7 +97,7 @@ class TestFitCommand:
     pytest.param(["decompose", "--n", "100", "--grid-points", "1048577"],
                  "breslow-lab decompose: error: argument --grid-points: "
                  "grid_points: must be at most 1048576, got 1048577", id="decompose-grid-bound"),
-    pytest.param(["influence", "--n", "100", "--grid-points", "1048576"],
+    pytest.param(["influence", "--n", "100", "--grid-points", "1048576", "--write-xi"],
                  "influence matrix of 100 x 1048576 entries is above the cap of 67108864",
                  id="influence-matrix-cap"),
     pytest.param(["influence", "--n", "10000000000000"],
@@ -129,10 +129,25 @@ def test_influence_cap_checked_before_the_draw(tmp_path, capsys, monkeypatch):
 
     monkeypatch.setattr(cli, "generate_dataset", no_draw)
     out = tmp_path / "out"
-    argv = ["influence", "--n", str(cli.MAX_SIMULATED_N), "--grid-points", "17"]
+    argv = ["influence", "--n", str(cli.MAX_SIMULATED_N), "--grid-points", "17", "--write-xi"]
     assert main([*argv, "--output-dir", str(out)]) == 2
     assert capsys.readouterr().err == (
         "influence matrix of 4194304 x 17 entries is above the cap of 67108864\n")
+    assert not out.exists()
+
+
+def test_influence_cap_only_with_write_xi(tmp_path, capsys, monkeypatch):
+    # Without --write-xi no n x grid-points matrix is built, so the cap does
+    # not apply.
+    monkeypatch.setattr(cli, "MAX_XI_ENTRIES", 100)
+    argv = ["influence", "--n", "200", "--grid-points", "17"]
+    out = tmp_path / "plain"
+    assert main([*argv, "--output-dir", str(out)]) == 0
+    assert sorted(p.name for p in out.iterdir()) == ["variance.csv"]
+    out = tmp_path / "xi"
+    assert main([*argv, "--write-xi", "--output-dir", str(out)]) == 2
+    assert capsys.readouterr().err == (
+        "influence matrix of 200 x 17 entries is above the cap of 100\n")
     assert not out.exists()
 
 
@@ -495,6 +510,30 @@ class TestRateLabCommand:
         err = capsys.readouterr().err
         assert err == "sample_sizes must be at least 2, got 1\n"
         assert not (out / "rates.json").exists()
+
+    @pytest.mark.parametrize("source", ["flag", "config"])
+    def test_sample_size_above_the_bound_exit_2_before_any_replication(
+        self, tmp_path, capsys, monkeypatch, source
+    ):
+        from breslow_lab import experiments
+
+        def no_replications(*args):
+            raise AssertionError("a replication ran")
+
+        monkeypatch.setattr(experiments, "generate_dataset", no_replications)
+        out = tmp_path / "out"
+        sizes = f"2,{experiments.MAX_SIMULATED_N + 1}"
+        argv = ["rate-lab", "--claim", "lemma1", "--reps", "1", "--seed", "0",
+                "--output-dir", str(out)]
+        if source == "flag":
+            argv += ["--n", sizes]
+        else:
+            cfg = tmp_path / "lab.cfg"
+            cfg.write_text(f"sample_sizes = {sizes}\n")
+            argv += ["--config", str(cfg)]
+        assert main(argv) == 2
+        assert capsys.readouterr().err == "sample_sizes must be at most 4194304, got 4194305\n"
+        assert not out.exists()
 
     @pytest.mark.parametrize("source,key,value,rule", [
         pytest.param("flag", "seed", "-1", "must be non-negative", id="flag"),

@@ -249,6 +249,17 @@ class TestVarianceEstimate:
             variance_estimate(data, infl, fit, a_curve)
         assert str(exc.value) == message
 
+    def test_reads_the_factors_and_builds_no_matrix(self, ref_truth):
+        data = generate_dataset(ref_truth, 500, 55)
+        fit = fit_mple(data)
+        infl = xi_plugin(data, fit, np.linspace(0.0, 1.5, 9))
+        curves = variance_estimate(data, infl, fit, a_n_curve(data, fit.beta_hat))
+        assert "values" not in vars(infl)
+        want = infl.values.var(axis=0, ddof=1) / data.n
+        assert np.array_equal(curves.xi_only == 0, want == 0)
+        nz = want != 0
+        assert np.max(np.abs(curves.xi_only[nz] - want[nz]) / want[nz]) <= 1e-12
+
     def test_total_exceeds_xi_only_under_reference(self, ref_truth):
         data = generate_dataset(ref_truth, 2000, 54)
         fit = fit_mple(data)

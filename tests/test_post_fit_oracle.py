@@ -3,7 +3,6 @@ import pytest
 
 from breslow_lab import (
     ExpOverflowError,
-    InfluenceMatrix,
     SurvivalDataset,
     a_n_curve,
     breslow_traditional,
@@ -12,6 +11,7 @@ from breslow_lab import (
     variance_estimate,
     xi_plugin,
 )
+from breslow_lab import linearize
 from breslow_lab.linearize import _BLOCK_ROWS
 
 from oracles import brute_force_post_fit, exact_xi_plugin
@@ -120,7 +120,7 @@ def test_variance_estimate_across_blocks(blocked_case):
     k = np.searchsorted(expected["event_times"], grid, side="right") - 1
     a_grid = np.where(k[:, None] >= 0, expected["a_n"][np.maximum(k, 0)], 0.0)
     psi = xi - ell @ a_grid.T
-    infl = InfluenceMatrix(grid=grid, values=xi)
+    infl = xi_plugin(data, fit, grid)
     curves = variance_estimate(data, infl, fit, a_n_curve(data, fit.beta_hat))
     for got, ref in ((curves.xi_only, xi), (curves.total, psi)):
         want = ref.var(axis=0, ddof=1) / data.n
@@ -170,3 +170,85 @@ def test_xi_plugin_last_event_with_tiny_relative_risk():
     assert np.array_equal(got == 0, want == 0)
     nz = want != 0
     assert np.max(np.abs(got[nz] - want[nz]) / np.abs(want[nz])) <= 1e-12
+
+
+@pytest.mark.parametrize("log_risks,raises", [
+    pytest.param([-712.5], True, id="below-normal"),
+    pytest.param([-800.0], False, id="zero"),
+    pytest.param([-800.0, -712.5], True, id="zero-and-below-normal"),
+])
+def test_xi_plugin_tiny_relative_risk_beyond_the_grid(log_risks, raises):
+    # Censored subjects with raw relative risks e^{log_risks}, each at a time
+    # past the grid's end: only their -w q entries are in the matrix.  At
+    # e^{-712.5} they are nonzero and below the smallest normal float64; at
+    # e^{-800} w, and so each of them, is 0, so the smallest w does not give
+    # the smallest nonzero entry.
+    rng = np.random.default_rng(43)
+    n = 300
+    times = rng.exponential(1.0, n) + 0.05
+    events = rng.random(n) < 0.7
+    covs = rng.normal(0.0, 1.0, size=(n, 1))
+    fit = fit_mple(SurvivalDataset(times.copy(), events.copy(), covs.copy()))
+    assert fit.converged
+    tiny = np.arange(len(log_risks))
+    events[tiny] = False
+    times[tiny] = np.quantile(times, [0.9, 0.95][: tiny.size])
+    covs[tiny, 0] = np.array(log_risks) / fit.beta_hat[0]
+    data = SurvivalDataset(times, events, covs)
+    grid = np.linspace(0.0, float(np.median(times)), 5)
+    if raises:
+        with pytest.raises(ExpOverflowError):
+            xi_plugin(data, fit, grid)
+    else:
+        values = xi_plugin(data, fit, grid).values
+        assert np.all(values[tiny] == 0.0) and np.any(values[:, 1:] != 0.0)
+
+
+def _raises(read) -> bool:
+    try:
+        read()
+    except ExpOverflowError:
+        return True
+    return False
+
+
+@pytest.mark.parametrize("edge,ends", [
+    pytest.param("overflow", (700.0, 712.0), id="overflow"),
+    pytest.param("underflow", (-695.0, -712.0), id="underflow"),
+])
+def test_xi_plugin_range_check_agrees_with_every_entry(monkeypatch, edge, ends):
+    # A covariate shift moves only the raw-scale factor e^{-beta'means} of
+    # every entry.  Bisect the factor's log to where xi_plugin's O(n + g)
+    # check starts to raise; at every step, building the entries one by one
+    # must raise exactly when the check does.
+    # Relative risk e^{z}; the last subject, with z = 4, is censored past
+    # the grid's end, so the largest entries are its -w q.
+    rng = np.random.default_rng(47)
+    n = 300
+    covs = rng.normal(0.0, 1.0, size=(n, 1))
+    times = rng.exponential(1.0 / np.exp(covs[:, 0])) + 0.05
+    events = rng.random(n) < 0.7
+    covs[-1], times[-1], events[-1] = 4.0, np.quantile(times, 0.9), False
+    fit = fit_mple(SurvivalDataset(times, events, covs))
+    assert fit.converged
+    beta = fit.beta_hat[0]
+    grid = np.linspace(0.0, float(np.median(times)), 5)
+    check = linearize._check_range
+    monkeypatch.setattr(linearize, "_check_range", lambda infl: None)
+
+    def check_raises(log_factor):
+        shifted = covs - log_factor / beta - covs.mean()
+        infl = xi_plugin(SurvivalDataset(times, events, shifted), fit, grid)
+        fast = _raises(lambda: check(infl))
+        assert fast == _raises(lambda: infl.values), log_factor
+        return fast
+
+    ok, bad = ends
+    assert not check_raises(ok) and check_raises(bad)
+    for _ in range(45):
+        mid = 0.5 * (ok + bad)
+        if check_raises(mid):
+            bad = mid
+        else:
+            ok = mid
+    assert abs(bad - ok) < 1e-9
