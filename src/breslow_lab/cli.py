@@ -177,18 +177,12 @@ def cmd_breslow(args) -> int:
     # where the Breslow curve does not.
     a_curve = breslow_mod.a_n_curve(data, beta)
     out = _out_dir(args)
-    write_csv(
-        out / "breslow.csv",
-        ["x", "cum_hazard"],
-        zip(traditional.curve.jump_times.tolist(), trad_vals.tolist()),
-    )
+    write_csv(out / "breslow.csv", ["x", "cum_hazard"],
+              [traditional.curve.jump_times, trad_vals])
     if not a_curve.is_empty:
         curve = a_curve.curve
-        write_csv(
-            out / "a_n.csv",
-            ["x"] + [f"a{i}" for i in range(1, data.covariate_dim + 1)],
-            np.column_stack([curve.jump_times, curve.cumulative_values]).tolist(),
-        )
+        write_csv(out / "a_n.csv", ["x"] + [f"a{i}" for i in range(1, data.covariate_dim + 1)],
+                  [curve.jump_times, *curve.cumulative_values.T])
     return EXIT_OK
 
 
@@ -213,15 +207,11 @@ def cmd_influence(args) -> int:
     a_curve = breslow_mod.a_n_curve(data, beta)
     curves = variance_estimate(data, infl, fit, a_curve)
     out = _out_dir(args)
-    write_csv(
-        out / "variance.csv",
-        ["x", "variance", "variance_xi_only"],
-        zip(grid.tolist(), curves.total.tolist(), curves.xi_only.tolist()),
-    )
+    write_csv(out / "variance.csv", ["x", "variance", "variance_xi_only"],
+              [grid, curves.total, curves.xi_only])
     if args.write_xi:
         header = ["subject"] + [f"x{k}" for k in range(grid.size)]
-        rows = ((i, *row) for i, row in enumerate(infl.values.tolist()))
-        write_csv(out / "xi_matrix.csv", header, rows)
+        write_csv(out / "xi_matrix.csv", header, [np.arange(data.n), *infl.values.T])
     return EXIT_OK
 
 
@@ -238,8 +228,8 @@ def cmd_decompose(args) -> int:
     report = remainder_decomposition(data, fit, truth, grid)
     columns = ["t_n1", "t_n2", "b_n", "c_n", "r_n3", "r_n4", "r_n", "mean_xi"]
     out = _out_dir(args)
-    rows = zip(grid.tolist(), *[getattr(report, c).tolist() for c in columns])
-    write_csv(out / "decomposition.csv", ["x"] + columns, rows)
+    write_csv(out / "decomposition.csv", ["x"] + columns,
+              [grid, *[getattr(report, c) for c in columns]])
     payload = {
         "sup_norms": {k: float(v) for k, v in sorted(report.sup_norms.items())},
         "identity_residual": report.identity_residual(),
@@ -281,13 +271,10 @@ def cmd_rate_lab(args) -> int:
     payload = result.to_dict()
     payload["truth"] = options["truth"]
     _write_json(out / "rates.json", payload)
+    names = sorted(result.raw)
     for i, n in enumerate(result.sample_sizes):
-        header = ["replication"] + sorted(result.raw)
-        rows = (
-            (r, *[float(result.raw[qty][i, r]) for qty in sorted(result.raw)])
-            for r in range(result.replications)
-        )
-        write_csv(out / f"reps_n{n}.csv", header, rows)
+        write_csv(out / f"reps_n{n}.csv", ["replication"] + names,
+                  [np.arange(result.replications), *[result.raw[qty][i] for qty in names]])
     print(f"claim={claim} seed={options['seed']} slope={result.fitted_slope:.4f}")
     return EXIT_OK
 

@@ -9,6 +9,7 @@ from __future__ import annotations
 
 import csv
 from functools import cached_property
+from itertools import chain, islice
 from typing import Iterable
 
 import numpy as np
@@ -173,9 +174,84 @@ def validate_dataset(raw: Iterable[tuple]) -> SurvivalDataset:
 _CSV_TRUE = {"1", "true"}
 _CSV_FALSE = {"0", "false"}
 
+# Rows per block of ``load_csv`` and ``write_csv``: one numpy conversion per
+# column of a read block, one ``%`` template per written block.  A block's
+# cell strings (about 0.2 MB at p = 3) stay in cache and barely move the peak
+# RSS; 4096-row blocks read 2e5 rows about 25 % slower and raised the
+# analysis set-up's peak RSS by 3 MB.
+_BLOCK_ROWS = 512
+
 
 def _expected_header(p: int) -> list[str]:
     return ["time", "event"] + [f"z{i}" for i in range(1, p + 1)]
+
+
+def _check_rows(path, rows, first: int, p: int):
+    """Columns of ``rows``, data rows ``first``, ``first + 1``, ... of ``path``,
+    read one row at a time: blank rows are skipped and the first bad row, in
+    file order, raises its :class:`DataError`."""
+    times, events, covs = [], [], []
+    for i, cells in enumerate(rows, start=first):
+        if not cells or all(not c.strip() for c in cells):
+            continue
+        if len(cells) != p + 2:
+            raise DataError(f"{path}: row {i}: expected {p + 2} fields, got {len(cells)}")
+        try:
+            times.append(float(cells[0]))
+        except ValueError:
+            raise DataError(f"{path}: row {i}: bad time value {cells[0]!r}") from None
+        ev_token = cells[1].strip().lower()
+        if ev_token in _CSV_TRUE:
+            events.append(True)
+        elif ev_token in _CSV_FALSE:
+            events.append(False)
+        else:
+            raise DataError(f"{path}: row {i}: bad event value {cells[1]!r}")
+        try:
+            covs.extend(map(float, cells[2:]))
+        except ValueError:
+            raise DataError(f"{path}: row {i}: bad covariate value") from None
+    return (np.array(times, dtype=float), np.array(events, dtype=bool),
+            np.reshape(np.array(covs, dtype=float), (len(times), p)))
+
+
+def _parse_block(rows, p: int):
+    """Columns of ``rows``, each converted by one numpy call (which parses a
+    number as ``float()`` does), or None if any row is blank or breaks a rule."""
+    if any(len(cells) != p + 2 for cells in rows):
+        return None
+    times, tokens, *z = zip(*rows)
+    flags = {}
+    for token in set(tokens):
+        key = token.strip().lower()
+        if key not in _CSV_TRUE and key not in _CSV_FALSE:
+            return None
+        flags[token] = key in _CSV_TRUE
+    try:
+        times = np.array(times, dtype=float)
+        # In C order, as the row loop builds it: column means read the order.
+        covs = np.array(z, dtype=float).reshape(p, len(rows)).T.copy()
+    except ValueError:
+        return None
+    return times, np.fromiter(map(flags.__getitem__, tokens), bool, len(rows)), covs
+
+
+def _read_rows(reader, count: int, path, first: int, p: int | None) -> list:
+    """The next ``count`` records of ``reader`` (fewer at the end), data rows
+    ``first``, ... (``p`` is None for the header).  Text that is not UTF-8
+    or a record the csv module rejects raises a :class:`DataError`, once the
+    rows read before it pass their checks."""
+    rows = []
+    try:
+        rows.extend(islice(reader, count))
+    except (UnicodeDecodeError, csv.Error) as exc:
+        if p is not None:
+            _check_rows(path, rows, first, p)
+        if isinstance(exc, UnicodeDecodeError):
+            raise DataError(f"{path}: not UTF-8 text ({exc.reason})") from None
+        where = "header" if p is None else f"row {first + len(rows)}"
+        raise DataError(f"{path}: {where}: {exc}") from None
+    return rows
 
 
 def load_csv(path) -> SurvivalDataset:
@@ -184,66 +260,52 @@ def load_csv(path) -> SurvivalDataset:
     `p = 0` (header ``time,event``) is accepted.  The event column must be
     one of ``0``, ``1``, ``true``, ``false``.  Malformed rows are reported
     with their 1-based data-row number.  A leading UTF-8 byte-order mark
-    is skipped.
+    is skipped.  Rows are read in blocks of ``_BLOCK_ROWS``; a block that
+    breaks a rule is read again row by row, so the first bad row wins.
     """
     with open(path, "r", encoding="utf-8-sig", newline="") as fh:
         reader = csv.reader(fh)
-        try:
-            header = next(reader)
-        except StopIteration:
-            raise DataError(f"{path}: empty file") from None
-        header = [h.strip() for h in header]
+        header = _read_rows(reader, 1, path, 0, None)
+        if not header:
+            raise DataError(f"{path}: empty file")
+        header = [h.strip() for h in header[0]]
         p = len(header) - 2
         if p < 0 or header != _expected_header(p):
             raise DataError(f"{path}: header must be time,event,z1,...,zp; got {header!r}")
-        times, events, covs = [], [], []
-        for i, cells in enumerate(reader, start=1):
-            if not cells or all(not c.strip() for c in cells):
-                continue
-            if len(cells) != p + 2:
-                raise DataError(f"{path}: row {i}: expected {p + 2} fields, got {len(cells)}")
-            try:
-                times.append(float(cells[0]))
-            except ValueError:
-                raise DataError(f"{path}: row {i}: bad time value {cells[0]!r}") from None
-            ev_token = cells[1].strip().lower()
-            if ev_token in _CSV_TRUE:
-                events.append(True)
-            elif ev_token in _CSV_FALSE:
-                events.append(False)
-            else:
-                raise DataError(f"{path}: row {i}: bad event value {cells[1]!r}")
-            try:
-                covs.extend(map(float, cells[2:]))
-            except ValueError:
-                raise DataError(f"{path}: row {i}: bad covariate value") from None
-    if not times:
+        blocks, first = [], 1
+        while rows := _read_rows(reader, _BLOCK_ROWS, path, first, p):
+            blocks.append(_parse_block(rows, p) or _check_rows(path, rows, first, p))
+            first += len(rows)
+    times, events, covs = (np.concatenate(col) for col in zip(*blocks)) if blocks else ((),) * 3
+    if not len(times):
         raise DataError(f"{path}: no data rows")
     try:
-        return SurvivalDataset(times, events, np.reshape(covs, (len(times), p)))
+        return SurvivalDataset(times, events, covs)
     except DataError as exc:
         raise DataError(f"{path}: {exc}") from None
 
 
-def write_csv(path, header: list[str], rows) -> None:
-    """Write ``header`` and ``rows`` as CSV with LF line endings.
+def write_csv(path, header: list[str], columns) -> None:
+    """Write ``header`` and the equal-length 1-d ``columns`` as CSV with LF
+    line endings.
 
-    Floats are written with 17 significant digits (lossless), everything
-    else with ``str``, by one ``%`` template per sequence of cell types.
+    Float columns are written with 17 significant digits (lossless), integer
+    and boolean columns with ``%d``, by one ``%`` template per block of
+    ``_BLOCK_ROWS`` rows.
     """
-    lines = [",".join(header)]
-    templates: dict[tuple, str] = {}
-    for row in rows:
-        row = tuple(row)
-        types = tuple(map(type, row))
-        if types not in templates:
-            templates[types] = ",".join("%.17g" if issubclass(t, float) else "%s" for t in types)
-        lines.append(templates[types] % row)
+    columns = [np.asarray(col) for col in columns]
+    n = len(columns[0]) if columns else 0
+    if any(col.shape != (n,) for col in columns):
+        raise ValueError("columns must be 1-d arrays of equal length")
+    template = ",".join("%.17g" if col.dtype.kind == "f" else "%d" for col in columns) + "\n"
     with open(path, "w", encoding="utf-8", newline="\n") as fh:
-        fh.write("\n".join(lines) + "\n")
+        fh.write(",".join(header) + "\n")
+        for start in range(0, n, _BLOCK_ROWS):
+            cells = [col[start:start + _BLOCK_ROWS].tolist() for col in columns]
+            fh.write(template * len(cells[0]) % tuple(chain.from_iterable(zip(*cells))))
 
 
 def save_csv(data: SurvivalDataset, path) -> None:
     """Write a dataset back to CSV (see :func:`write_csv`); ``load_csv`` reads it back."""
-    rows = zip(data.times.tolist(), data.events.tolist(), data.covariates.tolist())
-    write_csv(path, _expected_header(data.covariate_dim), ((t, int(e), *z) for t, e, z in rows))
+    write_csv(path, _expected_header(data.covariate_dim),
+              [data.times, data.events, *data.covariates.T])

@@ -151,6 +151,10 @@ class RateExperimentResult:
 # rate-lab's sample sizes, and ``--n`` of ``influence`` and ``decompose``.
 MAX_SIMULATED_N = 2**22
 
+# Most replications per sample size (8 MiB per float64 column of the raw
+# per-replication tables).
+MAX_REPLICATIONS = 2**20
+
 
 def _validate_design(sample_sizes, replications: int):
     sizes = tuple(int(n) for n in sample_sizes)
@@ -162,6 +166,8 @@ def _validate_design(sample_sizes, replications: int):
         raise ValueError(f"sample_sizes must be at most {MAX_SIMULATED_N}, got {sizes[-1]}")
     if replications < 1:
         raise ValueError(f"replications must be at least 1, got {replications}")
+    if replications > MAX_REPLICATIONS:
+        raise ValueError(f"replications must be at most {MAX_REPLICATIONS}, got {replications}")
     return sizes
 
 

@@ -14,15 +14,19 @@ reads only the sorted view and redoes the risk-table sums the way the
 package once did, in one stack, so the columnar build can be checked
 against it bitwise.  ``eager_sort_columns`` builds the sorted view's lazy
 columns from the raw arrays the way the view once built them up front.
+``row_loop_load_csv`` and ``row_loop_write_csv`` are the CSV reader and
+writer as they were before they worked in blocks of columns: one row at a
+time, ``float()`` per cell and one ``%`` template per sequence of cell types.
 """
 
+import csv
 import math
 from fractions import Fraction
 
 import numpy as np
 from scipy.integrate import quad
 
-from breslow_lab import build_aggregates, phi_n
+from breslow_lab import DataError, SurvivalDataset, build_aggregates, phi_n
 from breslow_lab.risk import event_increments
 from breslow_lab.stepfun import StepCurve
 
@@ -411,3 +415,76 @@ def eager_sort_columns(data):
         "distinct_event_times": distinct[d_counts > 0],
         "event_cov_sums": sums,
     }
+
+
+_CSV_TRUE = {"1", "true"}
+_CSV_FALSE = {"0", "false"}
+
+
+def _expected_header(p: int) -> list[str]:
+    return ["time", "event"] + [f"z{i}" for i in range(1, p + 1)]
+
+
+def row_loop_load_csv(path) -> SurvivalDataset:
+    """Load a dataset from CSV with header ``time,event,z1,...,zp``.
+
+    `p = 0` (header ``time,event``) is accepted.  The event column must be
+    one of ``0``, ``1``, ``true``, ``false``.  Malformed rows are reported
+    with their 1-based data-row number.  A leading UTF-8 byte-order mark
+    is skipped.
+    """
+    with open(path, "r", encoding="utf-8-sig", newline="") as fh:
+        reader = csv.reader(fh)
+        try:
+            header = next(reader)
+        except StopIteration:
+            raise DataError(f"{path}: empty file") from None
+        header = [h.strip() for h in header]
+        p = len(header) - 2
+        if p < 0 or header != _expected_header(p):
+            raise DataError(f"{path}: header must be time,event,z1,...,zp; got {header!r}")
+        times, events, covs = [], [], []
+        for i, cells in enumerate(reader, start=1):
+            if not cells or all(not c.strip() for c in cells):
+                continue
+            if len(cells) != p + 2:
+                raise DataError(f"{path}: row {i}: expected {p + 2} fields, got {len(cells)}")
+            try:
+                times.append(float(cells[0]))
+            except ValueError:
+                raise DataError(f"{path}: row {i}: bad time value {cells[0]!r}") from None
+            ev_token = cells[1].strip().lower()
+            if ev_token in _CSV_TRUE:
+                events.append(True)
+            elif ev_token in _CSV_FALSE:
+                events.append(False)
+            else:
+                raise DataError(f"{path}: row {i}: bad event value {cells[1]!r}")
+            try:
+                covs.extend(map(float, cells[2:]))
+            except ValueError:
+                raise DataError(f"{path}: row {i}: bad covariate value") from None
+    if not times:
+        raise DataError(f"{path}: no data rows")
+    try:
+        return SurvivalDataset(times, events, np.reshape(covs, (len(times), p)))
+    except DataError as exc:
+        raise DataError(f"{path}: {exc}") from None
+
+
+def row_loop_write_csv(path, header: list[str], rows) -> None:
+    """Write ``header`` and ``rows`` as CSV with LF line endings.
+
+    Floats are written with 17 significant digits (lossless), everything
+    else with ``str``, by one ``%`` template per sequence of cell types.
+    """
+    lines = [",".join(header)]
+    templates: dict[tuple, str] = {}
+    for row in rows:
+        row = tuple(row)
+        types = tuple(map(type, row))
+        if types not in templates:
+            templates[types] = ",".join("%.17g" if issubclass(t, float) else "%s" for t in types)
+        lines.append(templates[types] % row)
+    with open(path, "w", encoding="utf-8", newline="\n") as fh:
+        fh.write("\n".join(lines) + "\n")

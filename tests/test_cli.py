@@ -151,13 +151,23 @@ def test_influence_cap_only_with_write_xi(tmp_path, capsys, monkeypatch):
     assert not out.exists()
 
 
-@pytest.mark.parametrize("command", ["fit", "influence"])
-def test_malformed_csv_exit_1_one_line(tmp_path, capsys, command):
+BAD_EVENT_CSV = b"time,event,z1\n1.0,1,1.0\n2.0,maybe,0.0\n3.0,1,1.0\n"
+
+
+@pytest.mark.parametrize("command,contents,message", [
+    pytest.param("fit", BAD_EVENT_CSV, "row 2: bad event value 'maybe'", id="fit"),
+    pytest.param("influence", BAD_EVENT_CSV, "row 2: bad event value 'maybe'", id="influence"),
+    pytest.param("fit", b"time,event,z1\n1.0,1,1.0\n2.0,0,\xff\n",
+                 "not UTF-8 text (invalid start byte)", id="not-utf-8"),
+    pytest.param("breslow", b"time,event,z1\n1.0,1,1.0\n2.0,0," + b"1" * 131073 + b"\n",
+                 "row 2: field larger than field limit (131072)", id="field-above-the-limit"),
+])
+def test_malformed_csv_exit_1_one_line(tmp_path, capsys, command, contents, message):
     path = tmp_path / "bad.csv"
-    path.write_text("time,event,z1\n1.0,1,1.0\n2.0,maybe,0.0\n3.0,1,1.0\n")
+    path.write_bytes(contents)
     out = tmp_path / "out"
     assert main([command, "--input", str(path), "--output-dir", str(out)]) == 1
-    assert capsys.readouterr().err == f"{path}: row 2: bad event value 'maybe'\n"
+    assert capsys.readouterr().err == f"{path}: {message}\n"
     assert not out.exists()
 
 
@@ -533,6 +543,31 @@ class TestRateLabCommand:
             argv += ["--config", str(cfg)]
         assert main(argv) == 2
         assert capsys.readouterr().err == "sample_sizes must be at most 4194304, got 4194305\n"
+        assert not out.exists()
+
+    @pytest.mark.parametrize("source", ["flag", "config"])
+    def test_replications_above_the_bound_exit_2_before_any_replication(
+        self, tmp_path, capsys, monkeypatch, source
+    ):
+        # The raw per-replication tables would not fit in memory.
+        from breslow_lab import experiments
+
+        def no_replications(*args):
+            raise AssertionError("a replication ran")
+
+        monkeypatch.setattr(experiments, "generate_dataset", no_replications)
+        out = tmp_path / "out"
+        argv = ["rate-lab", "--claim", "lemma1", "--n", "80,160", "--seed", "0",
+                "--output-dir", str(out)]
+        if source == "flag":
+            argv += ["--reps", "10000000000000"]
+        else:
+            cfg = tmp_path / "lab.cfg"
+            cfg.write_text("replications = 10000000000000\n")
+            argv += ["--config", str(cfg)]
+        assert main(argv) == 2
+        assert capsys.readouterr().err == (
+            "replications must be at most 1048576, got 10000000000000\n")
         assert not out.exists()
 
     @pytest.mark.parametrize("source,key,value,rule", [

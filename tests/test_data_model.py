@@ -206,20 +206,23 @@ class TestCsv:
         assert np.array_equal(back.covariates, data.covariates)
 
     def test_write_csv_matches_per_cell_rendering(self, tmp_path):
-        rows = [
-            (0, math.nan, math.inf, -math.inf),
-            (1, -0.0, 5e-324, 0.1),
-            (2, 1.0, np.float64(1 / 3), -2.5e300),
-            (3, "x", True, 7),
-            (4, math.nan, math.inf, -math.inf),
+        columns = [
+            np.arange(5),
+            np.array([math.nan, -0.0, 1.0, 2.5, math.nan]),
+            np.array([math.inf, 5e-324, 1 / 3, 0.1, math.inf]),
+            np.array([-math.inf, 0.1, -2.5e300, 7.0, -math.inf]),
         ]
         path = tmp_path / "w.csv"
-        write_csv(path, ["a", "b", "c", "d"], iter(rows))
+        write_csv(path, ["a", "b", "c", "d"], columns)
         want = ["a,b,c,d"] + [
             ",".join(f"{v:.17g}" if isinstance(v, float) else str(v) for v in row)
-            for row in rows
+            for row in zip(*[col.tolist() for col in columns])
         ]
         assert path.read_bytes() == ("\n".join(want) + "\n").encode()
+
+    def test_write_csv_rejects_ragged_columns(self, tmp_path):
+        with pytest.raises(ValueError, match="equal length"):
+            write_csv(tmp_path / "w.csv", ["a", "b"], [np.arange(3), np.zeros(2)])
 
 
 class TestStepCurve:

@@ -62,3 +62,15 @@ def test_paired_ops_tree_against_itself(tmp_path):
     assert 0 < ratio["q1"] <= ratio["median"] <= ratio["q3"]
     assert set(report["minor_faults_per_op_median"]) == {"parent", "change"}
     assert not list(tmp_path.iterdir())
+
+
+def test_paired_ops_csv_mode_tree_against_itself(tmp_path):
+    src = str(SCRIPTS.parent / "src")
+    proc = run_script("paired_ops.py", src, src, "--csv", "--ops", "3", cwd=tmp_path)
+    assert proc.returncode == 0, proc.stderr
+    report = json.loads(proc.stdout)
+    assert report["command"].startswith("save_csv + load_csv of 8000 ")
+    assert report["artifacts_identical"] and report["mismatched_op_seeds"] == []
+    ratio = report["ratio_change_over_parent"]
+    assert 0 < ratio["q1"] <= ratio["median"] <= ratio["q3"]
+    assert not list(tmp_path.iterdir())
