@@ -2,13 +2,16 @@
 """Time ops of two source trees side by side, in one process.
 
     python scripts/paired_ops.py PARENT_SRC CHANGE_SRC [--claim lemma2]
-        [--n 8000,100000] [--reps 1] [--ops 30]
+        [--n N1,N2,...] [--reps R] [--ops 30]
     python scripts/paired_ops.py PARENT_SRC CHANGE_SRC --csv [--ops 30]
 
 Each ``*_SRC`` is a ``src`` directory holding a ``breslow_lab`` package; the
 two are imported under their own module names, so both live in this process.
 Op k runs ``rate-lab --claim C --truth reference --n N --reps R --seed k``
-through each tree's ``cli.main``; with ``--csv`` it is one ``save_csv`` and
+through each tree's ``cli.main``.  ``--n`` and ``--reps`` default to the
+perfbench op of the claim (``BENCH_OPS``: theorem ``1000,8000`` with 3
+replications, lemma2 ``8000,100000`` with 1), so ``--claim theorem`` alone
+runs the theorem workload's op.  With ``--csv`` an op is one ``save_csv`` and
 one ``load_csv`` of an analysis-shaped dataset drawn with seed k (8000 rows,
 day-rounded tied times, one binary and two continuous covariates).  One
 untimed warm-up op per tree runs first; the parent goes first when k is even
@@ -45,6 +48,10 @@ import numpy as np  # noqa: E402  (after the thread settings)
 
 
 CSV_ROWS = 8000
+
+# ``(--n, --reps)`` of the perfbench op of each claim that has one
+# (perfbench/workloads.py: theorem-ref-n8000, lemma2-ref-n1e5).
+BENCH_OPS = {"theorem": ("1000,8000", 3), "lemma2": ("8000,100000", 1)}
 
 
 def load_package(src: Path, name: str):
@@ -120,14 +127,21 @@ def main(argv=None) -> int:
     parser.add_argument("parent_src", type=Path)
     parser.add_argument("change_src", type=Path)
     parser.add_argument("--claim", default="lemma2")
-    parser.add_argument("--n", default="8000,100000")
-    parser.add_argument("--reps", type=int, default=1)
+    parser.add_argument("--n", help="sample sizes (default: the claim's perfbench op)")
+    parser.add_argument("--reps", type=int,
+                        help="replications (default: the claim's perfbench op)")
     parser.add_argument("--ops", type=int, default=30)
     parser.add_argument("--csv", action="store_true",
                         help="time save_csv + load_csv instead of a rate-lab op")
     args = parser.parse_args(argv)
     if args.ops < 1:
         parser.error("--ops must be at least 1")
+    if not args.csv and (args.n is None or args.reps is None):
+        if args.claim not in BENCH_OPS:
+            parser.error(f"--n and --reps are required for --claim {args.claim}")
+        n, reps = BENCH_OPS[args.claim]
+        args.n = n if args.n is None else args.n
+        args.reps = reps if args.reps is None else args.reps
     packages = {side: load_package(src.resolve(), f"breslow_lab_{side}")
                 for side, src in (("parent", args.parent_src), ("change", args.change_src))}
     if args.csv:

@@ -18,7 +18,6 @@ from .risk import (
     _running_sums,
     _upper_pairs,
     build_aggregates,
-    centered_weights,
 )
 
 STATUS_CONVERGED = "converged"
@@ -115,13 +114,15 @@ def _trial(data: SurvivalDataset, beta) -> float:
         return -np.inf
 
 
-def _moments_fit(data: SurvivalDataset, beta) -> bool:
-    # Moment columns are built only for a point the search takes: its score reads them.
+def _moments_fit(data: SurvivalDataset, beta) -> RiskAggregates | None:
+    # Moment columns are built only for a point the search takes: its score
+    # reads them.  The point's table, or None when they leave float64.
     try:
-        build_aggregates(data, beta).s2
+        agg = build_aggregates(data, beta)
+        agg.s2
     except ExpOverflowError:
-        return False
-    return True
+        return None
+    return agg
 
 
 def _is_singular(info: np.ndarray) -> bool:
@@ -171,7 +172,8 @@ def fit_mple(data: SurvivalDataset, init=None, max_iter: int = 50) -> CoxFit:
     # One risk table per trial point: the accepted trial is the last one
     # built, so the next score and information reuse its table.
     ll = _trial(data, beta)
-    if ll == -np.inf or not _moments_fit(data, beta):
+    table = None if ll == -np.inf else _moments_fit(data, beta)
+    if table is None:
         raise ValueError(f"init {init!r}: the risk table leaves the float64 range")
     z = data.sorted_view.centered
 
@@ -192,8 +194,9 @@ def fit_mple(data: SurvivalDataset, init=None, max_iter: int = 50) -> CoxFit:
             return result(STATUS_SINGULAR, score, info)
         direction = np.linalg.solve(info, score)
         # Step and iterate are compared as spreads of the linear predictor,
-        # so both tests are invariant to the units of every covariate.
-        spread = np.ptp(z @ beta)
+        # so both tests are invariant to the units of every covariate; the
+        # iterate's is read off its risk table.
+        spread = table.spread
         step_spread = np.ptp(z @ direction)
         score_small = np.linalg.norm(score) <= _SCORE_TOL
         if score_small and step_spread <= 1e-4 * (1.0 + spread):
@@ -215,42 +218,50 @@ def fit_mple(data: SurvivalDataset, init=None, max_iter: int = 50) -> CoxFit:
             ll_new = _trial(data, candidate)
             # The last step is taken whatever its value, unless it overflows.
             taken = ll_new >= ll or (step == steps[-1] and ll_new > -np.inf)
-            if taken and _moments_fit(data, candidate):
+            if taken and (fitted := _moments_fit(data, candidate)) is not None:
                 break
         else:
             # Every trial point left float64: the line search cannot move.
             break
-        beta, ll = candidate, ll_new
+        beta, ll, table = candidate, ll_new, fitted
     return result(STATUS_MAX_ITERATIONS, score, info)
 
 
 def score_residuals(data: SurvivalDataset, beta) -> np.ndarray:
-    """Per-subject score residuals at ``beta`` (n-by-p).
+    """Per-subject score residuals at ``beta`` (n-by-p), in input order.
 
     Subject ``i`` contributes its event term ``Z_i - zbar(T_i)`` minus its
     accumulated exposure ``exp(beta'Z_i) * sum_{t_k <= T_i} (Z_i - zbar(t_k))
     dL(t_k)``, where ``zbar`` is the risk-set covariate mean and ``dL`` the
-    baseline hazard increment.  The exposure is read, at each subject's
-    distinct-time index and without a search, off the running sums ``[sum
-    dL, sum zbar dL]`` (the Breslow curve and ``A_n``, centered) over one
-    risk table.  The residuals sum to the total score and are the
-    per-subject terms of the coefficient estimator's linear expansion.
+    baseline hazard increment.  The residuals sum to the total score and are
+    the per-subject terms of the coefficient estimator's linear expansion.
+    The rows of :func:`_sorted_score_residuals`, put back in input order.
     """
     if data.covariate_dim == 0:
         raise ValueError("score residuals require at least one covariate")
+    sorted_rows = _sorted_score_residuals(data, beta)
+    out = np.empty_like(sorted_rows)
+    out[data.sorted_view.order] = sorted_rows
+    return out
+
+
+def _sorted_score_residuals(data: SurvivalDataset, beta) -> np.ndarray:
+    """:func:`score_residuals` with the rows in time order (``sorted_view``).
+
+    The exposure is read, at each row's distinct-time index and without a
+    search, off the running sums ``[sum dL, sum zbar dL]`` (the Breslow curve
+    and ``A_n``, centered) over one risk table.
+    """
     agg = build_aggregates(data, beta)
     sv = data.sorted_view
     # Centered throughout: exp(beta'Z_i) dL = exp(beta'(Z_i - means)) d / s0
     # and Z_i - zbar is unchanged by centering, so no raw-scale factor enters.
     d_lambda, zbar = sv.event_counts / agg.s0, agg.s1 / agg.s0[:, None]
     steps = np.column_stack([d_lambda, zbar * d_lambda[:, None]])
-    at_t = np.cumsum(steps, axis=0)[sv.time_group]
-    z = data.covariates - sv.means
-    exposure = centered_weights(data, agg)[:, None] * (z * at_t[:, :1] - at_t[:, 1:])
-    # Event rows, in time order, fall on the distinct times in runs of
-    # ``event_counts``.
+    at_t = np.cumsum(steps, axis=0)[sv.group_of]
+    z = sv.centered
+    exposure = agg.w[::-1, None] * (z * at_t[:, :1] - at_t[:, 1:])
+    # Event rows fall on the distinct times in runs of ``event_counts``.
     event_term = np.zeros_like(z)
-    event_term[sv.order[sv.events]] = sv.centered[sv.events] - np.repeat(
-        zbar, sv.event_counts, axis=0
-    )
+    event_term[sv.events] = z[sv.events] - np.repeat(zbar, sv.event_counts, axis=0)
     return event_term - exposure

@@ -8,6 +8,7 @@ package consumes a :class:`SurvivalDataset`.
 from __future__ import annotations
 
 import csv
+import math
 from functools import cached_property
 from itertools import chain, islice
 from typing import Iterable
@@ -22,9 +23,9 @@ class DataError(ValueError):
 class _SortedView:
     """Rows in time order on one time axis, the distinct follow-up times.
 
-    See :attr:`SurvivalDataset.sorted_view`.  ``time_group``,
-    ``distinct_event_times`` and ``event_cov_sums`` are built on first read
-    from the kept ``group_of``, since not every estimator reads them.
+    See :attr:`SurvivalDataset.sorted_view`.  ``distinct_event_times`` and
+    ``event_cov_sums`` are built on first read from the kept ``group_of``,
+    since not every estimator reads them.
     """
 
     def __init__(self, times, events, covariates):
@@ -48,13 +49,6 @@ class _SortedView:
         self.group_of = group_of                # distinct-time index of each sorted row
         # Events per distinct time (0 where none falls).
         self.event_counts = np.bincount(group_of[self.events], minlength=self.distinct_times.size)
-
-    @cached_property
-    def time_group(self) -> np.ndarray:
-        """Distinct-time index of each input row."""
-        time_group = np.empty_like(self.group_of)
-        time_group[self.order] = self.group_of
-        return time_group
 
     @cached_property
     def distinct_event_times(self) -> np.ndarray:
@@ -137,7 +131,7 @@ class SurvivalDataset:
         order (cheaper than a stable sort of the floats).  One centering at
         the column means, so a shifted column fits the same.  Event data
         have one row per distinct time, 0 where no event falls, and
-        ``time_group`` holds each input row's distinct-time index, so every
+        ``group_of`` holds each sorted row's distinct-time index, so every
         running sum is read by index.
         """
         return _SortedView(self._times, self._events, self._covariates)
@@ -189,7 +183,9 @@ def _expected_header(p: int) -> list[str]:
 def _check_rows(path, rows, first: int, p: int):
     """Columns of ``rows``, data rows ``first``, ``first + 1``, ... of ``path``,
     read one row at a time: blank rows are skipped and the first bad row, in
-    file order, raises its :class:`DataError`."""
+    file order, raises its :class:`DataError`.  A row is bad when a field
+    does not parse, or when its time is not positive and finite or a
+    covariate is not finite."""
     times, events, covs = [], [], []
     for i, cells in enumerate(rows, start=first):
         if not cells or all(not c.strip() for c in cells):
@@ -200,6 +196,9 @@ def _check_rows(path, rows, first: int, p: int):
             times.append(float(cells[0]))
         except ValueError:
             raise DataError(f"{path}: row {i}: bad time value {cells[0]!r}") from None
+        if not 0.0 < times[-1] < math.inf:
+            raise DataError(f"{path}: row {i}: follow-up time must be positive and finite, "
+                            f"got {times[-1]}")
         ev_token = cells[1].strip().lower()
         if ev_token in _CSV_TRUE:
             events.append(True)
@@ -208,16 +207,20 @@ def _check_rows(path, rows, first: int, p: int):
         else:
             raise DataError(f"{path}: row {i}: bad event value {cells[1]!r}")
         try:
-            covs.extend(map(float, cells[2:]))
+            z = [float(c) for c in cells[2:]]
         except ValueError:
             raise DataError(f"{path}: row {i}: bad covariate value") from None
+        if not all(map(math.isfinite, z)):
+            raise DataError(f"{path}: row {i}: covariates must be finite")
+        covs.extend(z)
     return (np.array(times, dtype=float), np.array(events, dtype=bool),
             np.reshape(np.array(covs, dtype=float), (len(times), p)))
 
 
 def _parse_block(rows, p: int):
     """Columns of ``rows``, each converted by one numpy call (which parses a
-    number as ``float()`` does), or None if any row is blank or breaks a rule."""
+    number as ``float()`` does), or None if any row is blank or breaks a rule
+    (:func:`_check_rows`)."""
     if any(len(cells) != p + 2 for cells in rows):
         return None
     times, tokens, *z = zip(*rows)
@@ -232,6 +235,8 @@ def _parse_block(rows, p: int):
         # In C order, as the row loop builds it: column means read the order.
         covs = np.array(z, dtype=float).reshape(p, len(rows)).T.copy()
     except ValueError:
+        return None
+    if not ((times > 0.0) & (times < math.inf)).all() or not np.isfinite(covs).all():
         return None
     return times, np.fromiter(map(flags.__getitem__, tokens), bool, len(rows)), covs
 
@@ -259,9 +264,11 @@ def load_csv(path) -> SurvivalDataset:
 
     `p = 0` (header ``time,event``) is accepted.  The event column must be
     one of ``0``, ``1``, ``true``, ``false``.  Malformed rows are reported
-    with their 1-based data-row number.  A leading UTF-8 byte-order mark
-    is skipped.  Rows are read in blocks of ``_BLOCK_ROWS``; a block that
-    breaks a rule is read again row by row, so the first bad row wins.
+    with their 1-based data-row number, counting blank rows: a field that
+    does not parse, a time that is not positive and finite, a covariate that
+    is not finite.  A leading UTF-8 byte-order mark is skipped.  Rows are
+    read in blocks of ``_BLOCK_ROWS``; a block that breaks a rule is read
+    again row by row, so the first bad row wins.
     """
     with open(path, "r", encoding="utf-8-sig", newline="") as fh:
         reader = csv.reader(fh)

@@ -24,8 +24,8 @@ from numpy.random import SeedSequence
 
 from .coxfit import fit_mple
 from .data import DataError, SurvivalDataset
-from .linearize import (_coupling_remainder, _linearization_remainder, _window_grid,
-                        _xi_truth_mean)
+from .linearize import (_coupling_remainder, _linearization_remainder, _path_values,
+                        _window_grid, _xi_truth_mean)
 from .risk import build_aggregates, d1_n, phi_n
 from .truth import PHI_FLOOR, TruthModel, generate_dataset
 
@@ -180,16 +180,58 @@ def _eval_grid(fixed: np.ndarray, data: SurvivalDataset, M: float) -> np.ndarray
     return np.unique(np.concatenate([fixed[fixed <= M], t, right_of]))
 
 
+def _kept(values: np.ndarray) -> np.ndarray:
+    """The values that are not NaN (kept replications), sorted."""
+    return np.sort(values[~np.isnan(values)])
+
+
+def _median(kept: np.ndarray) -> float:
+    """``np.nanmedian`` of the sorted values ``kept`` (NaN when empty)."""
+    half = kept.size // 2
+    if kept.size % 2:
+        return kept[half]
+    return (kept[half - 1] + kept[half]) / 2.0 if kept.size else math.nan
+
+
+def _quantile(kept: np.ndarray, q: float) -> float:
+    """``np.nanquantile(kept, q)`` of the sorted values ``kept`` (NaN when
+    empty): numpy's default (linear) method, step for step.  At ``v = (n -
+    1) q`` it interpolates between entries ``floor(v)`` and ``floor(v) + 1``
+    with weight ``t = v - floor(v)``, from the upper one when ``t >= 1/2``;
+    from ``v = n - 1`` on both are the last entry and ``t = v + 1``."""
+    if kept.size == 0:
+        return math.nan
+    v = (kept.size - 1) * q
+    if v >= kept.size - 1:
+        a = b = kept[-1]
+        t = v + 1.0
+    else:
+        j = math.floor(v)
+        a, b, t = kept[j], kept[j + 1], v - j
+    step = b - a
+    return b - step * (1.0 - t) if t >= 0.5 else a + step * t
+
+
 def _summaries(sample_sizes, raw: dict[str, np.ndarray]) -> dict[str, QuantitySummary]:
+    """Per-n summaries of each table's kept (non-NaN) replications.
+
+    The median and quantiles equal ``np.nanmedian`` and ``np.nanquantile``
+    along the rows, bit for bit (on the sups, which are never -0.0: a sort
+    and numpy's partition may order -0.0 and 0.0 differently), but are read
+    off each row's sorted kept values: numpy's median, quantile and row-wise
+    nan-median load ``numpy.ma``, which would land mid-run among a
+    replication's arrays.
+    """
     out = {}
     for name, table in raw.items():
         mean = np.nanmean(table, axis=1)
         slope, se = fit_loglog_slope(sample_sizes, mean)
+        kept = [_kept(row) for row in table]
         out[name] = QuantitySummary(
             mean=mean,
-            median=np.nanmedian(table, axis=1),
-            q10=np.nanquantile(table, 0.1, axis=1),
-            q90=np.nanquantile(table, 0.9, axis=1),
+            median=np.array([_median(row) for row in kept]),
+            q10=np.array([_quantile(row, 0.1) for row in kept]),
+            q90=np.array([_quantile(row, 0.9) for row in kept]),
             slope=slope,
             slope_stderr=se,
         )
@@ -241,7 +283,7 @@ def _run(claim, truth, sample_sizes, replications, seed, names, measure, *,
     if a_fn is not None:
         primary = raw[names[0]]
         normalized = np.array(
-            [np.nanmedian(a_fn(n) * n * primary[i]) for i, n in enumerate(sizes)]
+            [_median(_kept(a_fn(n) * n * primary[i])) for i, n in enumerate(sizes)]
         )
     return RateExperimentResult(
         claim=claim,
@@ -327,17 +369,20 @@ def measure_linearization_remainder(truth: TruthModel, data: SurvivalDataset, fi
     the ``beta0`` risk table it built (the partial likelihood has one
     maximizer, so the start does not change the fit).  Without covariates
     there is nothing to fit: ``beta_hat`` is ``beta0`` and the remainder
-    reduces to r_n3 + r_n4.
+    reduces to r_n3 + r_n4.  The truth's ``q`` and ``A0`` are read in one
+    query at the window grid.
     """
     grid, bracket = _window_grid(fixed, data, M)
-    mean_xi = _xi_truth_mean(data, truth, grid, bracket)
+    f_grid, f_edges = _path_values(truth, data, grid, bracket, [0, *range(2, 2 + truth.p)])
+    mean_xi = _xi_truth_mean(data, truth, grid, bracket, f_grid[:, :1], f_edges[:, :1])
     beta_hat = truth.beta0
     if truth.p:
         fit = fit_mple(data, init=truth.beta0)
         if not fit.converged:
             return None
         beta_hat = fit.beta_hat
-    _, _, r_n = _linearization_remainder(data, truth, grid, bracket[1], beta_hat, mean_xi)
+    _, _, r_n = _linearization_remainder(data, truth, grid, bracket[1], beta_hat, mean_xi,
+                                         f_grid[:, 1:])
     return [np.max(np.abs(r_n)), np.max(np.abs(mean_xi))]
 
 

@@ -29,7 +29,7 @@ from functools import cached_property
 import numpy as np
 
 from .breslow import PluginACurve, _cum_hazard
-from .coxfit import CoxFit, score_residuals
+from .coxfit import CoxFit, _sorted_score_residuals
 from .data import SurvivalDataset
 from .risk import RiskAggregates, _running_sums, build_aggregates, to_raw_scale
 from .truth import PHI_FLOOR, TruthModel
@@ -267,14 +267,18 @@ def xi_truth_mean(data: SurvivalDataset, truth: TruthModel, x_grid) -> np.ndarra
     where the population risk mass vanishes.
     """
     grid = _as_grid(x_grid)
-    return _xi_truth_mean(data, truth, grid, _bracket(data.sorted_view, grid))
+    bracket = _bracket(data.sorted_view, grid)
+    q = _path_values(truth, data, grid, bracket, [0])
+    return _xi_truth_mean(data, truth, grid, bracket, *q)
 
 
-def _xi_truth_mean(data: SurvivalDataset, truth: TruthModel, grid: np.ndarray, bracket):
-    """:func:`xi_truth_mean` on a grid with its :func:`_bracket` ``(left, right)``."""
+def _xi_truth_mean(data: SurvivalDataset, truth: TruthModel, grid: np.ndarray, bracket,
+                   q_grid: np.ndarray, q_edges: np.ndarray):
+    """:func:`xi_truth_mean` on a grid with its :func:`_bracket` ``(left, right)``,
+    given ``q`` at the grid and the edges (:func:`_path_values` of column 0)."""
     left, right = bracket
     agg = build_aggregates(data, truth.beta0)
-    (i_v,) = _risk_integrals(truth, agg, grid, left, [0])
+    (i_v,) = _risk_integrals(agg, grid, left, q_grid, q_edges, [0])
     return _event_weight_means(data, truth, right) - i_v
 
 
@@ -378,7 +382,8 @@ def variance_estimate(
     ``after r_j`` and suffix sums of ``w``, ``w^2`` and ``w r_j`` over the
     rows in time order, read at each grid point's row count.  ``I^{-1}``
     then meets a g-by-p array, ``A_n`` on the grid.  The score residuals come
-    from the fit's risk table at ``beta_hat``.  The sums differ from
+    from the fit's risk table at ``beta_hat``, in the matrix's row order
+    (time order).  The sums differ from
     squaring the matrix's entries only in rounding, in the last bits.
     """
     if data.n < 2:
@@ -390,7 +395,7 @@ def variance_estimate(
     else:
         if a_curve is None or a_curve.is_empty:
             raise ValueError("a nonempty sensitivity curve is required with covariates")
-        r = score_residuals(data, beta)[infl.order]
+        r = _sorted_score_residuals(data, beta)
         r -= r.mean(axis=0)
         try:
             # u_k = n I^{-1} A_n(x_k), so that ell_i' A_n(x_k) = r_i' u_k.
@@ -423,8 +428,40 @@ def variance_estimate(
 # Exact decomposition of the centered estimate
 
 
-def _risk_integrals(truth: TruthModel, agg: RiskAggregates, grid: np.ndarray,
-                    left: np.ndarray, columns: list) -> list:
+def _path_values(truth: TruthModel, data: SurvivalDataset, grid: np.ndarray, bracket,
+                 columns: list):
+    """``(f_grid, f_edges)``: the truth's path integrals ``columns`` at the grid
+    and at the edges of :func:`_risk_integrals`' pieces, one row per point,
+    from one query.
+
+    The edges are 0, the distinct follow-up times before the grid maximum's
+    piece (``left`` of the grid's :func:`_bracket`) and the grid maximum.
+    Every edge of a strictly increasing grid that holds those distinct times,
+    such as a :func:`_window_grid`, is a grid point, and every path integral
+    is exactly 0.0 at 0, so such a grid is queried alone and its edges are
+    read off it; any other grid is queried at the distinct points of the
+    grid and the edges.  A value depends on its point alone
+    (:class:`~breslow_lab.quadrature.PanelAntiderivative`), so each is the
+    one a query of that point alone would give.
+    """
+    left, right = bracket
+    cut = int(left.max()) + 1
+    # The grid points that are distinct follow-up times, in grid order.
+    at = np.flatnonzero(right > left)[: cut - 1]
+    if np.all(grid[1:] > grid[:-1]) and np.array_equal(left[at], np.arange(cut - 1)):
+        f_grid = truth.path_integrals(grid, columns)
+        return f_grid, np.concatenate([np.zeros((1, len(columns))), f_grid[at], f_grid[-1:]])
+    dt = data.sorted_view.distinct_times
+    edges = np.concatenate([[0.0], dt[: cut - 1], [float(grid.max())]])
+    points, inverse = np.unique(np.concatenate([edges, grid]), return_inverse=True)
+    # Column-major, as a query's own result: the product with the A0
+    # columns rounds differently on a row-major array.
+    values = np.asfortranarray(truth.path_integrals(points, columns)[inverse])
+    return values[cut + 1 :], values[: cut + 1]
+
+
+def _risk_integrals(agg: RiskAggregates, grid: np.ndarray, left: np.ndarray,
+                    f_grid: np.ndarray, f_edges: np.ndarray, columns: list) -> list:
     """``int_0^x g dF`` on the grid for each of the truth's path integrals ``columns``.
 
     Column 0 (``q``) is integrated against ``g = Phi_n`` of ``agg``, column 1
@@ -432,20 +469,12 @@ def _risk_integrals(truth: TruthModel, agg: RiskAggregates, grid: np.ndarray,
     edges[j + 1]]``, pieces between consecutive distinct follow-up times up
     to the grid maximum, with mass 0 past the last one; a grid point ``x >
     0`` lies in piece ``left``, its bracket.  Exact as a sum of
-    antiderivative differences.  One query reads the edges and one more the
-    distinct grid points that are not an edge, so no point is read twice;
-    each column is summed alone, bitwise as if asked alone.
+    antiderivative differences, read off ``f_grid`` and ``f_edges``, the
+    columns at the grid and the edges (:func:`_path_values`); each column is
+    summed alone, bitwise as if asked alone.
     """
     cut = int(left.max()) + 1
-    edges = np.concatenate([[0.0], agg.distinct_times[: cut - 1], [float(grid.max())]])
     v = np.append(to_raw_scale(agg.s0[:cut] / agg.n, agg.log_scale), 0.0)[:cut]
-    f_edges = truth.path_integrals(edges, columns)
-    at = np.where(grid > 0, left + 1, 0)
-    f_grid = f_edges[at]
-    miss = np.flatnonzero(edges[at] != grid)
-    if miss.size:
-        points, inverse = np.unique(grid[miss], return_inverse=True)
-        f_grid[miss] = truth.path_integrals(points, columns)[inverse]
     out = []
     for k, column in enumerate(columns):
         g = v if column == 0 else 1.0 / v
@@ -461,16 +490,17 @@ def _risk_integrals(truth: TruthModel, agg: RiskAggregates, grid: np.ndarray,
     return out
 
 
-def _t2_parts(data: SurvivalDataset, truth: TruthModel, grid: np.ndarray, columns: list,
-              bracket):
+def _t2_parts(data: SurvivalDataset, truth: TruthModel, grid: np.ndarray, bracket,
+              f_grid: np.ndarray, f_edges: np.ndarray, columns: list):
     """``(haz_n0, s_phi, lam0, integrals, r_n3)``: Breslow estimate at ``beta0``,
     event-weight means, ``cum_haz_0``, :func:`_risk_integrals` of ``columns`` (the
-    last is 1, ``H_uc``, read by ``r_n3``), all indexed off the grid's
-    :func:`_bracket` ``(left, right)``; the grid ends by the last follow-up
-    time (:func:`_supported_grid`, :func:`_window_grid`)."""
+    last is 1, ``H_uc``, read by ``r_n3``) from their values ``f_grid`` and
+    ``f_edges``, all indexed off the grid's :func:`_bracket` ``(left, right)``;
+    the grid ends by the last follow-up time (:func:`_supported_grid`,
+    :func:`_window_grid`)."""
     agg = build_aggregates(data, truth.beta0)
     left, right = bracket
-    integrals = _risk_integrals(truth, agg, grid, left, columns)
+    integrals = _risk_integrals(agg, grid, left, f_grid, f_edges, columns)
     lam0 = truth.cum_hazard0(grid)
     s_phi = _event_weight_means(data, truth, right)
     haz_n0 = _cum_hazard(data, agg)[right]
@@ -481,7 +511,8 @@ def _coupling_remainder(data: SurvivalDataset, truth: TruthModel, grid: np.ndarr
                         bracket):
     """``r_n3`` alone: bitwise that of :func:`_t2_terms`, but reads neither
     ``q`` nor the risk table's moment columns; ``bracket`` as in :func:`_t2_parts`."""
-    return _t2_parts(data, truth, grid, [1], bracket)[-1]
+    h_uc = _path_values(truth, data, grid, bracket, [1])
+    return _t2_parts(data, truth, grid, bracket, *h_uc, [1])[-1]
 
 
 def _t2_terms(data: SurvivalDataset, truth: TruthModel, grid: np.ndarray, bracket) -> dict:
@@ -492,7 +523,16 @@ def _t2_terms(data: SurvivalDataset, truth: TruthModel, grid: np.ndarray, bracke
     I_v``, bitwise the value of :func:`xi_truth_mean`; ``bracket`` as in
     :func:`_t2_parts`.
     """
-    haz_n0, s_phi, lam0, (i_v, i_inv), r_n3 = _t2_parts(data, truth, grid, [0, 1], bracket)
+    paths = _path_values(truth, data, grid, bracket, [0, 1])
+    return _t2_split(data, truth, grid, bracket, *paths)
+
+
+def _t2_split(data: SurvivalDataset, truth: TruthModel, grid: np.ndarray, bracket,
+              f_grid: np.ndarray, f_edges: np.ndarray) -> dict:
+    """:func:`_t2_terms` from ``q`` and ``H_uc`` at the grid and the edges
+    (:func:`_path_values` of columns ``[0, 1]``)."""
+    haz_n0, s_phi, lam0, (i_v, i_inv), r_n3 = _t2_parts(data, truth, grid, bracket,
+                                                        f_grid, f_edges, [0, 1])
     return {
         "haz_n_beta0": haz_n0,
         "t_n2": haz_n0 - lam0,
@@ -505,17 +545,18 @@ def _t2_terms(data: SurvivalDataset, truth: TruthModel, grid: np.ndarray, bracke
 
 
 def _linearization_remainder(data: SurvivalDataset, truth: TruthModel, grid: np.ndarray,
-                             right: np.ndarray, beta_hat: np.ndarray, mean_xi: np.ndarray):
+                             right: np.ndarray, beta_hat: np.ndarray, mean_xi: np.ndarray,
+                             a0: np.ndarray):
     """``(haz_hat, beta_term, r_n)`` on ``grid`` at coefficients ``beta_hat``.
 
     ``haz_hat`` is the Breslow estimate at ``beta_hat``, read at ``right``,
     the second half of the grid's :func:`_bracket`; ``mean_xi`` is the
-    truth-mode mean influence on ``grid`` (:func:`xi_truth_mean`), ``beta_term
-    = -(beta_hat - beta0)' A0`` and ``r_n = (haz_hat - haz_0) - mean_xi -
-    beta_term``.
+    truth-mode mean influence on ``grid`` (:func:`xi_truth_mean`) and ``a0``
+    the truth's ``A0`` there (g-by-p), ``beta_term = -(beta_hat - beta0)'
+    A0`` and ``r_n = (haz_hat - haz_0) - mean_xi - beta_term``.
     """
     haz_hat = _cum_hazard(data, build_aggregates(data, beta_hat))[right]
-    beta_term = -truth.a0(grid) @ (beta_hat - truth.beta0) if truth.p else np.zeros(grid.size)
+    beta_term = -a0 @ (beta_hat - truth.beta0) if truth.p else np.zeros(grid.size)
     r_n = (haz_hat - truth.cum_hazard0(grid)) - mean_xi - beta_term
     return haz_hat, beta_term, r_n
 
@@ -540,9 +581,11 @@ def remainder_decomposition(
         beta_hat = _fitted_beta(data, fit)
     beta_hat = np.atleast_1d(np.asarray(beta_hat, dtype=float))
     bracket = _bracket(data.sorted_view, grid)
-    arrays = _t2_terms(data, truth, grid, bracket)
+    # q, H_uc and A0 in one query.
+    f_grid, f_edges = _path_values(truth, data, grid, bracket, list(range(2 + truth.p)))
+    arrays = _t2_split(data, truth, grid, bracket, f_grid[:, :2], f_edges[:, :2])
     haz_hat, arrays["beta_term"], arrays["r_n"] = _linearization_remainder(
-        data, truth, grid, bracket[1], beta_hat, arrays["mean_xi"])
+        data, truth, grid, bracket[1], beta_hat, arrays["mean_xi"], f_grid[:, 2:])
     arrays["t_n1"] = haz_hat - arrays.pop("haz_n_beta0")
     sup_norms = {name: float(np.max(np.abs(val))) for name, val in arrays.items()}
     return DecompositionReport(grid=grid, sup_norms=sup_norms, beta_hat=beta_hat,

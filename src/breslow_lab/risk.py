@@ -63,8 +63,9 @@ class RiskAggregates:
     s2/s0) and everything invariant to a covariate shift never see it.
     ``w`` holds the addends ``exp(beta'(Z - means))`` in descending time
     order; ``s1`` and ``s2`` come from one moment pass over them at the first
-    read of either.  Tables are shared between callers, so ``beta``, ``w``
-    and the sums are read-only.
+    read of either.  ``spread`` is ``ptp(beta'(Z - means))``, the spread of
+    the linear predictor over the subjects.  Tables are shared between
+    callers, so ``beta``, ``w`` and the sums are read-only.
     """
 
     beta: np.ndarray
@@ -73,6 +74,7 @@ class RiskAggregates:
     n: int
     means: np.ndarray
     log_scale: float
+    spread: float
     w: np.ndarray = field(repr=False)
     # Moment-pass inputs besides ``w``: sorted ``Zc`` and the risk-set ends.
     _z: np.ndarray = field(repr=False)
@@ -92,11 +94,19 @@ def _running_sums(addends: np.ndarray, rows) -> np.ndarray:
     Sum2 of Ogita, Rump & Oishi: a running sum, the exact TwoSum rounding
     error of each of its additions, and the running sum of those errors added
     back at the rows read.  The errors are formed in place in one scratch
-    array.  Columns of a 2-D input are summed independently, as each would be
-    alone; a contiguous 1-D column is the fast case.  The risk tables, the
-    partial likelihood, score and information totals (``rows=-1``) and the
-    quadrature prefix sums all use it.
+    array.  Columns of a 2-D input are summed in pairs, each pair viewed as
+    one complex column (a C-contiguous input of even width is not copied; an
+    odd width is padded with zeros): Sum2 only adds and subtracts, complex
+    addition is IEEE addition of the real and the imaginary parts, so every
+    column gets the bits it would get alone, and one pass carries two
+    dependency chains.  The risk tables, the partial likelihood, score and
+    information totals (``rows=-1``) and the quadrature prefix sums all use it.
     """
+    width = addends.shape[1] if addends.ndim == 2 else None
+    if width is not None:
+        if width % 2:
+            addends = np.concatenate([addends, np.zeros((addends.shape[0], 1))], axis=1)
+        addends = np.ascontiguousarray(addends).view(np.complex128)
     total = np.cumsum(addends, axis=0)
     err = np.empty_like(total)
     err[:1] = 0.0
@@ -107,7 +117,8 @@ def _running_sums(addends: np.ndarray, rows) -> np.ndarray:
     np.subtract(addends[1:], step, out=step)
     step += tmp
     np.cumsum(err, axis=0, out=err)
-    return total[rows] + err[rows]
+    sums = total[rows] + err[rows]
+    return sums if width is None else sums.view(np.float64)[..., :width]
 
 
 @lru_cache
@@ -201,6 +212,7 @@ def _build_aggregates(data: SurvivalDataset, beta: np.ndarray) -> RiskAggregates
         n=data.n,
         means=sv.means,
         log_scale=float(beta @ sv.means),
+        spread=top - float(eta.min()),
         w=w,
         _z=sv.centered,
         _rows=rows,
@@ -260,18 +272,6 @@ def d2_n(agg: RiskAggregates, x):
     cross = agg.s1[:, :, None] * m
     raw = agg.s2 + cross + cross.transpose(0, 2, 1) + agg.s0[:, None, None] * np.outer(m, m)
     return _lookup(agg, raw, x)
-
-
-def centered_weights(data: SurvivalDataset, agg: RiskAggregates) -> np.ndarray:
-    """Centered relative risks ``exp(beta'(Z_i - means))`` of every subject, in input order.
-
-    The table's addends ``agg.w`` put back in input order, bit for bit; the
-    raw relative risk is ``w * exp(log_scale)``.  Invariant to a covariate
-    shift.
-    """
-    w = np.empty(data.n)
-    w[data.sorted_view.order] = agg.w[::-1]
-    return w
 
 
 def event_increments(data: SurvivalDataset, agg: RiskAggregates) -> np.ndarray:

@@ -215,8 +215,9 @@ class TruthModel:
             raise ValueError("beta0 length must match covariate dimension")
         w, z = covariate_law.atoms()
         self._atom_points = z
-        self._atom_eta = z @ self.beta0 if self.p else np.zeros(w.size)
-        self._atom_coef = w * np.exp(self._atom_eta)
+        # exp(eta_j) of each atom, computed once: every phi, d1 and d2 reads it.
+        self._atom_factor = np.exp(z @ self.beta0 if self.p else np.zeros(w.size))
+        self._atom_coef = w * self._atom_factor
         self._integrals: PanelAntiderivative | None = None
 
     @property
@@ -234,7 +235,7 @@ class TruthModel:
     def _atom_survival(self, x):
         """exp(-Lambda0(x) e^{eta_j}) for each atom; shape (len(x), k)."""
         lam = np.asarray(self.cum_hazard0(np.atleast_1d(x)), dtype=float)
-        return np.exp(-lam[:, None] * np.exp(self._atom_eta)[None, :])
+        return np.exp(-lam[:, None] * self._atom_factor[None, :])
 
     def phi(self, x):
         """Population weighted risk mass Phi(beta0, x) = E[{T>=x} e^{beta0'Z}]."""

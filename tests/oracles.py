@@ -16,7 +16,9 @@ against it bitwise.  ``eager_sort_columns`` builds the sorted view's lazy
 columns from the raw arrays the way the view once built them up front.
 ``row_loop_load_csv`` and ``row_loop_write_csv`` are the CSV reader and
 writer as they were before they worked in blocks of columns: one row at a
-time, ``float()`` per cell and one ``%`` template per sequence of cell types.
+time, ``float()`` per cell and one ``%`` template per sequence of cell types;
+the reader also names the row of a time that is not positive and finite or
+of a covariate that is not finite.
 """
 
 import csv
@@ -391,7 +393,7 @@ def stacked_risk_sums(data, beta):
 
 
 def eager_sort_columns(data):
-    """``time_group``, ``distinct_event_times`` and ``event_cov_sums``, built
+    """``distinct_event_times`` and ``event_cov_sums``, built
     up front from the raw arrays with a stable argsort, as the sorted view
     built them before they were read lazily."""
     order = np.argsort(data.times, kind="stable")
@@ -408,10 +410,7 @@ def eager_sort_columns(data):
         sums[:, col] = np.bincount(
             ev_groups_per_row, weights=covs[events, col], minlength=distinct.size
         )
-    time_group = np.empty_like(group_of)
-    time_group[order] = group_of
     return {
-        "time_group": time_group,
         "distinct_event_times": distinct[d_counts > 0],
         "event_cov_sums": sums,
     }
@@ -453,6 +452,9 @@ def row_loop_load_csv(path) -> SurvivalDataset:
                 times.append(float(cells[0]))
             except ValueError:
                 raise DataError(f"{path}: row {i}: bad time value {cells[0]!r}") from None
+            if np.isnan(times[-1]) or np.isinf(times[-1]) or times[-1] <= 0:
+                raise DataError(f"{path}: row {i}: follow-up time must be positive and finite, "
+                                f"got {times[-1]}")
             ev_token = cells[1].strip().lower()
             if ev_token in _CSV_TRUE:
                 events.append(True)
@@ -464,6 +466,8 @@ def row_loop_load_csv(path) -> SurvivalDataset:
                 covs.extend(map(float, cells[2:]))
             except ValueError:
                 raise DataError(f"{path}: row {i}: bad covariate value") from None
+            if np.isnan(covs[len(covs) - p:]).any() or np.isinf(covs[len(covs) - p:]).any():
+                raise DataError(f"{path}: row {i}: covariates must be finite")
     if not times:
         raise DataError(f"{path}: no data rows")
     try:

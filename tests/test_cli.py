@@ -720,20 +720,35 @@ class TestModuleInvocation:
         assert "--input" in proc.stdout
 
 
-def scipy_modules_imported(*argv):
-    """The scipy modules a fresh interpreter on this package imports while
-    running ``python *argv``, read from ``-X importtime``."""
+def modules_imported(*argv):
+    """The modules a fresh interpreter on this package imports while running
+    ``python *argv``, read from ``-X importtime``."""
     proc = run_python("-X", "importtime", *argv)
     assert proc.returncode == 0, proc.stderr
     names = [line.rsplit("|", 1)[-1].strip() for line in proc.stderr.splitlines()
              if line.startswith("import time:")]
     assert "breslow_lab" in names
-    return [name for name in names if name == "scipy" or name.startswith("scipy.")]
+    return names
+
+
+def scipy_modules_imported(*argv):
+    """The scipy modules among :func:`modules_imported`."""
+    return [name for name in modules_imported(*argv)
+            if name == "scipy" or name.startswith("scipy.")]
 
 
 class TestColdStart:
     def test_import_loads_no_scipy(self):
         assert scipy_modules_imported("-c", "import breslow_lab") == []
+
+    def test_rate_lab_loads_no_masked_arrays(self, tmp_path):
+        # numpy's row-wise nanmedian goes through numpy.ma; loaded at the end
+        # of the first run, its modules would land among the run's arrays.
+        names = modules_imported(
+            "-m", "breslow_lab.cli", "rate-lab", "--claim", "theorem", "--n", "50,100",
+            "--reps", "2", "--seed", "0", "--truth", "reference", "--output-dir", str(tmp_path),
+        )
+        assert "numpy.ma" not in names
 
     def test_rate_lab_loads_no_scipy(self, tmp_path):
         assert scipy_modules_imported(

@@ -104,6 +104,9 @@ FILLER = ["1.5,1,0.25,-1"] * (_BLOCK_ROWS + 5)
     pytest.param(FILLER[:10] + ["1,1,0,0", "1,1,0,0", "-1,1,0,0"], id="dataset-error-after-rows"),
     pytest.param(["1,1,0,0", "1,maybe,0,0", "1,1,0," + "1" * 131073], id="bad-row-before-big-field"),
     pytest.param(FILLER + ["", " , ,", "\t"], id="blank-rows-end-the-file"),
+    pytest.param(FILLER + ["1,1,nan,0", "1,maybe,0,0"], id="covariate-value-before-bad-event"),
+    pytest.param(FILLER[:_BLOCK_ROWS - 2] + ["", "0,1,0,0", "x,1,0,0"],
+                 id="time-value-across-the-boundary"),
 ])
 def test_load_matches_the_row_loop_on_fixed_files(tmp_path, rows):
     _assert_loaders_agree(tmp_path / "d.csv", "\n".join(["time,event,z1,z2"] + rows) + "\n")

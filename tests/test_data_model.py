@@ -113,7 +113,7 @@ class TestSortedView:
                                [[1.0], [2.0], [3.0], [4.0], [5.0]])
         sv = data.sorted_view
         assert np.array_equal(sv.distinct_times, [1.0, 1.5, 2.0, 3.0])
-        assert np.array_equal(sv.distinct_times[sv.time_group], data.times)
+        assert np.array_equal(sv.distinct_times[sv.group_of], sv.times)
         assert np.array_equal(sv.event_counts, [0, 1, 2, 0])
         assert np.array_equal(sv.event_cov_sums[:, 0], [0.0, 2.0, -2.0, 0.0])
         assert np.array_equal(sv.distinct_event_times, [1.5, 2.0])
@@ -163,8 +163,13 @@ class TestCsv:
         ("time,event,z1\n1.0,1,0.5\nsoon,1,0.5\n", "row 2: bad time value 'soon'"),
         ("time,event,z1\n1.0,1,high\n", "row 1: bad covariate value"),
         ("time,event,z1\n", "no data rows"),
-        ("time,event,z1\n-1.0,1,0.5\n", "follow-up times must be positive and finite, got -1.0"),
-    ], ids=["time", "covariate", "header-only", "dataset"])
+        ("time,event,z1\n-1.0,1,0.5\n", "row 1: follow-up time must be positive and finite, got -1.0"),
+        ("time,event,z1\n1.0,1,0.5\n\n,,\n2.0,0,nan\n3.0,x,0\n", "row 4: covariates must be finite"),
+        ("time,event,z1\n1.0,1,0.5\n\n2.0,0,1\ninf,x,0\n",
+         "row 4: follow-up time must be positive and finite, got inf"),
+        ("time,event,z1\n1.0,0,0.5\n", "dataset has no events; estimators are undefined"),
+    ], ids=["time", "covariate", "header-only", "dataset", "covariate-value-after-blank-rows",
+            "time-value-before-bad-event", "no-events"])
     def test_errors_name_the_file(self, tmp_path, text, message):
         path = tmp_path / "d.csv"
         path.write_text(text)

@@ -37,6 +37,22 @@ class TestPlumbing:
         with pytest.raises(ValueError, match="increasing"):
             risk_deviation_experiment(ref_truth, [500, 500], 2, seed=1)
 
+    def test_summaries_are_the_nan_functions(self):
+        # Medians and quantiles of each row's kept values, bitwise those of
+        # np.nanmedian / np.nanquantile along the rows.
+        rng = np.random.default_rng(61)
+        for _ in range(300):
+            sizes, reps = rng.integers(2, 6), rng.integers(1, 40)
+            table = rng.lognormal(rng.normal(-3.0, 2.0), rng.uniform(0.1, 3.0), (sizes, reps))
+            table[rng.random(table.shape) < rng.uniform(0.0, 0.5)] = np.nan
+            table[np.arange(sizes), rng.integers(0, reps, sizes)] = rng.random(sizes)
+            (got,) = experiments._summaries(2 ** np.arange(1, sizes + 1), {"q": table}).values()
+            for have, want in ((got.median, np.nanmedian(table, axis=1)),
+                               (got.q10, np.nanquantile(table, 0.1, axis=1)),
+                               (got.q90, np.nanquantile(table, 0.9, axis=1)),
+                               (got.mean, np.nanmean(table, axis=1))):
+                assert have.tobytes() == want.tobytes()
+
     def test_unknown_a_n_rejected(self, ref_truth):
         with pytest.raises(ValueError, match="a_n"):
             coupling_remainder_experiment(ref_truth, [100, 200], 2, seed=1, a_n="n^-9")
@@ -81,6 +97,22 @@ class TestDeterminism:
         res = coupling_remainder_experiment(reference_truth(), (6, 50), 3, seed=54,
                                             grid_points=64)
         assert builds == [res.M]
+
+    def test_one_truth_query_per_theorem_replication(self, monkeypatch):
+        # q and A0 are read in one query at each replication's window grid;
+        # the run's build over [0, M] is the one query before them.
+        queries = []
+        path_integrals = type(reference_truth()).path_integrals
+
+        def counting(self, x, columns):
+            queries.append(np.size(x))
+            return path_integrals(self, x, columns)
+
+        monkeypatch.setattr(type(reference_truth()), "path_integrals", counting)
+        res = linearization_remainder_experiment(reference_truth(), (60, 120), 3, seed=5,
+                                                 grid_points=64)
+        assert res.excluded == (0, 0)
+        assert len(queries) == 1 + 2 * 3 and queries[0] == 1
 
     def test_single_replication_defined(self, ref_truth):
         res = risk_deviation_experiment(

@@ -243,6 +243,40 @@ def test_compensated_accuracy_at_scale_general_p():
                 assert rel_error(agg.s2[k, i, j], wk * (zk[:, i] * zk[:, j])) <= tol
 
 
+@st.composite
+def addend_stacks(draw):
+    """An (n, k) stack of mixed signs and magnitudes, in C or F order, whose
+    running sums stay finite (the sums of a risk table or a fit always do)."""
+    n, k = draw(st.integers(1, 40)), draw(st.integers(1, 7))
+    values = st.floats(-1e300, 1e300, allow_nan=False) | st.sampled_from(
+        [0.0, -0.0, 5e-324, 1.0, 1e16, -1e16])
+    stack = np.array(draw(st.lists(values, min_size=n * k, max_size=n * k))).reshape(n, k)
+    return np.asfortranarray(stack) if draw(st.booleans()) else stack
+
+
+@given(stack=addend_stacks(), data=st.data())
+def test_paired_running_sums_are_each_columns_own(stack, data):
+    # A 2-D input is summed two columns at a time as complex pairs; each
+    # column must get the bits of its own 1-D sum, at any width and layout.
+    from breslow_lab.risk import _running_sums
+
+    n = stack.shape[0]
+    rows = data.draw(st.sampled_from([-1, np.arange(n), np.array([n - 1, 0, n // 2])]))
+    got = _running_sums(stack, rows)
+    want = np.stack([_running_sums(np.ascontiguousarray(col), rows) for col in stack.T], axis=-1)
+    assert got.shape == want.shape
+    assert got.tobytes() == want.tobytes()
+
+
+def test_spread_is_the_linear_predictors():
+    rng = np.random.default_rng(55)
+    for p in (1, 3):
+        data = random_dataset(rng, 70, p)
+        beta = rng.normal(size=p)
+        agg = build_aggregates(data, beta)
+        assert agg.spread == np.ptp(data.sorted_view.centered @ agg.beta)
+
+
 def test_compensated_totals_match_fsum_under_cancellation():
     # The fit's log-likelihood, score and information are Sum2 totals
     # (``_running_sums`` read at the last row).  Ogita, Rump & Oishi bound the
@@ -319,15 +353,13 @@ class TestTableCache:
                 arr[...] = 0.0
 
     def test_table_keeps_its_weights(self):
-        from breslow_lab.risk import centered_weights
-
         data = random_dataset(np.random.default_rng(54), 60, 2)
         agg = build_aggregates(data, [0.4, -0.3])
         agg.s1  # the moment pass
         assert not agg.w.flags.writeable
         sv = data.sorted_view
-        w = centered_weights(data, agg)
-        assert np.array_equal(w[sv.order], agg.w[::-1])
+        w = np.empty(data.n)
+        w[sv.order] = agg.w[::-1]
         assert np.allclose(w, np.exp((data.covariates - sv.means) @ agg.beta), rtol=1e-15, atol=0)
 
     def test_failed_build_is_not_cached(self, builds):

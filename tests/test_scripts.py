@@ -64,6 +64,19 @@ def test_paired_ops_tree_against_itself(tmp_path):
     assert not list(tmp_path.iterdir())
 
 
+def test_paired_ops_defaults_to_the_claims_benchmark_op(tmp_path):
+    src = str(SCRIPTS.parent / "src")
+    proc = run_script("paired_ops.py", src, src, "--claim", "theorem", "--ops", "1", cwd=tmp_path)
+    assert proc.returncode == 0, proc.stderr
+    report = json.loads(proc.stdout)
+    assert report["command"] == ("rate-lab --claim theorem --truth reference --n 1000,8000 "
+                                 "--reps 3 --seed k")
+    assert report["artifacts_identical"]
+    proc = run_script("paired_ops.py", src, src, "--claim", "lemma1", cwd=tmp_path)
+    assert proc.returncode == 2
+    assert "--n and --reps are required for --claim lemma1" in proc.stderr
+
+
 def test_paired_ops_csv_mode_tree_against_itself(tmp_path):
     src = str(SCRIPTS.parent / "src")
     proc = run_script("paired_ops.py", src, src, "--csv", "--ops", "3", cwd=tmp_path)

@@ -20,7 +20,7 @@ from breslow_lab.quadrature import _BLOCK_POINTS
 
 from oracles import eager_sort_columns
 
-LAZY_COLUMNS = ("time_group", "distinct_event_times", "event_cov_sums")
+LAZY_COLUMNS = ("distinct_event_times", "event_cov_sums")
 
 
 @pytest.fixture(scope="module")
