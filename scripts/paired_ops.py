@@ -4,6 +4,7 @@
     python scripts/paired_ops.py PARENT_SRC CHANGE_SRC [--claim lemma2]
         [--n N1,N2,...] [--reps R] [--ops 30]
     python scripts/paired_ops.py PARENT_SRC CHANGE_SRC --csv [--ops 30]
+    python scripts/paired_ops.py PARENT_SRC CHANGE_SRC --analysis [--ops 30]
 
 Each ``*_SRC`` is a ``src`` directory holding a ``breslow_lab`` package; the
 two are imported under their own module names, so both live in this process.
@@ -13,17 +14,23 @@ perfbench op of the claim (``BENCH_OPS``: theorem ``1000,8000`` with 3
 replications, lemma2 ``8000,100000`` with 1), so ``--claim theorem`` alone
 runs the theorem workload's op.  With ``--csv`` an op is one ``save_csv`` and
 one ``load_csv`` of an analysis-shaped dataset drawn with seed k (8000 rows,
-day-rounded tied times, one binary and two continuous covariates).  One
-untimed warm-up op per tree runs first; the parent goes first when k is even
-and the change first when k is odd.  Because the two sides of a pair run
-seconds apart in the same process, machine drift that spreads separate
-benchmark runs cancels out of their ratio.
+day-rounded tied times, one binary and two continuous covariates).  With
+``--analysis`` an op is the op of the analysis-p3-ties-n8000 workload on that
+dataset: the fit, both Breslow forms with their 1e-10 cross-check, ``A_n``,
+``xi_plugin`` on 64 points up to ``default_m_plugin`` and
+``variance_estimate``.  One untimed warm-up op per tree runs first; the
+parent goes first when k is even and the change first when k is odd.
+Because the two sides of a pair run seconds apart in the same process,
+machine drift that spreads separate benchmark runs cancels out of their
+ratio.
 
 Prints one JSON object: the median change/parent op-time ratio with its
 quartiles, each side's median op time and minor page faults per op
 (``getrusage``), and whether every op's artifacts were byte-identical between
-the trees: every file ``rate-lab`` wrote, or the CSV file ``save_csv`` wrote
-and the bytes of the arrays ``load_csv`` read back.
+the trees: every file ``rate-lab`` wrote, the CSV file ``save_csv`` wrote
+and the bytes of the arrays ``load_csv`` read back, or the bytes of the
+analysis op's coefficients, log-likelihood, information, both Breslow curves,
+``A_n`` and both variance curves.
 """
 
 import argparse
@@ -48,6 +55,11 @@ import numpy as np  # noqa: E402  (after the thread settings)
 
 
 CSV_ROWS = 8000
+
+# Grid points of the analysis op's plug-in influence, and the tolerance of its
+# Breslow cross-check (perfbench/workloads.py, analysis-p3-ties-n8000).
+ANALYSIS_GRID_POINTS = 64
+FORM_IDENTITY_RTOL = 1e-10
 
 # ``(--n, --reps)`` of the perfbench op of each claim that has one
 # (perfbench/workloads.py: theorem-ref-n8000, lemma2-ref-n1e5).
@@ -117,6 +129,45 @@ def run_csv_op(package, arrays, out: Path):
     return seconds, faults, files
 
 
+def run_analysis_op(package, arrays):
+    """``(seconds, minor faults, {name: bytes})`` of one analysis op on
+    ``arrays`` (see the module docstring); raises ``SystemExit`` when the fit
+    does not converge or the two Breslow forms disagree."""
+
+    def analysis():
+        data = package.SurvivalDataset(*arrays)
+        fit = package.fit_mple(data)
+        if not fit.converged:
+            raise SystemExit(f"fit status {fit.status}")
+        beta = fit.beta_hat
+        trad = package.breslow_traditional(data, beta)
+        plug = package.breslow_plugin(data, beta)
+        trad_vals = trad.curve.cumulative_values
+        plug_vals = plug.curve(trad.curve.jump_times)
+        gap = float(np.max(np.abs(plug_vals - trad_vals) / (1.0 + np.abs(trad_vals))))
+        a_curve = package.a_n_curve(data, beta)
+        grid = np.linspace(0.0, package.default_m_plugin(data, beta), ANALYSIS_GRID_POINTS)
+        infl = package.xi_plugin(data, fit, grid)
+        curves = package.variance_estimate(data, infl, fit, a_curve)
+        return fit, trad, plug, gap, a_curve, curves
+
+    seconds, faults, (fit, trad, plug, gap, a_curve, curves) = timed(analysis)
+    if not gap <= FORM_IDENTITY_RTOL:
+        raise SystemExit(f"Breslow forms disagree: relative gap {gap:.3e}")
+    arrays_out = {
+        "beta_hat": fit.beta_hat,
+        "log_partial_likelihood": np.float64(fit.log_partial_likelihood),
+        "information": fit.information,
+        "breslow_traditional": trad.curve.cumulative_values,
+        "breslow_plugin": plug.curve.cumulative_values,
+        "breslow_jump_times": trad.curve.jump_times,
+        "a_n": a_curve.curve.cumulative_values,
+        "variance_total": curves.total,
+        "variance_xi_only": curves.xi_only,
+    }
+    return seconds, faults, {name: a.tobytes() for name, a in arrays_out.items()}
+
+
 def quartiles(values):
     q1, median, q3 = statistics.quantiles(values, n=4, method="inclusive")
     return {"q1": q1, "median": median, "q3": q3}
@@ -131,12 +182,15 @@ def main(argv=None) -> int:
     parser.add_argument("--reps", type=int,
                         help="replications (default: the claim's perfbench op)")
     parser.add_argument("--ops", type=int, default=30)
-    parser.add_argument("--csv", action="store_true",
-                        help="time save_csv + load_csv instead of a rate-lab op")
+    mode = parser.add_mutually_exclusive_group()
+    mode.add_argument("--csv", action="store_true",
+                      help="time save_csv + load_csv instead of a rate-lab op")
+    mode.add_argument("--analysis", action="store_true",
+                      help="time the analysis workload's op instead of a rate-lab op")
     args = parser.parse_args(argv)
     if args.ops < 1:
         parser.error("--ops must be at least 1")
-    if not args.csv and (args.n is None or args.reps is None):
+    if not (args.csv or args.analysis) and (args.n is None or args.reps is None):
         if args.claim not in BENCH_OPS:
             parser.error(f"--n and --reps are required for --claim {args.claim}")
         n, reps = BENCH_OPS[args.claim]
@@ -149,6 +203,12 @@ def main(argv=None) -> int:
 
         def op(side, seed, out):
             return run_csv_op(packages[side], analysis_arrays(seed), out)
+    elif args.analysis:
+        command = (f"analysis op (fit, Breslow forms, A_n, xi_plugin, variance) on "
+                   f"{CSV_ROWS} analysis-shaped rows drawn with seed k")
+
+        def op(side, seed, out):
+            return run_analysis_op(packages[side], analysis_arrays(seed))
     else:
         base = ["rate-lab", "--claim", args.claim, "--truth", "reference",
                 "--n", args.n, "--reps", str(args.reps)]

@@ -24,8 +24,7 @@ from numpy.random import SeedSequence
 
 from .coxfit import fit_mple
 from .data import DataError, SurvivalDataset
-from .linearize import (_coupling_remainder, _linearization_remainder, _path_values,
-                        _window_grid, _xi_truth_mean)
+from .linearize import _linearization_remainder, _t2_parts, _window, _window_grid, _xi_truth_mean
 from .risk import build_aggregates, d1_n, phi_n
 from .truth import PHI_FLOOR, TruthModel, generate_dataset
 
@@ -177,7 +176,9 @@ def _eval_grid(fixed: np.ndarray, data: SurvivalDataset, M: float) -> np.ndarray
     t = data.sorted_view.distinct_times
     t = t[t <= M]
     right_of = np.minimum(np.nextafter(t, np.inf), M)
-    return np.unique(np.concatenate([fixed[fixed <= M], t, right_of]))
+    # np.unique's sort and drop of adjacent duplicates; np.unique loads numpy.ma.
+    points = np.sort(np.concatenate([fixed[fixed <= M], t, right_of]))
+    return points[np.concatenate([[True], points[1:] != points[:-1]])]
 
 
 def _kept(values: np.ndarray) -> np.ndarray:
@@ -330,8 +331,9 @@ def risk_deviation_experiment(
 
 def measure_coupling_remainder(truth: TruthModel, data: SurvivalDataset, fixed, M):
     """Sup of |r_n3| at the true coefficients."""
-    grid, bracket = _window_grid(fixed, data, M)
-    return [np.max(np.abs(_coupling_remainder(data, truth, grid, bracket)))]
+    win = _window(truth, data, ("H_uc",), *_window_grid(fixed, data, M))
+    *_, r_n3 = _t2_parts(data, truth, win)
+    return [np.max(np.abs(r_n3))]
 
 
 def coupling_remainder_experiment(
@@ -372,17 +374,15 @@ def measure_linearization_remainder(truth: TruthModel, data: SurvivalDataset, fi
     reduces to r_n3 + r_n4.  The truth's ``q`` and ``A0`` are read in one
     query at the window grid.
     """
-    grid, bracket = _window_grid(fixed, data, M)
-    f_grid, f_edges = _path_values(truth, data, grid, bracket, [0, *range(2, 2 + truth.p)])
-    mean_xi = _xi_truth_mean(data, truth, grid, bracket, f_grid[:, :1], f_edges[:, :1])
+    win = _window(truth, data, ("q", "A0"), *_window_grid(fixed, data, M))
+    mean_xi = _xi_truth_mean(data, truth, win)
     beta_hat = truth.beta0
     if truth.p:
         fit = fit_mple(data, init=truth.beta0)
         if not fit.converged:
             return None
         beta_hat = fit.beta_hat
-    _, _, r_n = _linearization_remainder(data, truth, grid, bracket[1], beta_hat, mean_xi,
-                                         f_grid[:, 1:])
+    _, _, r_n = _linearization_remainder(data, truth, win, beta_hat, mean_xi)
     return [np.max(np.abs(r_n)), np.max(np.abs(mean_xi))]
 
 

@@ -266,20 +266,13 @@ def xi_truth_mean(data: SurvivalDataset, truth: TruthModel, x_grid) -> np.ndarra
     so the grid may reach beyond it.  Raises ``ValueError`` when an event lies
     where the population risk mass vanishes.
     """
-    grid = _as_grid(x_grid)
-    bracket = _bracket(data.sorted_view, grid)
-    q = _path_values(truth, data, grid, bracket, [0])
-    return _xi_truth_mean(data, truth, grid, bracket, *q)
+    return _xi_truth_mean(data, truth, _window(truth, data, ("q",), _as_grid(x_grid)))
 
 
-def _xi_truth_mean(data: SurvivalDataset, truth: TruthModel, grid: np.ndarray, bracket,
-                   q_grid: np.ndarray, q_edges: np.ndarray):
-    """:func:`xi_truth_mean` on a grid with its :func:`_bracket` ``(left, right)``,
-    given ``q`` at the grid and the edges (:func:`_path_values` of column 0)."""
-    left, right = bracket
-    agg = build_aggregates(data, truth.beta0)
-    (i_v,) = _risk_integrals(agg, grid, left, q_grid, q_edges, [0])
-    return _event_weight_means(data, truth, right) - i_v
+def _xi_truth_mean(data: SurvivalDataset, truth: TruthModel, win: _Window) -> np.ndarray:
+    """:func:`xi_truth_mean` on a window that holds ``q``."""
+    i_v = _risk_integrals(build_aggregates(data, truth.beta0), win)["q"]
+    return _event_weight_means(data, truth, win.right) - i_v
 
 
 def xi_plugin(data: SurvivalDataset, fit: CoxFit | None, x_grid) -> InfluenceMatrix:
@@ -428,111 +421,112 @@ def variance_estimate(
 # Exact decomposition of the centered estimate
 
 
-def _path_values(truth: TruthModel, data: SurvivalDataset, grid: np.ndarray, bracket,
-                 columns: list):
-    """``(f_grid, f_edges)``: the truth's path integrals ``columns`` at the grid
-    and at the edges of :func:`_risk_integrals`' pieces, one row per point,
-    from one query.
+@dataclass(frozen=True)
+class _Window:
+    """A grid, its :func:`_bracket` halves ``left`` and ``right``, and the
+    truth's path integrals the caller named (``q``, ``H_uc``, ``A0``), by
+    name: ``at_grid[name]`` at the grid and ``at_edges[name]`` at the edges
+    of :func:`_risk_integrals`' pieces, one row per point."""
+
+    grid: np.ndarray
+    left: np.ndarray
+    right: np.ndarray
+    at_grid: dict
+    at_edges: dict
+
+
+def _window(truth: TruthModel, data: SurvivalDataset, names, grid: np.ndarray,
+            bracket=None) -> _Window:
+    """The :class:`_Window` of ``grid`` holding the path integrals ``names``,
+    from one query; ``bracket`` is the grid's :func:`_bracket`, searched when
+    not given (a :func:`_window_grid` comes with its own).
 
     The edges are 0, the distinct follow-up times before the grid maximum's
-    piece (``left`` of the grid's :func:`_bracket`) and the grid maximum.
-    Every edge of a strictly increasing grid that holds those distinct times,
-    such as a :func:`_window_grid`, is a grid point, and every path integral
-    is exactly 0.0 at 0, so such a grid is queried alone and its edges are
-    read off it; any other grid is queried at the distinct points of the
-    grid and the edges.  A value depends on its point alone
-    (:class:`~breslow_lab.quadrature.PanelAntiderivative`), so each is the
-    one a query of that point alone would give.
+    piece (``left``) and the grid maximum.  A strictly increasing grid that
+    holds those times, such as a :func:`_window_grid`, holds every edge (each
+    path integral is exactly 0.0 at 0), so it is queried alone and its edges
+    are read off it; any other grid is queried at the distinct points of the
+    grid and the edges.  Each value is the one a query of its point alone
+    would give (:class:`~breslow_lab.quadrature.PanelAntiderivative`).
     """
-    left, right = bracket
+    left, right = _bracket(data.sorted_view, grid) if bracket is None else bracket
+    blocks = {"q": [0], "H_uc": [1], "A0": list(range(2, 2 + truth.p))}
+    columns = [c for name in names for c in blocks[name]]
     cut = int(left.max()) + 1
     # The grid points that are distinct follow-up times, in grid order.
     at = np.flatnonzero(right > left)[: cut - 1]
     if np.all(grid[1:] > grid[:-1]) and np.array_equal(left[at], np.arange(cut - 1)):
         f_grid = truth.path_integrals(grid, columns)
-        return f_grid, np.concatenate([np.zeros((1, len(columns))), f_grid[at], f_grid[-1:]])
-    dt = data.sorted_view.distinct_times
-    edges = np.concatenate([[0.0], dt[: cut - 1], [float(grid.max())]])
-    points, inverse = np.unique(np.concatenate([edges, grid]), return_inverse=True)
-    # Column-major, as a query's own result: the product with the A0
-    # columns rounds differently on a row-major array.
-    values = np.asfortranarray(truth.path_integrals(points, columns)[inverse])
-    return values[cut + 1 :], values[: cut + 1]
+        f_edges = np.concatenate([np.zeros((1, len(columns))), f_grid[at], f_grid[-1:]])
+    else:
+        dt = data.sorted_view.distinct_times
+        edges = np.concatenate([[0.0], dt[: cut - 1], [float(grid.max())]])
+        points, inverse = np.unique(np.concatenate([edges, grid]), return_inverse=True)
+        # Column-major, as a query's own result: the product with the A0
+        # columns rounds differently on a row-major array.
+        values = np.asfortranarray(truth.path_integrals(points, columns)[inverse])
+        f_grid, f_edges = values[cut + 1 :], values[: cut + 1]
+    at_grid, at_edges, k = {}, {}, 0
+    for name in names:
+        pick = slice(k, k + truth.p) if name == "A0" else k
+        at_grid[name], at_edges[name] = f_grid[:, pick], f_edges[:, pick]
+        k += len(blocks[name])
+    return _Window(grid, left, right, at_grid, at_edges)
 
 
-def _risk_integrals(agg: RiskAggregates, grid: np.ndarray, left: np.ndarray,
-                    f_grid: np.ndarray, f_edges: np.ndarray, columns: list) -> list:
-    """``int_0^x g dF`` on the grid for each of the truth's path integrals ``columns``.
+def _risk_integrals(agg: RiskAggregates, win: _Window) -> dict:
+    """``int_0^x g dF`` on the window's grid for each of its path integrals
+    ``q`` and ``H_uc``, by name: ``q`` against ``g = Phi_n`` of ``agg``,
+    ``H_uc`` against ``1/Phi_n``.
 
-    Column 0 (``q``) is integrated against ``g = Phi_n`` of ``agg``, column 1
-    (``H_uc``) against ``1/Phi_n``.  ``Phi_n`` is ``v[j]`` on ``(edges[j],
-    edges[j + 1]]``, pieces between consecutive distinct follow-up times up
-    to the grid maximum, with mass 0 past the last one; a grid point ``x >
-    0`` lies in piece ``left``, its bracket.  Exact as a sum of
-    antiderivative differences, read off ``f_grid`` and ``f_edges``, the
-    columns at the grid and the edges (:func:`_path_values`); each column is
-    summed alone, bitwise as if asked alone.
+    ``Phi_n`` is ``v[j]`` on ``(edges[j], edges[j + 1]]``, pieces between
+    consecutive distinct follow-up times up to the grid maximum, with mass 0
+    past the last one; a grid point ``x > 0`` lies in piece ``left``, its
+    bracket.  Exact as a sum of antiderivative differences, read off the
+    values at the grid and the edges; each integral is summed alone, bitwise
+    as if asked alone.
     """
+    left = win.left
     cut = int(left.max()) + 1
     v = np.append(to_raw_scale(agg.s0[:cut] / agg.n, agg.log_scale), 0.0)[:cut]
-    out = []
-    for k, column in enumerate(columns):
-        g = v if column == 0 else 1.0 / v
-        f = f_edges[:, k]
+    out = {}
+    for name in (n for n in ("q", "H_uc") if n in win.at_grid):
+        g = v if name == "q" else 1.0 / v
+        f = win.at_edges[name]
         prefix = np.concatenate([[0.0], np.cumsum(g * np.diff(f))])
         # prefix[left] + g[left] (f_grid - f[left]), built in place so that
         # fewer grid-sized temporaries are alive at once.
-        integral = f_grid[:, k] - f[left]
+        integral = win.at_grid[name] - f[left]
         integral *= g[left]
         integral += prefix[left]
-        np.copyto(integral, 0.0, where=grid == 0)
-        out.append(integral)
+        np.copyto(integral, 0.0, where=win.grid == 0)
+        out[name] = integral
     return out
 
 
-def _t2_parts(data: SurvivalDataset, truth: TruthModel, grid: np.ndarray, bracket,
-              f_grid: np.ndarray, f_edges: np.ndarray, columns: list):
+def _t2_parts(data: SurvivalDataset, truth: TruthModel, win: _Window):
     """``(haz_n0, s_phi, lam0, integrals, r_n3)``: Breslow estimate at ``beta0``,
-    event-weight means, ``cum_haz_0``, :func:`_risk_integrals` of ``columns`` (the
-    last is 1, ``H_uc``, read by ``r_n3``) from their values ``f_grid`` and
-    ``f_edges``, all indexed off the grid's :func:`_bracket` ``(left, right)``;
-    the grid ends by the last follow-up time (:func:`_supported_grid`,
+    event-weight means, ``cum_haz_0`` and :func:`_risk_integrals` on the
+    window's grid, and ``r_n3``, which reads ``H_uc`` alone; the window must
+    hold ``H_uc`` and end by the last follow-up time (:func:`_supported_grid`,
     :func:`_window_grid`)."""
     agg = build_aggregates(data, truth.beta0)
-    left, right = bracket
-    integrals = _risk_integrals(agg, grid, left, f_grid, f_edges, columns)
-    lam0 = truth.cum_hazard0(grid)
-    s_phi = _event_weight_means(data, truth, right)
-    haz_n0 = _cum_hazard(data, agg)[right]
-    return haz_n0, s_phi, lam0, integrals, (haz_n0 - s_phi) - (integrals[-1] - lam0)
+    integrals = _risk_integrals(agg, win)
+    lam0 = truth.cum_hazard0(win.grid)
+    s_phi = _event_weight_means(data, truth, win.right)
+    haz_n0 = _cum_hazard(data, agg)[win.right]
+    return haz_n0, s_phi, lam0, integrals, (haz_n0 - s_phi) - (integrals["H_uc"] - lam0)
 
 
-def _coupling_remainder(data: SurvivalDataset, truth: TruthModel, grid: np.ndarray,
-                        bracket):
-    """``r_n3`` alone: bitwise that of :func:`_t2_terms`, but reads neither
-    ``q`` nor the risk table's moment columns; ``bracket`` as in :func:`_t2_parts`."""
-    h_uc = _path_values(truth, data, grid, bracket, [1])
-    return _t2_parts(data, truth, grid, bracket, *h_uc, [1])[-1]
+def _t2_terms(data: SurvivalDataset, truth: TruthModel, win: _Window) -> dict:
+    """Terms of the split of cum_haz_n(beta0, x) - cum_haz_0(x) on a window
+    that holds ``q`` and ``H_uc``.
 
-
-def _t2_terms(data: SurvivalDataset, truth: TruthModel, grid: np.ndarray, bracket) -> dict:
-    """Terms of the split of cum_haz_n(beta0, x) - cum_haz_0(x).
-
-    The truth path integrals ``q`` and ``H_uc`` are read together, once per
-    distinct query point.  Also returns ``mean_xi = b_n + c_n = s_phi -
-    I_v``, bitwise the value of :func:`xi_truth_mean`; ``bracket`` as in
-    :func:`_t2_parts`.
+    Also returns ``mean_xi = b_n + c_n = s_phi - I_v``, bitwise the value of
+    :func:`xi_truth_mean`.
     """
-    paths = _path_values(truth, data, grid, bracket, [0, 1])
-    return _t2_split(data, truth, grid, bracket, *paths)
-
-
-def _t2_split(data: SurvivalDataset, truth: TruthModel, grid: np.ndarray, bracket,
-              f_grid: np.ndarray, f_edges: np.ndarray) -> dict:
-    """:func:`_t2_terms` from ``q`` and ``H_uc`` at the grid and the edges
-    (:func:`_path_values` of columns ``[0, 1]``)."""
-    haz_n0, s_phi, lam0, (i_v, i_inv), r_n3 = _t2_parts(data, truth, grid, bracket,
-                                                        f_grid, f_edges, [0, 1])
+    haz_n0, s_phi, lam0, integrals, r_n3 = _t2_parts(data, truth, win)
+    i_v, i_inv = integrals["q"], integrals["H_uc"]
     return {
         "haz_n_beta0": haz_n0,
         "t_n2": haz_n0 - lam0,
@@ -544,19 +538,19 @@ def _t2_split(data: SurvivalDataset, truth: TruthModel, grid: np.ndarray, bracke
     }
 
 
-def _linearization_remainder(data: SurvivalDataset, truth: TruthModel, grid: np.ndarray,
-                             right: np.ndarray, beta_hat: np.ndarray, mean_xi: np.ndarray,
-                             a0: np.ndarray):
-    """``(haz_hat, beta_term, r_n)`` on ``grid`` at coefficients ``beta_hat``.
+def _linearization_remainder(data: SurvivalDataset, truth: TruthModel, win: _Window,
+                             beta_hat: np.ndarray, mean_xi: np.ndarray):
+    """``(haz_hat, beta_term, r_n)`` on the window's grid at ``beta_hat``.
 
-    ``haz_hat`` is the Breslow estimate at ``beta_hat``, read at ``right``,
-    the second half of the grid's :func:`_bracket`; ``mean_xi`` is the
-    truth-mode mean influence on ``grid`` (:func:`xi_truth_mean`) and ``a0``
-    the truth's ``A0`` there (g-by-p), ``beta_term = -(beta_hat - beta0)'
-    A0`` and ``r_n = (haz_hat - haz_0) - mean_xi - beta_term``.
+    ``haz_hat`` is the Breslow estimate at ``beta_hat``; ``mean_xi`` is the
+    truth-mode mean influence on the grid (:func:`xi_truth_mean`),
+    ``beta_term = -(beta_hat - beta0)' A0`` with the window's ``A0`` and
+    ``r_n = (haz_hat - haz_0) - mean_xi - beta_term``.
     """
-    haz_hat = _cum_hazard(data, build_aggregates(data, beta_hat))[right]
-    beta_term = -a0 @ (beta_hat - truth.beta0) if truth.p else np.zeros(grid.size)
+    grid = win.grid
+    haz_hat = _cum_hazard(data, build_aggregates(data, beta_hat))[win.right]
+    beta_term = (-win.at_grid["A0"] @ (beta_hat - truth.beta0) if truth.p
+                 else np.zeros(grid.size))
     r_n = (haz_hat - truth.cum_hazard0(grid)) - mean_xi - beta_term
     return haz_hat, beta_term, r_n
 
@@ -580,12 +574,10 @@ def remainder_decomposition(
     if beta_hat is None:
         beta_hat = _fitted_beta(data, fit)
     beta_hat = np.atleast_1d(np.asarray(beta_hat, dtype=float))
-    bracket = _bracket(data.sorted_view, grid)
-    # q, H_uc and A0 in one query.
-    f_grid, f_edges = _path_values(truth, data, grid, bracket, list(range(2 + truth.p)))
-    arrays = _t2_split(data, truth, grid, bracket, f_grid[:, :2], f_edges[:, :2])
+    win = _window(truth, data, ("q", "H_uc", "A0"), grid)
+    arrays = _t2_terms(data, truth, win)
     haz_hat, arrays["beta_term"], arrays["r_n"] = _linearization_remainder(
-        data, truth, grid, bracket[1], beta_hat, arrays["mean_xi"], f_grid[:, 2:])
+        data, truth, win, beta_hat, arrays["mean_xi"])
     arrays["t_n1"] = haz_hat - arrays.pop("haz_n_beta0")
     sup_norms = {name: float(np.max(np.abs(val))) for name, val in arrays.items()}
     return DecompositionReport(grid=grid, sup_norms=sup_norms, beta_hat=beta_hat,

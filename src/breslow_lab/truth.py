@@ -238,7 +238,12 @@ class TruthModel:
         return np.exp(-lam[:, None] * self._atom_factor[None, :])
 
     def phi(self, x):
-        """Population weighted risk mass Phi(beta0, x) = E[{T>=x} e^{beta0'Z}]."""
+        """Population weighted risk mass Phi(beta0, x) = E[{T>=x} e^{beta0'Z}].
+
+        On the reference and no-covariate designs a point's value does not
+        depend on the other points of the call.  On a design with many atoms,
+        such as the analysis benchmark's 8,192-atom p = 3 design, it does: the
+        BLAS product over the atoms rounds a point differently in other company."""
         x_arr = np.atleast_1d(np.asarray(x, dtype=float))
         out = self.censor_survival(x_arr) * (self._atom_survival(x_arr) @ self._atom_coef)
         return out if np.asarray(x).ndim else float(out[0])

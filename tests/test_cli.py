@@ -741,11 +741,12 @@ class TestColdStart:
     def test_import_loads_no_scipy(self):
         assert scipy_modules_imported("-c", "import breslow_lab") == []
 
-    def test_rate_lab_loads_no_masked_arrays(self, tmp_path):
-        # numpy's row-wise nanmedian goes through numpy.ma; loaded at the end
-        # of the first run, its modules would land among the run's arrays.
+    @pytest.mark.parametrize("claim", ["lemma1", "lemma2", "theorem"])
+    def test_rate_lab_loads_no_masked_arrays(self, tmp_path, claim):
+        # numpy's row-wise nanmedian and np.unique go through numpy.ma; loaded
+        # mid-run, its modules would land among the run's arrays.
         names = modules_imported(
-            "-m", "breslow_lab.cli", "rate-lab", "--claim", "theorem", "--n", "50,100",
+            "-m", "breslow_lab.cli", "rate-lab", "--claim", claim, "--n", "50,100",
             "--reps", "2", "--seed", "0", "--truth", "reference", "--output-dir", str(tmp_path),
         )
         assert "numpy.ma" not in names

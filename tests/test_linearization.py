@@ -25,7 +25,7 @@ from breslow_lab import (
     xi_truth_mean,
 )
 from breslow_lab.experiments import replication_seed
-from breslow_lab.linearize import _bracket, _t2_terms
+from breslow_lab.linearize import _t2_terms, _window
 from breslow_lab.quadrature import PanelAntiderivative
 
 from oracles import quad_expectation, quad_piecewise, xi_truth_value
@@ -362,7 +362,7 @@ class TestDecomposition:
         data = generate_dataset(ref_truth, 12, 58)
         agg = build_aggregates(data, ref_truth.beta0)
         grid = np.array([0.4, 0.9, 1.3])
-        terms = _t2_terms(data, ref_truth, grid, _bracket(data.sorted_view, grid))
+        terms = _t2_terms(data, ref_truth, _window(ref_truth, data, ("q", "H_uc"), grid))
         breaks = data.times.tolist()
 
         def phi_emp(u):

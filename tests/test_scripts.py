@@ -87,3 +87,17 @@ def test_paired_ops_csv_mode_tree_against_itself(tmp_path):
     ratio = report["ratio_change_over_parent"]
     assert 0 < ratio["q1"] <= ratio["median"] <= ratio["q3"]
     assert not list(tmp_path.iterdir())
+
+
+def test_paired_ops_analysis_mode_tree_against_itself(tmp_path):
+    src = str(SCRIPTS.parent / "src")
+    proc = run_script("paired_ops.py", src, src, "--analysis", "--ops", "3", cwd=tmp_path)
+    assert proc.returncode == 0, proc.stderr
+    report = json.loads(proc.stdout)
+    assert report["command"].startswith("analysis op ")
+    assert report["artifacts_identical"] and report["mismatched_op_seeds"] == []
+    ratio = report["ratio_change_over_parent"]
+    assert 0 < ratio["q1"] <= ratio["median"] <= ratio["q3"]
+    assert not list(tmp_path.iterdir())
+    proc = run_script("paired_ops.py", src, src, "--analysis", "--csv", cwd=tmp_path)
+    assert proc.returncode == 2 and "not allowed with argument" in proc.stderr

@@ -1,9 +1,9 @@
 """One bracket per truth-functional query set.
 
-``_t2_terms``, ``xi_truth_mean`` and the rate lab's ``_coupling_remainder``
-bracket a grid once against the distinct follow-up times, derive every other
-index from that bracket, and evaluate each truth antiderivative once per
-distinct point.  They must agree bitwise
+``_t2_terms``, ``xi_truth_mean`` and the rate lab's ``r_n3`` (``_t2_parts``)
+bracket a grid once against the distinct follow-up times in its ``_window``,
+derive every other index from that bracket, and evaluate each truth
+antiderivative once per distinct point.  They must agree bitwise
 with the reference bookkeeping of ``tests/oracles.py`` (one search per
 index, every antiderivative at every edge and grid point), and no
 antiderivative may see the same point twice in one call.
@@ -14,7 +14,7 @@ import pytest
 
 from breslow_lab import SurvivalDataset, generate_dataset, reference_truth, xi_truth_mean
 from breslow_lab.experiments import _eval_grid
-from breslow_lab.linearize import _bracket, _coupling_remainder, _t2_terms, _window_grid
+from breslow_lab.linearize import _t2_parts, _t2_terms, _window, _window_grid
 from breslow_lab.quadrature import PanelAntiderivative
 
 from oracles import reference_t2_terms, reference_xi_truth_mean
@@ -89,7 +89,7 @@ def _case(truth, tie, name):
 @pytest.mark.parametrize("tie,name", _cases())
 def test_t2_terms_bitwise_equal_to_reference(truth, tie, name):
     data, grid = _case(truth, tie, name)
-    got = _t2_terms(data, truth, grid, _bracket(data.sorted_view, grid))
+    got = _t2_terms(data, truth, _window(truth, data, ("q", "H_uc"), grid))
     want = reference_t2_terms(data, truth, grid)
     assert got.keys() == want.keys()
     for key in want:
@@ -102,11 +102,10 @@ def test_coupling_remainder_bitwise_equal_to_reference(truth, tie, name):
     # H_uc together.  Neither choice may move a bit of r_n3 or mean_xi.
     data, grid = _case(truth, tie, name)
     want = reference_t2_terms(data, truth, grid)["r_n3"]
-    bracket = _bracket(data.sorted_view, grid)
-    assert _coupling_remainder(data, truth, grid, bracket).tobytes() == want.tobytes()
-    assert _t2_terms(data, truth, grid, bracket)["mean_xi"].tobytes() == (
-        xi_truth_mean(data, truth, grid).tobytes()
-    )
+    *_, r_n3 = _t2_parts(data, truth, _window(truth, data, ("H_uc",), grid))
+    assert r_n3.tobytes() == want.tobytes()
+    terms = _t2_terms(data, truth, _window(truth, data, ("q", "H_uc"), grid))
+    assert terms["mean_xi"].tobytes() == xi_truth_mean(data, truth, grid).tobytes()
 
 
 @pytest.mark.parametrize("tie,name", _cases())
@@ -147,11 +146,15 @@ def query_log(monkeypatch):
 @pytest.mark.parametrize("name", ["duplicates", "experiment grid", "refined experiment grid"])
 def test_each_distinct_point_evaluated_at_most_once(truth, query_log, tie, name):
     data, grid = _case(truth, tie, name)
-    bracket = (_bracket(data.sorted_view, grid),)
-    for fn, more in ((_t2_terms, bracket), (xi_truth_mean, ()), (_coupling_remainder, bracket)):
+    calls = {
+        "_t2_terms": lambda: _t2_terms(data, truth, _window(truth, data, ("q", "H_uc"), grid)),
+        "xi_truth_mean": lambda: xi_truth_mean(data, truth, grid),
+        "r_n3": lambda: _t2_parts(data, truth, _window(truth, data, ("H_uc",), grid)),
+    }
+    for label, call in calls.items():
         query_log.clear()
-        fn(data, truth, grid, *more)
-        assert query_log, fn.__name__
+        call()
+        assert query_log, label
         for queries in query_log.values():
             points = np.concatenate(queries)
-            assert np.unique(points).size == points.size, fn.__name__
+            assert np.unique(points).size == points.size, label

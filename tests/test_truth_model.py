@@ -107,6 +107,19 @@ def test_default_m_is_the_last_float_at_the_floor(make_truth, floor):
     assert truth.phi(m) >= floor > truth.phi(np.nextafter(m, np.inf))
 
 
+@pytest.mark.parametrize("make_truth", [reference_truth, no_covariate_truth])
+def test_phi_is_batch_independent_on_the_rate_lab_designs(make_truth):
+    # _event_weight_means reads phi at the event rows alone and default_M
+    # bisects on scalar calls: both need the value a batch of all points gives.
+    truth = make_truth()
+    rng = np.random.default_rng(31)
+    x = np.sort(rng.uniform(0.0, truth.censor_upper, 2000))
+    batch = truth.phi(x)
+    mask = rng.random(x.size) < 0.5
+    assert truth.phi(x[mask]).tobytes() == batch[mask].tobytes()
+    assert np.array([truth.phi(v) for v in x]).tobytes() == batch.tobytes()
+
+
 @pytest.mark.parametrize("floor", [math.nan, -math.inf, math.inf])
 def test_default_m_rejects_a_floor_that_is_not_finite(ref_truth, floor):
     # Every ``phi >= nan`` test is false, so a bisection would return M = 0.
