@@ -28,13 +28,19 @@ Prints one JSON object: the median change/parent op-time ratio with its
 quartiles, each side's median op time and minor page faults per op
 (``getrusage``), and whether every op's artifacts were byte-identical between
 the trees: every file ``rate-lab`` wrote, the CSV file ``save_csv`` wrote
-and the bytes of the arrays ``load_csv`` read back, or the bytes of the
-analysis op's coefficients, log-likelihood, information, both Breslow curves,
-``A_n`` and both variance curves.
+and the arrays ``load_csv`` read back, or the analysis op's coefficients,
+log-likelihood, information, both Breslow curves, ``A_n`` and both variance
+curves.  When they were not, ``max_rel_diff`` sizes the change in one run:
+for every artifact array, CSV column (``file:column``) or JSON file (all its
+numbers in document order) that differed in some op, the largest
+``|change - parent| / max(|change|, |parent|)`` over those ops, or null where
+the two sides do not compare as numbers (a column that does not parse, a
+changed shape or a file on one side only).
 """
 
 import argparse
 import contextlib
+import csv
 import importlib
 import importlib.util
 import io
@@ -89,6 +95,79 @@ def timed(call):
     return seconds, resource.getrusage(resource.RUSAGE_SELF).ru_minflt - faults, result
 
 
+def artifact_bytes(value) -> bytes:
+    """The bytes two sides must share: an array's dtype, shape and data, or a
+    file's contents."""
+    if isinstance(value, np.ndarray):
+        return f"{value.dtype.str}{value.shape}".encode() + value.tobytes()
+    return value
+
+
+def json_numbers(node):
+    """The numbers of a parsed JSON document, in document order."""
+    if isinstance(node, dict):
+        node = list(node.values())
+    if isinstance(node, list):
+        for item in node:
+            yield from json_numbers(item)
+    elif isinstance(node, (int, float)) and not isinstance(node, bool):
+        yield float(node)
+
+
+def numeric_columns(name: str, value) -> dict:
+    """``{label: float array or None}`` of one artifact: an array as itself, a
+    CSV file column by column (``file:column``), a JSON file as all its
+    numbers; None where the contents do not parse as numbers."""
+    if isinstance(value, np.ndarray):
+        return {name: value.astype(float).ravel()}
+    try:
+        text = value.decode()
+        if name.endswith(".json"):
+            return {name: np.array(list(json_numbers(json.loads(text))))}
+        if not name.endswith(".csv"):
+            return {name: None}
+        header, *rows = csv.reader(io.StringIO(text))
+    except (UnicodeDecodeError, ValueError):
+        return {name: None}
+    columns = {}
+    for j, column in enumerate(header):
+        try:
+            columns[f"{name}:{column}"] = np.array([float(row[j]) for row in rows])
+        except (ValueError, IndexError):
+            columns[f"{name}:{column}"] = None
+    return columns
+
+
+def relative_differences(parent: dict, change: dict) -> dict:
+    """``{label: largest relative difference or None}`` over the artifacts of
+    one op whose bytes differ: the labels whose numbers differ, or the
+    artifact's name with 0.0 when only its bytes do.  Empty when every
+    artifact is byte-identical."""
+    out = {}
+    for name in sorted(parent.keys() | change.keys()):
+        if not (name in parent and name in change):
+            out[name] = None
+            continue
+        sides = parent[name], change[name]
+        if artifact_bytes(sides[0]) == artifact_bytes(sides[1]):
+            continue
+        a_cols, b_cols = (numeric_columns(name, side) for side in sides)
+        found = {}
+        for label in sorted(a_cols.keys() | b_cols.keys()):
+            a, b = a_cols.get(label), b_cols.get(label)
+            if a is None or b is None or a.shape != b.shape:
+                found[label] = None
+                continue
+            with np.errstate(invalid="ignore", divide="ignore"):
+                rel = np.abs(a - b) / np.maximum(np.abs(a), np.abs(b))
+            rel[(a == b) | (np.isnan(a) & np.isnan(b))] = 0.0
+            worst = float(np.max(rel, initial=0.0))
+            if worst:
+                found[label] = None if np.isnan(worst) else worst
+        out.update(found or {name: 0.0})
+    return out
+
+
 def run_op(cli, argv, out: Path):
     """``(seconds, minor faults, {file: bytes})`` of one ``cli.main`` call."""
     with contextlib.redirect_stdout(io.StringIO()):
@@ -111,8 +190,8 @@ def analysis_arrays(seed: int):
 
 
 def run_csv_op(package, arrays, out: Path):
-    """``(seconds, minor faults, {name: bytes})`` of one ``save_csv`` and one
-    ``load_csv`` of ``arrays``: the file and each array read back."""
+    """``(seconds, minor faults, {name: artifact})`` of one ``save_csv`` and
+    one ``load_csv`` of ``arrays``: the file's bytes and each array read back."""
     data = package.SurvivalDataset(*arrays)
     out.mkdir()
     path = out / "data.csv"
@@ -124,13 +203,12 @@ def run_csv_op(package, arrays, out: Path):
     seconds, faults, back = timed(round_trip)
     files = {path.name: path.read_bytes()}
     for name in ("times", "events", "covariates"):
-        array = getattr(back, name)
-        files[name] = f"{array.dtype.str}{array.shape}".encode() + array.tobytes()
+        files[name] = getattr(back, name)
     return seconds, faults, files
 
 
 def run_analysis_op(package, arrays):
-    """``(seconds, minor faults, {name: bytes})`` of one analysis op on
+    """``(seconds, minor faults, {name: array})`` of one analysis op on
     ``arrays`` (see the module docstring); raises ``SystemExit`` when the fit
     does not converge or the two Breslow forms disagree."""
 
@@ -156,7 +234,7 @@ def run_analysis_op(package, arrays):
         raise SystemExit(f"Breslow forms disagree: relative gap {gap:.3e}")
     arrays_out = {
         "beta_hat": fit.beta_hat,
-        "log_partial_likelihood": np.float64(fit.log_partial_likelihood),
+        "log_partial_likelihood": np.array(fit.log_partial_likelihood),
         "information": fit.information,
         "breslow_traditional": trad.curve.cumulative_values,
         "breslow_plugin": plug.curve.cumulative_values,
@@ -165,7 +243,7 @@ def run_analysis_op(package, arrays):
         "variance_total": curves.total,
         "variance_xi_only": curves.xi_only,
     }
-    return seconds, faults, {name: a.tobytes() for name, a in arrays_out.items()}
+    return seconds, faults, arrays_out
 
 
 def quartiles(values):
@@ -221,6 +299,7 @@ def main(argv=None) -> int:
     times = {side: [] for side in packages}
     faults = {side: [] for side in packages}
     mismatched = []
+    max_rel_diff = {}
     with tempfile.TemporaryDirectory() as tmp:
         for side in packages:
             op(side, 0, Path(tmp, f"warm-{side}"))
@@ -231,8 +310,12 @@ def main(argv=None) -> int:
                 seconds, op_faults, files[side] = op(side, k, Path(tmp, f"op{k}-{side}"))
                 times[side].append(seconds)
                 faults[side].append(op_faults)
-            if files["parent"] != files["change"]:
+            diffs = relative_differences(files["parent"], files["change"])
+            if diffs:
                 mismatched.append(k)
+            for label, diff in diffs.items():
+                known = max_rel_diff.get(label, 0.0)
+                max_rel_diff[label] = None if None in (known, diff) else max(known, diff)
     ratios = [c / p for c, p in zip(times["change"], times["parent"])]
     report = {
         "command": command,
@@ -243,6 +326,8 @@ def main(argv=None) -> int:
         "artifacts_identical": not mismatched,
         "mismatched_op_seeds": mismatched,
     }
+    if mismatched:
+        report["max_rel_diff"] = dict(sorted(max_rel_diff.items()))
     print(json.dumps(report, indent=1))
     return 0
 

@@ -173,8 +173,8 @@ def cmd_breslow(args) -> int:
     if rel > 1e-10:
         print(f"estimator forms disagree: relative error {rel:.3e}", file=sys.stderr)
         return EXIT_SELF_CHECK
-    # Before any write: A_n reads the moment columns, which can overflow
-    # where the Breslow curve does not.
+    # Before any write: A_n reads the moment pass (s1 and the Gram matrix),
+    # which can overflow where the Breslow curve does not.
     a_curve = breslow_mod.a_n_curve(data, beta)
     out = _out_dir(args)
     write_csv(out / "breslow.csv", ["x", "cum_hazard"],

@@ -78,31 +78,43 @@ def score_and_information(data: SurvivalDataset, beta):
     """Score vector and observed information of the log partial likelihood.
 
     Returns ``(U, I)`` with ``U = sum_events (Z_i - s1/s0)`` and
-    ``I = sum_events (s2/s0 - (s1/s0)(s1/s0)')`` evaluated at the event
-    times.  ``I`` is symmetric positive semidefinite.  Read off the risk
-    table at ``beta``, which the fitter's last trial point has already built.
+    ``I = sum_k d_k (s2_k/s0_k - m_k m_k')``, ``m = s1/s0``, over the
+    distinct times ``t_k`` with ``d_k`` events each (Breslow ties: the events
+    at ``t_k`` share its full risk set).  ``I`` is symmetric positive
+    semidefinite.  Read off the risk table at ``beta``, which the fitter's
+    last trial point has already built.
+
+    The second-moment part needs no per-time ``s2``.  With ``w_j =
+    exp(beta'Zc_j)`` and ``s2_k = sum_{T_j >= t_k} w_j Zc_j Zc_j'``, swapping
+    the two sums gives
+
+        sum_k d_k s2_k / s0_k = sum_j w_j Zc_j Zc_j' sum_{t_k <= T_j} d_k / s0_k
+                              = sum_j w_j L(T_j) Zc_j Zc_j',
+
+    where ``L(t) = sum_{t_k <= t} d_k / s0_k`` is Breslow's cumulative hazard
+    on the centered scale (the counting-process form of Andersen & Gill,
+    Ann. Statist. 1982).  Ties change nothing in the swap: subject ``j`` is in
+    the risk set of every ``t_k <= T_j``, its own time included, so ``L(T_j)``
+    holds the whole jump ``d_k / s0_k`` of the events tied at ``T_j``, as the
+    weak inequality ``T_j >= t_k`` of ``s2_k`` asks.  So ``I = Zc' diag(w L)
+    Zc - (d m)' m``: the table's ``gram`` less one p-by-p product, made
+    exactly symmetric by mirroring its upper triangle.
     """
     if data.covariate_dim == 0:
         raise ValueError("score requires at least one covariate")
     agg = build_aggregates(data, beta)
     sv = data.sorted_view
-    s0 = agg.s0[:, None]
-    means = agg.s1 / s0
-    d = sv.event_counts[:, None]
-    p = data.covariate_dim
-    iu, ju = _upper_pairs(p)
+    means = agg.s1 / agg.s0[:, None]
+    d_means = sv.event_counts[:, None] * means
     # Per-event-time terms are O(1); one compensated total per column keeps
     # the score's floating-point floor far below the 1e-10 convergence
     # tolerance even at n = 1e5 (a single big-sum difference would drown it
     # in cancellation).
-    terms = np.column_stack([
-        sv.event_cov_sums - d * means,
-        d * (agg.s2[:, iu, ju] / s0 - means[:, iu] * means[:, ju]),
-    ])
-    totals = _running_sums(terms, -1)
-    info = np.empty((p, p))
-    info[iu, ju] = info[ju, iu] = totals[p:]
-    return totals[:p], info
+    score = _running_sums(sv.event_cov_sums - d_means, -1)
+    info = agg.gram - d_means.T @ means
+    iu, ju = _upper_pairs(data.covariate_dim)
+    info[ju, iu] = info[iu, ju]
+    return score, info
 
 
 def _trial(data: SurvivalDataset, beta) -> float:
@@ -115,11 +127,11 @@ def _trial(data: SurvivalDataset, beta) -> float:
 
 
 def _moments_fit(data: SurvivalDataset, beta) -> RiskAggregates | None:
-    # Moment columns are built only for a point the search takes: its score
-    # reads them.  The point's table, or None when they leave float64.
+    # The moment pass runs only for a point the search takes: its score and
+    # information read it.  The point's table, or None when it leaves float64.
     try:
         agg = build_aggregates(data, beta)
-        agg.s2
+        agg.gram
     except ExpOverflowError:
         return None
     return agg
@@ -249,18 +261,19 @@ def _sorted_score_residuals(data: SurvivalDataset, beta) -> np.ndarray:
     """:func:`score_residuals` with the rows in time order (``sorted_view``).
 
     The exposure is read, at each row's distinct-time index and without a
-    search, off the running sums ``[sum dL, sum zbar dL]`` (the Breslow curve
-    and ``A_n``, centered) over one risk table.
+    search, off the running sums ``sum dL`` and ``sum zbar dL`` (the Breslow
+    curve and ``A_n``, centered) over one risk table; the first is the table's
+    ``exposure``, which the information's ``gram`` reads too.
     """
     agg = build_aggregates(data, beta)
     sv = data.sorted_view
     # Centered throughout: exp(beta'Z_i) dL = exp(beta'(Z_i - means)) d / s0
     # and Z_i - zbar is unchanged by centering, so no raw-scale factor enters.
-    d_lambda, zbar = sv.event_counts / agg.s0, agg.s1 / agg.s0[:, None]
-    steps = np.column_stack([d_lambda, zbar * d_lambda[:, None]])
-    at_t = np.cumsum(steps, axis=0)[sv.group_of]
+    d_lambda, hazard = agg.exposure
+    zbar = agg.s1 / agg.s0[:, None]
+    a_n = np.cumsum(zbar * d_lambda[:, None], axis=0)[sv.group_of]
     z = sv.centered
-    exposure = agg.w[::-1, None] * (z * at_t[:, :1] - at_t[:, 1:])
+    exposure = agg.w[::-1, None] * (z * hazard[:, None] - a_n)
     # Event rows fall on the distinct times in runs of ``event_counts``.
     event_term = np.zeros_like(z)
     event_term[sv.events] = z[sv.events] - np.repeat(zbar, sv.event_counts, axis=0)

@@ -25,8 +25,18 @@ n = 1e5 keep accumulation error far below 1e-12 relative.  A running sum
 down a contiguous column is several times faster than one down a column of
 an ``(n, k)`` stack.  ``w`` is exponentiated in ascending time order and then
 reversed: numpy's exp of a reversed (strided) view rounds some entries
-differently, which would change the tables' bits.  ``s1`` and ``s2`` are
-built on first read, so a caller that reads only ``s0`` never pays for them.
+differently, which would change the tables' bits.
+
+``s1`` comes from the moment pass, run at its first read, so a caller that
+reads only ``s0`` never pays for it.  The same pass forms the one
+second-moment quantity the fit needs, the Breslow-weighted Gram matrix
+
+    gram = sum_j w_j L(T_j) Zc_j Zc_j' = sum_k d_k s2[k] / s0[k],
+
+with ``L = cumsum(d / s0)`` Breslow's cumulative hazard on the centered scale
+(see :func:`breslow_lab.coxfit.score_and_information`): one p-by-p product
+over the rows, not p(p+1)/2 running sums.  The per-time ``s2`` table is built
+only when read, by ``d2_n`` and the table oracles.
 
 A dataset keeps its last table (see :func:`build_aggregates`), so the fit and
 every post-fit estimator at the same ``beta`` share one table, as ``coxph``
@@ -41,7 +51,7 @@ from functools import cached_property, lru_cache
 
 import numpy as np
 
-from .data import SurvivalDataset
+from .data import SurvivalDataset, _SortedView
 
 # Largest exponent with a finite float64 exp().
 EXP_OVERFLOW = 709.782712893384
@@ -62,10 +72,13 @@ class RiskAggregates:
     factor that takes ``s0`` back to the raw scale.  Ratio queries (s1/s0,
     s2/s0) and everything invariant to a covariate shift never see it.
     ``w`` holds the addends ``exp(beta'(Z - means))`` in descending time
-    order; ``s1`` and ``s2`` come from one moment pass over them at the first
-    read of either.  ``spread`` is ``ptp(beta'(Z - means))``, the spread of
-    the linear predictor over the subjects.  Tables are shared between
-    callers, so ``beta``, ``w`` and the sums are read-only.
+    order; ``s1`` and the Breslow-weighted Gram matrix ``gram`` come from one
+    moment pass over them at the first read of either, and ``s2`` from its
+    own pass at its first read.  ``exposure`` is ``(dL, L)``: Breslow's
+    increments ``d_k / s0_k`` on the centered scale and their running sum read
+    at each row of the sorted view.  ``spread`` is ``ptp(beta'(Z - means))``,
+    the spread of the linear predictor over the subjects.  Tables are shared
+    between callers, so ``beta``, ``w`` and the sums are read-only.
     """
 
     beta: np.ndarray
@@ -76,16 +89,28 @@ class RiskAggregates:
     log_scale: float
     spread: float
     w: np.ndarray = field(repr=False)
-    # Moment-pass inputs besides ``w``: sorted ``Zc`` and the risk-set ends.
-    _z: np.ndarray = field(repr=False)
+    # The dataset's sorted view and the risk-set ends, read by the moment passes.
+    _view: _SortedView = field(repr=False)
     _rows: np.ndarray = field(repr=False)
 
     @cached_property
+    def exposure(self) -> tuple[np.ndarray, np.ndarray]:
+        d_lambda = self._view.event_counts / self.s0
+        at_rows = np.cumsum(d_lambda)[self._view.group_of]
+        for arr in (d_lambda, at_rows):
+            arr.setflags(write=False)
+        return d_lambda, at_rows
+
+    @cached_property
     def _moments(self) -> tuple[np.ndarray, np.ndarray]:
-        return _moment_sums(self.w, self._z, self._rows)
+        return _moment_sums(self.w, self._view.centered, self._rows, self.exposure[1])
 
     s1 = property(lambda self: self._moments[0])
-    s2 = property(lambda self: self._moments[1])
+    gram = property(lambda self: self._moments[1])
+
+    @cached_property
+    def s2(self) -> np.ndarray:
+        return _second_moments(self.w, self._view.centered, self._rows)
 
 
 def _running_sums(addends: np.ndarray, rows) -> np.ndarray:
@@ -164,8 +189,9 @@ def build_aggregates(data: SurvivalDataset, beta) -> RiskAggregates:
     above the float64 limit, or ``s0`` sums that overflow or underflow to
     zero, raise :class:`ExpOverflowError` (silent saturation would corrupt
     rate experiments); the fitter treats that as a failed trial point.  The
-    moment sums ``s1`` and ``s2`` are built at their first read, which raises
-    it when they overflow, as does every later read; the table stays kept.
+    moment pass (``s1`` and ``gram``) and ``s2`` are built at their first
+    read, which raises it when they overflow, as does every later read; the
+    table stays kept.
 
     Each dataset keeps the last table built for it, keyed by the bytes of
     ``beta``; datasets are immutable, so a call at the same ``beta`` returns
@@ -214,30 +240,47 @@ def _build_aggregates(data: SurvivalDataset, beta: np.ndarray) -> RiskAggregates
         log_scale=float(beta @ sv.means),
         spread=top - float(eta.min()),
         w=w,
-        _z=sv.centered,
+        _view=sv,
         _rows=rows,
     )
 
 
-def _moment_sums(w: np.ndarray, z: np.ndarray, rows) -> tuple[np.ndarray, np.ndarray]:
-    """``(s1, s2)``, one Sum2 pass per column ``w Zc_j`` and ``w (Zc_i Zc_j)``, ``i <= j``;
-    raises :class:`ExpOverflowError` when a sum leaves float64."""
+def _moment_sums(w: np.ndarray, z: np.ndarray, rows, hazard: np.ndarray):
+    """``(s1, gram)``: one Sum2 pass per column ``w Zc_j``, and the Gram matrix
+    ``Zc' diag(w L) Zc`` of the rows weighted by their cumulative hazards
+    ``hazard`` (time order), its upper triangle mirrored so it is exactly
+    symmetric; raises :class:`ExpOverflowError` when a value leaves float64."""
     p = z.shape[1]
     s1 = np.empty((rows.size, p))
-    s2 = np.empty((rows.size, p, p))
     with np.errstate(over="ignore", invalid="ignore"):
         zr = np.ascontiguousarray(z[::-1].T)
         for j in range(p):
             s1[:, j] = _running_sums(w * zr[j], rows)
+        gram = (z * (w[::-1] * hazard)[:, None]).T @ z
+    iu, ju = _upper_pairs(p)
+    gram[ju, iu] = gram[iu, ju]
+    if not (np.isfinite(s1).all() and np.isfinite(gram).all()):
+        raise ExpOverflowError("risk-set moment sums leave float64 range")
+    for arr in (s1, gram):
+        arr.setflags(write=False)
+    return s1, gram
+
+
+def _second_moments(w: np.ndarray, z: np.ndarray, rows) -> np.ndarray:
+    """The per-time ``s2`` table, one Sum2 pass per column ``w (Zc_i Zc_j)``,
+    ``i <= j``; raises :class:`ExpOverflowError` when a sum leaves float64."""
+    p = z.shape[1]
+    s2 = np.empty((rows.size, p, p))
+    with np.errstate(over="ignore", invalid="ignore"):
+        zr = np.ascontiguousarray(z[::-1].T)
         for i, j in zip(*_upper_pairs(p)):
             zz = zr[i] * zr[j]
             zz *= w
             s2[:, i, j] = s2[:, j, i] = _running_sums(zz, rows)
-    if not (np.isfinite(s1).all() and np.isfinite(s2).all()):
+    if not np.isfinite(s2).all():
         raise ExpOverflowError("risk-set moment sums leave float64 range")
-    for arr in (s1, s2):
-        arr.setflags(write=False)
-    return s1, s2
+    s2.setflags(write=False)
+    return s2
 
 
 def _lookup(agg: RiskAggregates, table: np.ndarray, x):

@@ -1,3 +1,6 @@
+import importlib.util
+from pathlib import Path
+
 import numpy as np
 import pytest
 from hypothesis import HealthCheck, settings, strategies as st
@@ -64,3 +67,12 @@ def random_dataset(rng, n, p, *, tie_fraction=0.3, scale=2.0):
         events[rng.integers(n)] = True
     covs = rng.normal(0.0, 1.0, size=(n, p))
     return SurvivalDataset(times, events, covs)
+
+
+def digest_tied_p3():
+    """The artifact digest's 600-row input: three covariates, weekly ties."""
+    path = Path(__file__).resolve().parents[1] / "scripts" / "artifact_digest.py"
+    spec = importlib.util.spec_from_file_location("artifact_digest", path)
+    module = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(module)
+    return module.tied_p3()

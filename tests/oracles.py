@@ -2,7 +2,8 @@
 
 Everything here is deliberately written without touching the package's own
 computational paths: plain counting for the no-covariate hazard estimator,
-central finite differences for derivative checks, scipy adaptive
+explicit risk sets summed with ``math.fsum`` for the partial likelihood and
+its information, central finite differences for derivative checks, scipy adaptive
 quadrature for population integrals, and exact rational arithmetic for the
 plug-in influence values.  The ``reference_*`` functions are the exception:
 they reuse the package's truth functionals and risk table and redo only the
@@ -95,6 +96,37 @@ def brute_force_log_likelihood(times, events, covariates, beta):
         top = risk.max()
         terms.append(eta[i] - top - math.log(np.exp(risk - top).sum()))
     return math.fsum(terms)
+
+
+def brute_force_information(times, events, covariates, beta):
+    """Breslow-tie observed information from explicit risk sets, O(n^2).
+
+    ``sum_k d_k (s2_k/s0_k - m_k m_k')`` over the distinct event times
+    ``t_k`` with ``d_k`` events each and the risk set ``T_j >= t_k``, with
+    ``m_k = s1_k/s0_k``.  Each risk set's term is its weighted covariance,
+    ``sum w (Z - m)(Z - m)' / s0``, which equals ``s2/s0 - m m'`` and does not
+    cancel when a covariate is shifted; every sum is a ``math.fsum``.  The
+    linear predictors are taken relative to the first subject's, so a large
+    shift of a covariate does not round them, and the weights ``exp(beta'Z)``
+    are scaled by the largest one.
+    """
+    t = np.asarray(times, dtype=float)
+    e = np.asarray(events, dtype=bool)
+    z = np.asarray(covariates, dtype=float)
+    eta = (z - z[0]) @ np.asarray(beta, dtype=float)
+    w = np.exp(eta - eta.max())
+    p = z.shape[1]
+    terms = [[[] for _ in range(p)] for _ in range(p)]
+    for tk in np.unique(t[e]):
+        d = int(np.count_nonzero(e & (t == tk)))
+        at_risk = t >= tk
+        wk, zk = w[at_risk], z[at_risk]
+        s0 = math.fsum(wk)
+        centered = zk - [math.fsum(wk * zk[:, i]) / s0 for i in range(p)]
+        for i in range(p):
+            for j in range(p):
+                terms[i][j].append(d * math.fsum(wk * centered[:, i] * centered[:, j]) / s0)
+    return np.array([[math.fsum(terms[i][j]) for j in range(p)] for i in range(p)])
 
 
 def central_diff_hessian(f, beta, h=1e-4):

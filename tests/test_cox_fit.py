@@ -17,8 +17,13 @@ from breslow_lab import (
     validate_dataset,
 )
 
-from conftest import random_dataset
-from oracles import brute_force_log_likelihood, brute_force_score, central_diff_grad
+from conftest import digest_tied_p3, random_dataset
+from oracles import (
+    brute_force_information,
+    brute_force_log_likelihood,
+    brute_force_score,
+    central_diff_grad,
+)
 
 
 @pytest.fixture
@@ -78,6 +83,22 @@ class TestScoreAndInformation:
             assert np.allclose(score, fd, rtol=1e-6, atol=1e-6)
             eigs = np.linalg.eigvalsh(info)
             assert eigs.min() >= -1e-10
+
+    @pytest.mark.parametrize("case", ["tied_p3", "tied_p3_shifted", "p1"])
+    def test_information_matches_risk_set_oracle(self, case):
+        # The Breslow-weighted Gram form against sum_k d_k (s2/s0 - m m')
+        # from explicit risk sets: ties, a covariate shifted by 1e4, and p = 1.
+        from breslow_lab import generate_dataset, reference_truth
+
+        if case == "p1":
+            data, beta = generate_dataset(reference_truth(), 400, 7), [math.log(2.0)]
+        else:
+            data, beta = digest_tied_p3(), [0.5, 0.3, -0.2]
+            if case == "tied_p3_shifted":
+                data = SurvivalDataset(data.times, data.events, data.covariates + [0.0, 1e4, 0.0])
+        want = brute_force_information(data.times, data.events, data.covariates, beta)
+        _, info = score_and_information(data, beta)
+        assert np.all(np.abs(info - want) <= 1e-13 * np.abs(want))
 
     def test_information_symmetric(self):
         rng = np.random.default_rng(22)

@@ -1,6 +1,3 @@
-import importlib.util
-from pathlib import Path
-
 import numpy as np
 import pytest
 from hypothesis import given, strategies as st
@@ -17,10 +14,8 @@ from breslow_lab import (
     validate_dataset,
 )
 
-from conftest import random_dataset, survival_datasets
+from conftest import digest_tied_p3, random_dataset, survival_datasets
 from oracles import central_diff_grad, central_diff_hessian, stacked_risk_sums
-
-SCRIPTS = Path(__file__).resolve().parents[1] / "scripts"
 
 
 @pytest.fixture
@@ -159,20 +154,12 @@ class TestDerivativeIdentities:
             assert np.allclose(d2_n(agg, x), fd, rtol=1e-5, atol=1e-7)
 
 
-def _digest_tied_p3():
-    """The artifact digest's 600-row input: three covariates, weekly ties."""
-    spec = importlib.util.spec_from_file_location("artifact_digest", SCRIPTS / "artifact_digest.py")
-    module = importlib.util.module_from_spec(spec)
-    spec.loader.exec_module(module)
-    return module.tied_p3()
-
-
 @pytest.mark.parametrize("case", ["tied_p3", "reference_8000", "p0", "n_1001"])
 def test_columnar_build_matches_stacked_sums_bitwise(case):
     # One contiguous Sum2 pass per column must give the bits of the old
     # single pass over the addend stack, the exp taken before the reversal.
     if case == "tied_p3":
-        data, beta = _digest_tied_p3(), [0.5, 0.3, -0.2]
+        data, beta = digest_tied_p3(), [0.5, 0.3, -0.2]
     elif case == "reference_8000":
         truth = reference_truth()
         data, beta = generate_dataset(truth, 8000, 1), truth.beta0
@@ -401,7 +388,8 @@ class TestTableCache:
 
 
 class TestMomentPasses:
-    """The moment columns ``s1``/``s2`` are built only where they are read.
+    """The moment pass (``s1`` and ``gram``) and the ``s2`` table are built
+    only where they are read.
 
     A later read of ``zbar`` or ``s2`` on a path that does not need it would
     put a moment pass back into every replication; these counts catch it.
@@ -421,6 +409,30 @@ class TestMomentPasses:
 
         coupling_remainder_experiment(reference_truth(), (200, 400), 2, seed=3)
         assert passes == []
+
+    def test_fit_and_post_fit_path_build_no_s2(self, monkeypatch):
+        # The information is the Breslow-weighted Gram, so only d2_n reads the
+        # per-time s2 table, and it builds it once per table.
+        from breslow_lab import (a_n_curve, breslow_plugin, breslow_traditional, fit_mple,
+                                 risk, variance_estimate, xi_plugin)
+
+        calls = []
+        original = risk._second_moments
+        monkeypatch.setattr(risk, "_second_moments", lambda *a: calls.append(1) or original(*a))
+        data = digest_tied_p3()
+        fit = fit_mple(data)
+        beta = fit.beta_hat
+        breslow_traditional(data, beta)
+        breslow_plugin(data, beta)
+        a_curve = a_n_curve(data, beta)
+        grid = np.linspace(0.0, 1.0, 16)
+        variance_estimate(data, xi_plugin(data, fit, grid), fit, a_curve)
+        assert fit.converged and calls == []
+        for k, point in enumerate((beta, beta + 0.1), start=1):
+            agg = build_aggregates(data, point)
+            d2_n(agg, grid)
+            d2_n(agg, 0.5)
+            assert len(calls) == k
 
     def test_theorem_fit_runs_one_per_accepted_table(self, passes, monkeypatch):
         from breslow_lab import experiments

@@ -5,6 +5,7 @@ suite's own policy), from a temporary working directory.
 """
 
 import json
+import shutil
 import subprocess
 import sys
 from pathlib import Path
@@ -58,6 +59,7 @@ def test_paired_ops_tree_against_itself(tmp_path):
     report = json.loads(proc.stdout)
     assert report["ops"] == 3
     assert report["artifacts_identical"] and report["mismatched_op_seeds"] == []
+    assert "max_rel_diff" not in report
     ratio = report["ratio_change_over_parent"]
     assert 0 < ratio["q1"] <= ratio["median"] <= ratio["q3"]
     assert set(report["minor_faults_per_op_median"]) == {"parent", "change"}
@@ -101,3 +103,25 @@ def test_paired_ops_analysis_mode_tree_against_itself(tmp_path):
     assert not list(tmp_path.iterdir())
     proc = run_script("paired_ops.py", src, src, "--analysis", "--csv", cwd=tmp_path)
     assert proc.returncode == 2 and "not allowed with argument" in proc.stderr
+
+
+def test_paired_ops_sizes_the_differences_of_two_trees(tmp_path, tmp_path_factory):
+    # A copy of the package whose fit stops at a looser score tolerance: its
+    # coefficients and every value built on them move a little.
+    src = SCRIPTS.parent / "src"
+    loose = tmp_path_factory.mktemp("loose") / "src"
+    shutil.copytree(src, loose, ignore=shutil.ignore_patterns("__pycache__"))
+    coxfit = loose / "breslow_lab" / "coxfit.py"
+    text = coxfit.read_text()
+    assert "_SCORE_TOL = 1e-10\n" in text
+    coxfit.write_text(text.replace("_SCORE_TOL = 1e-10\n", "_SCORE_TOL = 1e-4\n"))
+    for mode, label in ((["--analysis"], "beta_hat"), (["--claim", "theorem", "--n", "100,200",
+                                                        "--reps", "2"], "reps_n200.csv:r_n")):
+        proc = run_script("paired_ops.py", str(src), str(loose), *mode, "--ops", "2", cwd=tmp_path)
+        assert proc.returncode == 0, proc.stderr
+        report = json.loads(proc.stdout)
+        assert not report["artifacts_identical"] and report["mismatched_op_seeds"]
+        diffs = report["max_rel_diff"]
+        assert 0 < diffs[label] < 1e-2, diffs
+        assert all(v is None or 0 <= v <= 1 for v in diffs.values())
+    assert not list(tmp_path.iterdir())
