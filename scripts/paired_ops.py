@@ -7,39 +7,40 @@
     python scripts/paired_ops.py PARENT_SRC CHANGE_SRC --analysis [--ops 30]
 
 Each ``*_SRC`` is a ``src`` directory holding a ``breslow_lab`` package; the
-two are imported under their own module names, so both live in this process.
-Op k runs ``rate-lab --claim C --truth reference --n N --reps R --seed k``
-through each tree's ``cli.main``.  ``--n`` and ``--reps`` default to the
-perfbench op of the claim (``BENCH_OPS``: theorem ``1000,8000`` with 3
-replications, lemma2 ``8000,100000`` with 1), so ``--claim theorem`` alone
-runs the theorem workload's op.  With ``--csv`` an op is one ``save_csv`` and
-one ``load_csv`` of an analysis-shaped dataset drawn with seed k (8000 rows,
-day-rounded tied times, one binary and two continuous covariates).  With
-``--analysis`` an op is the op of the analysis-p3-ties-n8000 workload on that
-dataset: the fit, both Breslow forms with their 1e-10 cross-check, ``A_n``,
-``xi_plugin`` on 64 points up to ``default_m_plugin`` and
-``variance_estimate``.  One untimed warm-up op per tree runs first; the
-parent goes first when k is even and the change first when k is odd.
-Because the two sides of a pair run seconds apart in the same process,
-machine drift that spreads separate benchmark runs cancels out of their
-ratio.
+two are imported under their own module names, so both live in this process,
+and ``perfbench/workloads.py`` is loaded once against each of them.  Every op
+is the one that module defines.  Op k is an op of ``RateLabWorkload``:
+``rate-lab --claim C --truth reference --n N --reps R --seed k`` through the
+tree's ``cli.main``.  ``--n`` and ``--reps`` default to those of the claim's
+workload in ``WORKLOADS`` (theorem ``1000,8000`` with 3 replications, lemma2
+``8000,100000`` with 1), so ``--claim theorem`` alone runs the theorem
+workload's op.  With ``--analysis`` op k is the op of the
+analysis-p3-ties-n8000 workload on dataset k mod 8 of that workload's set-up
+at workload seed 1 (the fit, both Breslow forms with their 1e-10
+cross-check, ``A_n``, ``xi_plugin`` and ``variance_estimate``); the parent
+tree runs the set-up once, and both trees' ops read its arrays.  With
+``--csv`` op k is one ``save_csv`` and one ``load_csv`` of that same dataset.
+One untimed warm-up op per tree runs first; the parent goes first when k is
+even and the change first when k is odd.  Because the two sides of a pair
+run seconds apart in the same process, machine drift that spreads separate
+benchmark runs cancels out of their ratio.
 
 Prints one JSON object: the median change/parent op-time ratio with its
 quartiles, each side's median op time and minor page faults per op
 (``getrusage``), and whether every op's artifacts were byte-identical between
 the trees: every file ``rate-lab`` wrote, the CSV file ``save_csv`` wrote
-and the arrays ``load_csv`` read back, or the analysis op's coefficients,
-log-likelihood, information, both Breslow curves, ``A_n`` and both variance
-curves.  When they were not, ``max_rel_diff`` sizes the change in one run:
-for every artifact array, CSV column (``file:column``) or JSON file (all its
-numbers in document order) that differed in some op, the largest
+and the arrays ``load_csv`` read back, or the arrays the analysis op
+returned (coefficients, log-likelihood, information, the Breslow curve and
+its jump times, the forms' gap, ``A_n`` and both variance curves).  When
+they were not, ``max_rel_diff`` sizes the change in one run: for every
+artifact array, CSV column (``file:column``) or JSON file (all its numbers
+in document order) that differed in some op, the largest
 ``|change - parent| / max(|change|, |parent|)`` over those ops, or null where
 the two sides do not compare as numbers (a column that does not parse, a
 changed shape or a file on one side only).
 """
 
 import argparse
-import contextlib
 import csv
 import importlib
 import importlib.util
@@ -60,16 +61,10 @@ for _name in ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS"):
 import numpy as np  # noqa: E402  (after the thread settings)
 
 
-CSV_ROWS = 8000
-
-# Grid points of the analysis op's plug-in influence, and the tolerance of its
-# Breslow cross-check (perfbench/workloads.py, analysis-p3-ties-n8000).
-ANALYSIS_GRID_POINTS = 64
-FORM_IDENTITY_RTOL = 1e-10
-
-# ``(--n, --reps)`` of the perfbench op of each claim that has one
-# (perfbench/workloads.py: theorem-ref-n8000, lemma2-ref-n1e5).
-BENCH_OPS = {"theorem": ("1000,8000", 3), "lemma2": ("8000,100000", 1)}
+WORKLOADS_PY = Path(__file__).resolve().parents[1] / "perfbench" / "workloads.py"
+ANALYSIS = "analysis-p3-ties-n8000"
+# Workload seed of the set-up whose datasets the --analysis and --csv ops read.
+ANALYSIS_WORKLOAD_SEED = 1
 
 
 def load_package(src: Path, name: str):
@@ -83,6 +78,27 @@ def load_package(src: Path, name: str):
     module = importlib.util.module_from_spec(spec)
     sys.modules[name] = module
     spec.loader.exec_module(module)
+    return module
+
+
+def load_workloads(package):
+    """``perfbench/workloads.py`` loaded against ``package``: while it loads,
+    ``breslow_lab`` and ``breslow_lab.cli`` in ``sys.modules`` are ``package``
+    and its ``cli``, and they are restored afterwards."""
+    bound = {"breslow_lab": package,
+             "breslow_lab.cli": importlib.import_module(f"{package.__name__}.cli")}
+    saved = {name: sys.modules[name] for name in bound if name in sys.modules}
+    spec = importlib.util.spec_from_file_location(f"{package.__name__}_workloads", WORKLOADS_PY)
+    module = importlib.util.module_from_spec(spec)
+    try:
+        sys.modules.update(bound)
+        spec.loader.exec_module(module)
+    finally:
+        for name in bound:
+            if name in saved:
+                sys.modules[name] = saved[name]
+            else:
+                del sys.modules[name]
     return module
 
 
@@ -168,33 +184,11 @@ def relative_differences(parent: dict, change: dict) -> dict:
     return out
 
 
-def run_op(cli, argv, out: Path):
-    """``(seconds, minor faults, {file: bytes})`` of one ``cli.main`` call."""
-    with contextlib.redirect_stdout(io.StringIO()):
-        seconds, faults, code = timed(lambda: cli.main([*argv, "--output-dir", str(out)]))
-    if code != 0:
-        raise SystemExit(f"{' '.join(argv)} exited {code}")
-    files = {p.name: p.read_bytes() for p in sorted(out.iterdir())}
-    return seconds, faults, files
-
-
-def analysis_arrays(seed: int):
-    """``(times, events, covariates)`` of ``CSV_ROWS`` rows, times rounded up
-    to whole days."""
-    n = CSV_ROWS
-    rng = np.random.default_rng(seed)
-    times = np.ceil(rng.exponential(1.0, n) * 365.0) / 365.0
-    covariates = np.column_stack([rng.integers(0, 2, n).astype(float),
-                                  np.clip(rng.normal(size=(n, 2)), -2.0, 2.0)])
-    return times, rng.random(n) < 0.7, covariates
-
-
-def run_csv_op(package, arrays, out: Path):
+def run_csv_op(package, arrays, workdir: Path):
     """``(seconds, minor faults, {name: artifact})`` of one ``save_csv`` and
     one ``load_csv`` of ``arrays``: the file's bytes and each array read back."""
     data = package.SurvivalDataset(*arrays)
-    out.mkdir()
-    path = out / "data.csv"
+    path = Path(tempfile.mkdtemp(dir=workdir)) / "data.csv"
 
     def round_trip():
         package.save_csv(data, path)
@@ -207,43 +201,28 @@ def run_csv_op(package, arrays, out: Path):
     return seconds, faults, files
 
 
-def run_analysis_op(package, arrays):
-    """``(seconds, minor faults, {name: array})`` of one analysis op on
-    ``arrays`` (see the module docstring); raises ``SystemExit`` when the fit
-    does not converge or the two Breslow forms disagree."""
-
-    def analysis():
-        data = package.SurvivalDataset(*arrays)
-        fit = package.fit_mple(data)
-        if not fit.converged:
-            raise SystemExit(f"fit status {fit.status}")
-        beta = fit.beta_hat
-        trad = package.breslow_traditional(data, beta)
-        plug = package.breslow_plugin(data, beta)
-        trad_vals = trad.curve.cumulative_values
-        plug_vals = plug.curve(trad.curve.jump_times)
-        gap = float(np.max(np.abs(plug_vals - trad_vals) / (1.0 + np.abs(trad_vals))))
-        a_curve = package.a_n_curve(data, beta)
-        grid = np.linspace(0.0, package.default_m_plugin(data, beta), ANALYSIS_GRID_POINTS)
-        infl = package.xi_plugin(data, fit, grid)
-        curves = package.variance_estimate(data, infl, fit, a_curve)
-        return fit, trad, plug, gap, a_curve, curves
-
-    seconds, faults, (fit, trad, plug, gap, a_curve, curves) = timed(analysis)
-    if not gap <= FORM_IDENTITY_RTOL:
+def analysis_artifacts(workloads, result) -> dict:
+    """``{name: array}`` of what one analysis op returned; raises
+    ``SystemExit`` when its fit did not converge or its two Breslow forms
+    disagree."""
+    fit = result["fit"]
+    if not fit.converged:
+        raise SystemExit(f"fit status {fit.status}")
+    gap = result["form_gap"]
+    if not gap <= workloads.FORM_IDENTITY_RTOL:
         raise SystemExit(f"Breslow forms disagree: relative gap {gap:.3e}")
-    arrays_out = {
+    breslow = result["breslow"].curve
+    return {
         "beta_hat": fit.beta_hat,
         "log_partial_likelihood": np.array(fit.log_partial_likelihood),
         "information": fit.information,
-        "breslow_traditional": trad.curve.cumulative_values,
-        "breslow_plugin": plug.curve.cumulative_values,
-        "breslow_jump_times": trad.curve.jump_times,
-        "a_n": a_curve.curve.cumulative_values,
-        "variance_total": curves.total,
-        "variance_xi_only": curves.xi_only,
+        "breslow": breslow.cumulative_values,
+        "breslow_jump_times": breslow.jump_times,
+        "form_gap": np.array(gap),
+        "a_n": result["a_curve"].curve.cumulative_values,
+        "variance_total": result["curves"].total,
+        "variance_xi_only": result["curves"].xi_only,
     }
-    return seconds, faults, arrays_out
 
 
 def quartiles(values):
@@ -268,46 +247,60 @@ def main(argv=None) -> int:
     args = parser.parse_args(argv)
     if args.ops < 1:
         parser.error("--ops must be at least 1")
-    if not (args.csv or args.analysis) and (args.n is None or args.reps is None):
-        if args.claim not in BENCH_OPS:
-            parser.error(f"--n and --reps are required for --claim {args.claim}")
-        n, reps = BENCH_OPS[args.claim]
-        args.n = n if args.n is None else args.n
-        args.reps = reps if args.reps is None else args.reps
     packages = {side: load_package(src.resolve(), f"breslow_lab_{side}")
                 for side, src in (("parent", args.parent_src), ("change", args.change_src))}
-    if args.csv:
-        command = f"save_csv + load_csv of {CSV_ROWS} analysis-shaped rows drawn with seed k"
-
-        def op(side, seed, out):
-            return run_csv_op(packages[side], analysis_arrays(seed), out)
-    elif args.analysis:
-        command = (f"analysis op (fit, Breslow forms, A_n, xi_plugin, variance) on "
-                   f"{CSV_ROWS} analysis-shaped rows drawn with seed k")
-
-        def op(side, seed, out):
-            return run_analysis_op(packages[side], analysis_arrays(seed))
-    else:
-        base = ["rate-lab", "--claim", args.claim, "--truth", "reference",
-                "--n", args.n, "--reps", str(args.reps)]
-        command = " ".join(base) + " --seed k"
-        clis = {side: importlib.import_module(f"{package.__name__}.cli")
-                for side, package in packages.items()}
-
-        def op(side, seed, out):
-            return run_op(clis[side], [*base, "--seed", str(seed)], out)
+    workloads = {side: load_workloads(package) for side, package in packages.items()}
+    bench = workloads["parent"]
+    if not (args.csv or args.analysis):
+        claims = {wl.claim: wl for wl in bench.WORKLOADS.values()
+                  if isinstance(wl, bench.RateLabWorkload)}
+        if (args.n is None or args.reps is None) and args.claim not in claims:
+            parser.error(f"--n and --reps are required for --claim {args.claim}")
+        n = claims[args.claim].sizes if args.n is None else args.n
+        reps = claims[args.claim].reps if args.reps is None else args.reps
+        command = f"rate-lab --claim {args.claim} --truth reference --n {n} --reps {reps} --seed k"
     times = {side: [] for side in packages}
     faults = {side: [] for side in packages}
     mismatched = []
     max_rel_diff = {}
     with tempfile.TemporaryDirectory() as tmp:
+        workdir = Path(tmp)
+        if args.csv or args.analysis:
+            analysis = bench.WORKLOADS[ANALYSIS]
+            state = analysis.setup(analysis.op_seeds(ANALYSIS_WORKLOAD_SEED), workdir)
+        if args.csv:
+            command = (f"save_csv + load_csv of {analysis.n} rows: {ANALYSIS} dataset k mod "
+                       f"{analysis.datasets} at workload seed {ANALYSIS_WORKLOAD_SEED}")
+
+            def op(side, k):
+                return run_csv_op(packages[side], analysis.prepare(state, k)[1], workdir)
+        elif args.analysis:
+            command = (f"analysis op of {ANALYSIS} on dataset k mod {analysis.datasets} "
+                       f"at workload seed {ANALYSIS_WORKLOAD_SEED}")
+
+            def op(side, k):
+                wl = workloads[side].WORKLOADS[ANALYSIS]
+                arrays = analysis.prepare(state, k)[1]
+                seconds, op_faults, result = timed(lambda: wl.execute(arrays))
+                return seconds, op_faults, analysis_artifacts(workloads[side], result)
+        else:
+            labs = {side: w.RateLabWorkload(f"rate-lab-{args.claim}", args.claim, n, reps,
+                                            "dispatch")
+                    for side, w in workloads.items()}
+            state = labs["parent"].setup(list(range(args.ops)), workdir)
+
+            def op(side, k):
+                wl = labs[side]
+                out, argv = wl.prepare(state, k)
+                seconds, op_faults, code = timed(lambda: wl.execute(argv))
+                return seconds, op_faults, wl.collect(out, code)["artifacts"]
         for side in packages:
-            op(side, 0, Path(tmp, f"warm-{side}"))
+            op(side, 0)
         for k in range(args.ops):
             order = ("parent", "change") if k % 2 == 0 else ("change", "parent")
             files = {}
             for side in order:
-                seconds, op_faults, files[side] = op(side, k, Path(tmp, f"op{k}-{side}"))
+                seconds, op_faults, files[side] = op(side, k)
                 times[side].append(seconds)
                 faults[side].append(op_faults)
             diffs = relative_differences(files["parent"], files["change"])

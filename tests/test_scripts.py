@@ -10,6 +10,8 @@ import subprocess
 import sys
 from pathlib import Path
 
+import pytest
+
 SCRIPTS = Path(__file__).resolve().parents[1] / "scripts"
 
 
@@ -66,17 +68,46 @@ def test_paired_ops_tree_against_itself(tmp_path):
     assert not list(tmp_path.iterdir())
 
 
-def test_paired_ops_defaults_to_the_claims_benchmark_op(tmp_path):
+@pytest.mark.parametrize("claim, sizes, reps", [("theorem", "1000,8000", 3),
+                                                  ("lemma2", "8000,100000", 1)],
+                         ids=["theorem", "lemma2"])
+def test_paired_ops_defaults_to_the_claims_benchmark_op(tmp_path, claim, sizes, reps):
     src = str(SCRIPTS.parent / "src")
-    proc = run_script("paired_ops.py", src, src, "--claim", "theorem", "--ops", "1", cwd=tmp_path)
+    proc = run_script("paired_ops.py", src, src, "--claim", claim, "--ops", "1", cwd=tmp_path)
     assert proc.returncode == 0, proc.stderr
     report = json.loads(proc.stdout)
-    assert report["command"] == ("rate-lab --claim theorem --truth reference --n 1000,8000 "
-                                 "--reps 3 --seed k")
+    assert report["command"] == (f"rate-lab --claim {claim} --truth reference --n {sizes} "
+                                 f"--reps {reps} --seed k")
     assert report["artifacts_identical"]
     proc = run_script("paired_ops.py", src, src, "--claim", "lemma1", cwd=tmp_path)
     assert proc.returncode == 2
     assert "--n and --reps are required for --claim lemma1" in proc.stderr
+
+
+def test_paired_ops_binds_the_workloads_to_each_tree():
+    # perfbench/workloads.py imports ``breslow_lab``; loaded against a tree's
+    # package under another name, it must call that package and leave
+    # ``sys.modules`` as it found it.
+    code = f"""
+import sys, types
+from pathlib import Path
+sys.path.insert(0, {str(SCRIPTS)!r})
+import paired_ops
+
+package = paired_ops.load_package(Path({str(SCRIPTS.parent / "src")!r}), "other_lab")
+workloads = paired_ops.load_workloads(package)
+assert workloads.bl is package
+assert workloads.cli is sys.modules["other_lab.cli"] is package.cli
+assert "breslow_lab" not in sys.modules and "breslow_lab.cli" not in sys.modules
+original = {{name: types.ModuleType(name) for name in ("breslow_lab", "breslow_lab.cli")}}
+sys.modules.update(original)
+workloads = paired_ops.load_workloads(package)
+assert workloads.bl is package and workloads.cli is package.cli
+assert all(sys.modules[name] is module for name, module in original.items())
+"""
+    proc = subprocess.run([sys.executable, "-W", "error::RuntimeWarning", "-c", code],
+                          capture_output=True, text=True, timeout=120)
+    assert proc.returncode == 0, proc.stderr
 
 
 def test_paired_ops_csv_mode_tree_against_itself(tmp_path):
