@@ -84,6 +84,8 @@ class SurvivalDataset:
             raise DataError("dataset must contain at least one observation")
         if covariates.ndim == 1 and covariates.size % times.size == 0:
             covariates = covariates.reshape(times.size, -1)
+        if covariates.ndim not in (1, 2):
+            raise DataError(f"covariates must be an (n, p) array, got shape {covariates.shape}")
         if covariates.shape[0] != times.shape[0]:
             raise DataError("covariate rows must match the number of observations")
         if not np.all(np.isfinite(times)) or np.any(times <= 0):

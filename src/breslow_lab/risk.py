@@ -119,19 +119,10 @@ def _running_sums(addends: np.ndarray, rows) -> np.ndarray:
     Sum2 of Ogita, Rump & Oishi: a running sum, the exact TwoSum rounding
     error of each of its additions, and the running sum of those errors added
     back at the rows read.  The errors are formed in place in one scratch
-    array.  Columns of a 2-D input are summed in pairs, each pair viewed as
-    one complex column (a C-contiguous input of even width is not copied; an
-    odd width is padded with zeros): Sum2 only adds and subtracts, complex
-    addition is IEEE addition of the real and the imaginary parts, so every
-    column gets the bits it would get alone, and one pass carries two
-    dependency chains.  The risk tables, the partial likelihood, score and
-    information totals (``rows=-1``) and the quadrature prefix sums all use it.
+    array.  Each column of a 2-D input is summed on its own, so it gets the
+    bits it would get alone.  The risk tables, the partial likelihood and
+    score totals (``rows=-1``) and the quadrature prefix sums all use it.
     """
-    width = addends.shape[1] if addends.ndim == 2 else None
-    if width is not None:
-        if width % 2:
-            addends = np.concatenate([addends, np.zeros((addends.shape[0], 1))], axis=1)
-        addends = np.ascontiguousarray(addends).view(np.complex128)
     total = np.cumsum(addends, axis=0)
     err = np.empty_like(total)
     err[:1] = 0.0
@@ -142,8 +133,7 @@ def _running_sums(addends: np.ndarray, rows) -> np.ndarray:
     np.subtract(addends[1:], step, out=step)
     step += tmp
     np.cumsum(err, axis=0, out=err)
-    sums = total[rows] + err[rows]
-    return sums if width is None else sums.view(np.float64)[..., :width]
+    return total[rows] + err[rows]
 
 
 @lru_cache

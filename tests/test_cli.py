@@ -103,6 +103,11 @@ class TestFitCommand:
     pytest.param(["influence", "--n", "10000000000000"],
                  "breslow-lab influence: error: argument --n: "
                  "must be an integer from 1 to 4194304, got '10000000000000'", id="influence-n-bound"),
+    pytest.param(["influence", "--n", "1.5"],
+                 "breslow-lab influence: error: argument --n: "
+                 "must be an integer from 1 to 4194304, got '1.5'", id="influence-n-not-integer"),
+    pytest.param(["breslow", "--input", "{ovf}", "--beta", "1064.55"],
+                 "risk-set sums leave float64 range", id="breslow-risk-sum-overflow"),
     pytest.param(["decompose", "--n", "0"],
                  "breslow-lab decompose: error: argument --n: "
                  "must be an integer from 1 to 4194304, got '0'", id="decompose-n-zero"),
@@ -112,7 +117,8 @@ class TestFitCommand:
     pytest.param(["rate-lab", "--claim", "bogus"], "argument --claim:", id="rate-lab-claim"),
 ])
 def test_failure_exit_2_one_line_and_no_output_dir(tmp_path, capsys, argv, fragment):
-    inputs = {"p0": "time,event\n1,1\n2,0\n3,1\n", "p1": THREE_POINT_CSV, "late": LATE_CSV}
+    inputs = {"p0": "time,event\n1,1\n2,0\n3,1\n", "p1": THREE_POINT_CSV, "late": LATE_CSV,
+              "ovf": "time,event,z1\n1,1,1\n2,1,1\n3,1,-1\n"}
     for name, text in inputs.items():
         (tmp_path / f"{name}.csv").write_text(text)
     argv = [arg.format(**{name: tmp_path / f"{name}.csv" for name in inputs}) for arg in argv]
@@ -698,7 +704,8 @@ class TestModuleInvocation:
         assert json.loads((out / "fit.json").read_text())["status"] == "converged"
 
     def test_overflowing_risk_sum_exit_2_one_line(self, tmp_path):
-        # Every beta'Z is within exp() range, but the risk-set sums are not.
+        # Every centered beta'(Z - zbar) is within exp() range, but the raw-scale
+        # factor exp(-beta'zbar) = exp(-531.75) scales the table out of float64.
         path = tmp_path / "sums.csv"
         path.write_text("time,event,z1\n1,1,709\n2,1,709\n3,1,709\n4,1,0\n")
         out = tmp_path / "out"

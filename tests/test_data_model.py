@@ -58,6 +58,11 @@ class TestValidateDataset:
         pytest.param(lambda: SurvivalDataset([1.0, 2.0], [True, True], [1.0, 2.0, 3.0]),
                      "covariate rows must match the number of observations",
                      id="1-d-covariate-length"),
+        pytest.param(lambda: SurvivalDataset([1.0, 2.0], [True, False], 5.0),
+                     "covariates must be an (n, p) array, got shape ()", id="0-d-covariates"),
+        pytest.param(lambda: SurvivalDataset([1.0, 2.0], [True, False], np.zeros((2, 1, 1))),
+                     "covariates must be an (n, p) array, got shape (2, 1, 1)",
+                     id="3-d-covariates"),
     ])
     def test_malformed_columns(self, build, message):
         with pytest.raises(DataError) as exc:

@@ -243,8 +243,8 @@ def addend_stacks(draw):
 
 @given(stack=addend_stacks(), data=st.data())
 def test_paired_running_sums_are_each_columns_own(stack, data):
-    # A 2-D input is summed two columns at a time as complex pairs; each
-    # column must get the bits of its own 1-D sum, at any width and layout.
+    # A 2-D input is summed along axis 0 as it lies; each column must get
+    # the bits of its own 1-D sum, at any width and layout.
     from breslow_lab.risk import _running_sums
 
     n = stack.shape[0]
@@ -265,7 +265,7 @@ def test_spread_is_the_linear_predictors():
 
 
 def test_compensated_totals_match_fsum_under_cancellation():
-    # The fit's log-likelihood, score and information are Sum2 totals
+    # The fit's log-likelihood and score are Sum2 totals
     # (``_running_sums`` read at the last row).  Ogita, Rump & Oishi bound the
     # error by eps|s| + gamma_{n-1}^2 sum|a| (eps = 2^-53); on columns whose
     # terms cancel to a tiny total a plain sum misses that bound by far.
