@@ -24,7 +24,7 @@ from numpy.random import SeedSequence
 
 from .coxfit import fit_mple
 from .data import DataError, SurvivalDataset
-from .linearize import _linearization_remainder, _t2_parts, _window, _window_grid, _xi_truth_mean
+from .linearize import _linearization_remainder, _t2_terms, _window, _window_grid
 from .risk import build_aggregates, d1_n, phi_n
 from .truth import PHI_FLOOR, TruthModel, generate_dataset
 
@@ -332,8 +332,7 @@ def risk_deviation_experiment(
 def measure_coupling_remainder(truth: TruthModel, data: SurvivalDataset, fixed, M):
     """Sup of |r_n3| at the true coefficients."""
     win = _window(truth, data, ("H_uc",), *_window_grid(fixed, data, M))
-    *_, r_n3 = _t2_parts(data, truth, win)
-    return [np.max(np.abs(r_n3))]
+    return [np.max(np.abs(_t2_terms(data, truth, win)["r_n3"]))]
 
 
 def coupling_remainder_experiment(
@@ -375,7 +374,7 @@ def measure_linearization_remainder(truth: TruthModel, data: SurvivalDataset, fi
     query at the window grid.
     """
     win = _window(truth, data, ("q", "A0"), *_window_grid(fixed, data, M))
-    mean_xi = _xi_truth_mean(data, truth, win)
+    mean_xi = _t2_terms(data, truth, win)["mean_xi"]
     beta_hat = truth.beta0
     if truth.p:
         fit = fit_mple(data, init=truth.beta0)
@@ -450,19 +449,24 @@ def parse_config(path) -> dict:
     """Parse a flat ``key = value`` experiment config file.
 
     Keys are those of ``CONFIG_KEYS`` (``M_policy`` is the risk-mass floor
-    defining M).  Lines starting with ``#`` and blank lines are ignored.
+    defining M).  Lines starting with ``#`` and blank lines are ignored.  A
+    file that is not UTF-8 text raises :class:`DataError`.
     """
+    try:
+        with open(path, "r", encoding="utf-8") as fh:
+            lines = fh.readlines()
+    except UnicodeDecodeError as exc:
+        raise DataError(f"{path}: not UTF-8 text ({exc.reason})") from None
     out: dict = {}
-    with open(path, "r", encoding="utf-8") as fh:
-        for lineno, line in enumerate(fh, start=1):
-            line = line.strip()
-            if not line or line.startswith("#"):
-                continue
-            if "=" not in line:
-                raise ValueError(f"{path}:{lineno}: expected 'key = value'")
-            key, _, value = line.partition("=")
-            key = key.strip()
-            if key not in CONFIG_KEYS:
-                raise ValueError(f"{path}:{lineno}: unknown key {key!r}")
-            out[key] = parse_setting(key, value.strip())
+    for lineno, line in enumerate(lines, start=1):
+        line = line.strip()
+        if not line or line.startswith("#"):
+            continue
+        if "=" not in line:
+            raise ValueError(f"{path}:{lineno}: expected 'key = value'")
+        key, _, value = line.partition("=")
+        key = key.strip()
+        if key not in CONFIG_KEYS:
+            raise ValueError(f"{path}:{lineno}: unknown key {key!r}")
+        out[key] = parse_setting(key, value.strip())
     return out

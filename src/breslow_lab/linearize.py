@@ -262,17 +262,12 @@ def xi_truth_mean(data: SurvivalDataset, truth: TruthModel, x_grid) -> np.ndarra
     averaging xi over the subjects and swapping the sum with the integral
     gives ``s_phi(x) - int_0^x Phi_n(beta0, u) rate0/Phi du``, the mean event
     weight at or before x minus one :func:`_risk_integrals` on the risk table
-    at ``beta0``.  Past the last follow-up time the empirical risk mass is 0,
-    so the grid may reach beyond it.  Raises ``ValueError`` when an event lies
-    where the population risk mass vanishes.
+    at ``beta0``; the ``mean_xi`` of :func:`_t2_terms`.  Past the last
+    follow-up time the empirical risk mass is 0, so the grid may reach beyond
+    it.  Raises ``ValueError`` when an event lies where the population risk
+    mass vanishes.
     """
-    return _xi_truth_mean(data, truth, _window(truth, data, ("q",), _as_grid(x_grid)))
-
-
-def _xi_truth_mean(data: SurvivalDataset, truth: TruthModel, win: _Window) -> np.ndarray:
-    """:func:`xi_truth_mean` on a window that holds ``q``."""
-    i_v = _risk_integrals(build_aggregates(data, truth.beta0), win)["q"]
-    return _event_weight_means(data, truth, win.right) - i_v
+    return _t2_terms(data, truth, _window(truth, data, ("q",), _as_grid(x_grid)))["mean_xi"]
 
 
 def xi_plugin(data: SurvivalDataset, fit: CoxFit | None, x_grid) -> InfluenceMatrix:
@@ -504,38 +499,31 @@ def _risk_integrals(agg: RiskAggregates, win: _Window) -> dict:
     return out
 
 
-def _t2_parts(data: SurvivalDataset, truth: TruthModel, win: _Window):
-    """``(haz_n0, s_phi, lam0, integrals, r_n3)``: Breslow estimate at ``beta0``,
-    event-weight means, ``cum_haz_0`` and :func:`_risk_integrals` on the
-    window's grid, and ``r_n3``, which reads ``H_uc`` alone; the window must
-    hold ``H_uc`` and end by the last follow-up time (:func:`_supported_grid`,
-    :func:`_window_grid`)."""
+def _t2_terms(data: SurvivalDataset, truth: TruthModel, win: _Window) -> dict:
+    """Terms of the split of cum_haz_n(beta0, x) - cum_haz_0(x) on the
+    window's grid, all read off the one risk table at ``beta0``.
+
+    Always ``haz_n_beta0`` (the Breslow estimate at ``beta0``), ``t_n2`` and
+    ``c_n``; ``b_n`` and ``mean_xi = b_n + c_n = s_phi - I_v`` (bitwise the
+    value of :func:`xi_truth_mean`) when the window holds ``q``; ``r_n3``
+    when it holds ``H_uc``; ``r_n4`` when it holds both.  A window that
+    holds ``H_uc`` must end by the last follow-up time (:func:`_supported_grid`,
+    :func:`_window_grid`).
+    """
     agg = build_aggregates(data, truth.beta0)
     integrals = _risk_integrals(agg, win)
     lam0 = truth.cum_hazard0(win.grid)
     s_phi = _event_weight_means(data, truth, win.right)
     haz_n0 = _cum_hazard(data, agg)[win.right]
-    return haz_n0, s_phi, lam0, integrals, (haz_n0 - s_phi) - (integrals["H_uc"] - lam0)
-
-
-def _t2_terms(data: SurvivalDataset, truth: TruthModel, win: _Window) -> dict:
-    """Terms of the split of cum_haz_n(beta0, x) - cum_haz_0(x) on a window
-    that holds ``q`` and ``H_uc``.
-
-    Also returns ``mean_xi = b_n + c_n = s_phi - I_v``, bitwise the value of
-    :func:`xi_truth_mean`.
-    """
-    haz_n0, s_phi, lam0, integrals, r_n3 = _t2_parts(data, truth, win)
-    i_v, i_inv = integrals["q"], integrals["H_uc"]
-    return {
-        "haz_n_beta0": haz_n0,
-        "t_n2": haz_n0 - lam0,
-        "b_n": lam0 - i_v,
-        "c_n": s_phi - lam0,
-        "r_n3": r_n3,
-        "r_n4": i_inv - 2.0 * lam0 + i_v,
-        "mean_xi": s_phi - i_v,
-    }
+    terms = {"haz_n_beta0": haz_n0, "t_n2": haz_n0 - lam0, "c_n": s_phi - lam0}
+    i_v, i_inv = integrals.get("q"), integrals.get("H_uc")
+    if i_v is not None:
+        terms.update(b_n=lam0 - i_v, mean_xi=s_phi - i_v)
+    if i_inv is not None:
+        terms["r_n3"] = (haz_n0 - s_phi) - (i_inv - lam0)
+        if i_v is not None:
+            terms["r_n4"] = i_inv - 2.0 * lam0 + i_v
+    return terms
 
 
 def _linearization_remainder(data: SurvivalDataset, truth: TruthModel, win: _Window,

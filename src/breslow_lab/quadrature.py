@@ -92,7 +92,7 @@ class PanelAntiderivative:
         # ones keep their values.  Arrays are (column, panel, ...).
         edges = np.linspace(0.0, hi, INITIAL_PANELS + 1)
         a, b = edges[:-1], edges[1:]
-        accepted = []  # (left ends, Gauss values, antiderivative coefficients)
+        accepted = []  # (left ends, Gauss values by panel, antiderivative coefficients)
         n_accepted = 0
         for sweep in range(60):
             half = 0.5 * (b - a)
@@ -112,7 +112,7 @@ class PanelAntiderivative:
             bad = ~((gap <= budget) & (err <= 0.1 * tol[:, None])).all(axis=0)
             good = ~bad
             if good.any():
-                accepted.append((a[good], val_hi[:, good],
+                accepted.append((a[good], val_hi[:, good].T,
                                  half[good, None] * (cheb[:, good] @ _VALUES_TO_ANTI.T)))
                 n_accepted += int(good.sum())
                 gauss_gap = np.maximum(gauss_gap, gap[:, good].max(axis=1))
@@ -130,11 +130,11 @@ class PanelAntiderivative:
             raise QuadratureError("quadrature refinement loop did not terminate")
         starts, panel_vals, anti = zip(*accepted)
         starts = np.concatenate(starts)
-        panel_vals = np.concatenate(panel_vals, axis=1)
+        panel_vals = np.concatenate(panel_vals)
         anti = np.concatenate(anti, axis=1)
         order_lr = np.argsort(starts)
         self.edges = np.append(starts[order_lr], self.hi)
-        prefix = _running_sums(panel_vals[:, order_lr].T, np.arange(order_lr.size))
+        prefix = _running_sums(panel_vals[order_lr], np.arange(order_lr.size))
         self._prefix = np.ascontiguousarray(np.concatenate([np.zeros((1, tol.size)), prefix]).T)
         # Per column, trailing terms whose summed size, a bound on what they
         # add to any query, is below atol/1000 are dropped from every panel;

@@ -464,10 +464,13 @@ class TestRateLabCommand:
         (None, 1),
         ("bogus = 1\n", 2),
         ("replications = ten\n", 2),
-    ], ids=["missing-file", "unknown-key", "bad-value"])
+        (b"# rate-lab config, caf\xe9\n", 1),
+    ], ids=["missing-file", "unknown-key", "bad-value", "not-utf-8"])
     def test_config_errors_exit_through_main(self, tmp_path, capsys, config, code):
         cfg = tmp_path / "lab.cfg"
-        if config is not None:
+        if isinstance(config, bytes):
+            cfg.write_bytes(config)
+        elif config is not None:
             cfg.write_text(config)
         out = tmp_path / "out"
         argv = ["rate-lab", "--claim", "lemma1", "--n", "80,160", "--reps", "2",

@@ -114,6 +114,24 @@ class TestDeterminism:
         assert res.excluded == (0, 0)
         assert len(queries) == 1 + 2 * 3 and queries[0] == 1
 
+    @pytest.mark.parametrize("experiment", [
+        coupling_remainder_experiment, linearization_remainder_experiment,
+    ], ids=["lemma2", "theorem"])
+    def test_one_beta0_pass_per_replication(self, monkeypatch, experiment):
+        # Each replication's split at beta0 is one _t2_terms call, the pass
+        # the benchmark's linearize.t2_terms span times.
+        calls = []
+        t2_terms = experiments._t2_terms
+
+        def counting(*args):
+            calls.append(args[0].n)
+            return t2_terms(*args)
+
+        monkeypatch.setattr(experiments, "_t2_terms", counting)
+        res = experiment(reference_truth(), (60, 120), 3, seed=5, grid_points=64)
+        assert res.excluded == (0, 0)
+        assert calls == [60] * 3 + [120] * 3
+
     def test_single_replication_defined(self, ref_truth):
         res = risk_deviation_experiment(
             ref_truth, [80, 160, 320], 1, seed=3, grid_points=64

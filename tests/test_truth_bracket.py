@@ -1,12 +1,12 @@
 """One bracket per truth-functional query set.
 
-``_t2_terms``, ``xi_truth_mean`` and the rate lab's ``r_n3`` (``_t2_parts``)
-bracket a grid once against the distinct follow-up times in its ``_window``,
-derive every other index from that bracket, and evaluate each truth
-antiderivative once per distinct point.  They must agree bitwise
-with the reference bookkeeping of ``tests/oracles.py`` (one search per
-index, every antiderivative at every edge and grid point), and no
-antiderivative may see the same point twice in one call.
+``_t2_terms``, ``xi_truth_mean`` and the rate lab's ``r_n3`` (``_t2_terms``
+on an ``H_uc`` window) bracket a grid once against the distinct follow-up
+times in its ``_window``, derive every other index from that bracket, and
+evaluate each truth antiderivative once per distinct point.  They must
+agree bitwise with the reference bookkeeping of ``tests/oracles.py`` (one
+search per index, every antiderivative at every edge and grid point), and
+no antiderivative may see the same point twice in one call.
 """
 
 import numpy as np
@@ -14,7 +14,7 @@ import pytest
 
 from breslow_lab import SurvivalDataset, generate_dataset, reference_truth, xi_truth_mean
 from breslow_lab.experiments import _eval_grid
-from breslow_lab.linearize import _t2_parts, _t2_terms, _window, _window_grid
+from breslow_lab.linearize import _t2_terms, _window, _window_grid
 from breslow_lab.quadrature import PanelAntiderivative
 
 from oracles import reference_t2_terms, reference_xi_truth_mean
@@ -102,7 +102,7 @@ def test_coupling_remainder_bitwise_equal_to_reference(truth, tie, name):
     # H_uc together.  Neither choice may move a bit of r_n3 or mean_xi.
     data, grid = _case(truth, tie, name)
     want = reference_t2_terms(data, truth, grid)["r_n3"]
-    *_, r_n3 = _t2_parts(data, truth, _window(truth, data, ("H_uc",), grid))
+    r_n3 = _t2_terms(data, truth, _window(truth, data, ("H_uc",), grid))["r_n3"]
     assert r_n3.tobytes() == want.tobytes()
     terms = _t2_terms(data, truth, _window(truth, data, ("q", "H_uc"), grid))
     assert terms["mean_xi"].tobytes() == xi_truth_mean(data, truth, grid).tobytes()
@@ -149,7 +149,7 @@ def test_each_distinct_point_evaluated_at_most_once(truth, query_log, tie, name)
     calls = {
         "_t2_terms": lambda: _t2_terms(data, truth, _window(truth, data, ("q", "H_uc"), grid)),
         "xi_truth_mean": lambda: xi_truth_mean(data, truth, grid),
-        "r_n3": lambda: _t2_parts(data, truth, _window(truth, data, ("H_uc",), grid)),
+        "r_n3": lambda: _t2_terms(data, truth, _window(truth, data, ("H_uc",), grid))["r_n3"],
     }
     for label, call in calls.items():
         query_log.clear()
